@@ -28,12 +28,13 @@ test:
 	$(GO) test ./...
 
 # The plain -race sweep already covers everything; the second pass
-# re-runs the parallel drivers and the sharded-core equality tests
-# alone with -count=2 so the fan-out and cross-shard delivery paths get
-# extra scheduler interleavings under the detector.
+# re-runs the parallel drivers, the sharded-core equality tests and the
+# fabric's disjoint-port shard-safety test alone with -count=2 so the
+# fan-out and cross-shard delivery paths get extra scheduler
+# interleavings under the detector.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=2 -run 'Parallel|Map|Shard' ./internal/exec ./internal/cluster ./internal/campaign ./internal/sim ./internal/mpi
+	$(GO) test -race -count=2 -run 'Parallel|Map|Shard' ./internal/exec ./internal/cluster ./internal/campaign ./internal/sim ./internal/mpi ./internal/netsim
 
 # Simulator throughput benchmarks, archived as NDJSON (one go test
 # -json event per line): the sim-kernel microbenches (gated — pinned

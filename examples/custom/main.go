@@ -61,7 +61,9 @@ func (*proportional) Name() string { return "proportional" }
 func (g *proportional) Install(ctx repro.StrategyInstallCtx) repro.RegionPolicy {
 	for _, n := range ctx.Nodes {
 		n := n
-		ctx.Eng.Spawn(fmt.Sprintf("prop%d", n.ID()), func(p *repro.Proc) {
+		// Each daemon runs on its own node's engine: under a sharded
+		// run ctx.Eng is shard 0's and does not own every node.
+		n.Engine().Spawn(fmt.Sprintf("prop%d", n.ID()), func(p *repro.Proc) {
 			prevBusy, prevIdle := n.Utilization()
 			for {
 				p.Sleep(g.interval)

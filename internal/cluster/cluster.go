@@ -35,8 +35,9 @@ type Config struct {
 	MPI     mpi.Config
 
 	// Fabric, when non-nil, builds the interconnect instead of the
-	// default single switch from Net — e.g. an oversubscribed two-tier
-	// netsim.Tree for topology studies.
+	// default flat fabric from Net (netsim.New, a single-edge
+	// netsim.Tree) — e.g. an oversubscribed multi-edge tree for
+	// topology studies.
 	Fabric func(eng *sim.Engine, ports int) netsim.Fabric
 
 	// BatteryCapacityMWh is the full-charge capacity per node.
@@ -61,7 +62,8 @@ type Config struct {
 	// Zero or one runs single-shard; results are byte-identical at any
 	// setting. Orthogonal to Parallelism, which fans out independent
 	// simulations: Shards parallelizes the inside of one big run.
-	// Requires the default single-switch fabric (Fabric == nil).
+	// Requires the default flat fabric (Fabric == nil): a multi-edge
+	// tree books its shared uplinks from the sender's shard.
 	Shards int
 
 	// Reps is how many times each experiment repeats (paper: ≥3).
@@ -287,7 +289,7 @@ func (r *Runner) RunOnce(w workloads.Workload, strat dvs.Strategy, baseIdx int, 
 	} else {
 		fab = netsim.New(g.Engine(0), nRanks, cfg.Net)
 	}
-	world := mpi.NewWorldOn(g, nodes, fab, cfg.MPI)
+	world := mpi.NewWorld(g, nodes, fab, cfg.MPI)
 	prof := powerpack.NewProfiler()
 
 	// Completion tracking shared with daemons and meters. Each rank
@@ -322,12 +324,12 @@ func (r *Runner) RunOnce(w workloads.Workload, strat dvs.Strategy, baseIdx int, 
 		batteries[i] = meter.NewACPIBattery(n, capacity, refresh)
 		// Per-node instrument: polls only its own node, so it lives on
 		// the node's shard.
-		batteries[i].Spawn(n.Engine(), func() bool { return done })
+		batteries[i].Spawn(func() bool { return done })
 	}
 	// Cluster-wide instruments read every node, so they sample at
 	// window barriers via coordinator globals.
 	strip := meter.NewBaytechStrip(nodes, cfg.BaytechInterval)
-	strip.SpawnGroup(g, func() bool { return done })
+	strip.Spawn(g, func() bool { return done })
 
 	label := table.At(baseIdx).Freq.String()
 	freq := table.At(baseIdx).Freq
@@ -353,7 +355,7 @@ func (r *Runner) RunOnce(w workloads.Workload, strat dvs.Strategy, baseIdx int, 
 		if err != nil {
 			return nil, fmt.Errorf("cluster: %s/%s@%s: %w", w.Name(), strat.Name(), label, err)
 		}
-		rec.SpawnGroup(g, func() bool { return done })
+		rec.Spawn(g, func() bool { return done })
 	}
 	// closeTrace flushes the trace pipeline; on error paths the close
 	// error rides along with the primary one.

@@ -20,6 +20,9 @@ import (
 
 // InstallCtx is what a strategy needs to arm itself on a cluster.
 type InstallCtx struct {
+	// Eng is shard 0's engine. Under a sharded run it owns only the
+	// nodes on that shard, so per-node daemons must spawn on
+	// n.Engine() instead, as Cpuspeed and Slack do.
 	Eng   *sim.Engine
 	Nodes []*machine.Node
 	// BaseIdx is the operating point the experiment sweeps (the x-axis

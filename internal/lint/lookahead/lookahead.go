@@ -28,7 +28,7 @@
 //   - sim.Engine.Schedule, sim.Engine.PostArrival, and the mpi
 //     World.post gateway reject events provably before now
 //     (offset < 0) — the engine's past-event guard panics there.
-//   - netsim Send/Accept/Control (Switch or the Fabric interface)
+//   - netsim Send/Accept/Control (Tree or the Fabric interface)
 //     reject booking times provably before now.
 //
 // Same-package helper results are composed through memoized summaries
@@ -70,9 +70,9 @@ var offsetResults = map[string][]dataflow.Interval{
 	simPath + ".Proc.Now":        {point0},
 	simPath + ".Group.Lookahead": {fwd},
 
-	"repro/internal/netsim.Switch.MinLatency":        {fwd},
+	"repro/internal/netsim.Tree.MinLatency":          {fwd},
 	"repro/internal/netsim.Fabric.MinLatency":        {fwd},
-	"repro/internal/netsim.Switch.SerializationTime": {fwd},
+	"repro/internal/netsim.Tree.SerializationTime":   {fwd},
 	"repro/internal/netsim.Fabric.SerializationTime": {fwd},
 }
 
@@ -91,11 +91,11 @@ var sites = map[string]site{
 	simPath + ".Engine.PostArrival":   {0, false, "(sim.Engine).PostArrival"},
 	"repro/internal/mpi.World.post":   {2, false, "the mpi cross-rank gateway (World).post"},
 
-	"repro/internal/netsim.Switch.Send":    {3, false, "(netsim.Switch).Send"},
+	"repro/internal/netsim.Tree.Send":      {3, false, "(netsim.Tree).Send"},
 	"repro/internal/netsim.Fabric.Send":    {3, false, "(netsim.Fabric).Send"},
-	"repro/internal/netsim.Switch.Accept":  {3, false, "(netsim.Switch).Accept"},
+	"repro/internal/netsim.Tree.Accept":    {3, false, "(netsim.Tree).Accept"},
 	"repro/internal/netsim.Fabric.Accept":  {3, false, "(netsim.Fabric).Accept"},
-	"repro/internal/netsim.Switch.Control": {3, false, "(netsim.Switch).Control"},
+	"repro/internal/netsim.Tree.Control":   {3, false, "(netsim.Tree).Control"},
 	"repro/internal/netsim.Fabric.Control": {3, false, "(netsim.Fabric).Control"},
 }
 
@@ -194,15 +194,15 @@ func (c *checker) effect(call *ast.CallExpr, recv dataflow.Interval, args []data
 		if len(args) == 1 {
 			return dataflow.IntervalEffect{Results: []dataflow.Interval{recv.Sub(args[0])}, NoMutation: true}, true
 		}
-	case "repro/internal/netsim.Switch.Send", "repro/internal/netsim.Fabric.Send":
+	case "repro/internal/netsim.Tree.Send", "repro/internal/netsim.Fabric.Send":
 		// (start, arrive): the fabric only moves time forward from
 		// the booking stamp.
 		if len(args) == 4 {
 			after := dataflow.AtLeast(args[3].Lo)
 			return dataflow.IntervalEffect{Results: []dataflow.Interval{after, after}, NoMutation: true}, true
 		}
-	case "repro/internal/netsim.Switch.Accept", "repro/internal/netsim.Fabric.Accept",
-		"repro/internal/netsim.Switch.Control", "repro/internal/netsim.Fabric.Control":
+	case "repro/internal/netsim.Tree.Accept", "repro/internal/netsim.Fabric.Accept",
+		"repro/internal/netsim.Tree.Control", "repro/internal/netsim.Fabric.Control":
 		if len(args) == 4 {
 			return dataflow.IntervalEffect{Results: []dataflow.Interval{dataflow.AtLeast(args[3].Lo)}, NoMutation: true}, true
 		}
@@ -284,7 +284,7 @@ func (c *checker) checkSites(fd *ast.FuncDecl, res *dataflow.IntervalResult) {
 		}
 		// Window sites: the horizon never trails now, so a provably
 		// past event can never clear it. At-now bookings stay legal:
-		// setup-time coordinator globals (meter.SpawnGroup) book the
+		// setup-time coordinator globals (meter.BaytechStrip.Spawn) book the
 		// first tick at Now() before the first window opens.
 		if iv.Hi < 0 {
 			c.pass.Reportf(arg.Pos(), "%s books an event provably before Now() (offset interval %v); "+

@@ -106,13 +106,13 @@ var builtinArgs = map[string]map[int]contract{
 	"repro/internal/machine.Node.SetOperatingPointIndex": {1: {nonneg, "operating-point index"}},
 
 	// netsim: ports, sizes, and booking times are magnitudes; a
-	// switch needs at least one port.
-	"repro/internal/netsim.New":                      {1: {atLeast1, "port count"}},
-	"repro/internal/netsim.Switch.Send":              {0: {nonneg, "source port"}, 1: {nonneg, "destination port"}, 2: {nonneg, "message size (bytes)"}, 3: {nonneg, "send time"}},
-	"repro/internal/netsim.Switch.Accept":            {0: {nonneg, "source port"}, 1: {nonneg, "destination port"}, 2: {nonneg, "message size (bytes)"}, 3: {nonneg, "arrival time"}},
-	"repro/internal/netsim.Switch.Transfer":          {0: {nonneg, "source port"}, 1: {nonneg, "destination port"}, 2: {nonneg, "message size (bytes)"}},
-	"repro/internal/netsim.Switch.Control":           {0: {nonneg, "source port"}, 1: {nonneg, "destination port"}, 2: {nonneg, "message size (bytes)"}, 3: {nonneg, "send time"}},
-	"repro/internal/netsim.Switch.SerializationTime": {0: {nonneg, "message size (bytes)"}},
+	// fabric needs at least one port.
+	"repro/internal/netsim.New":                    {1: {atLeast1, "port count"}},
+	"repro/internal/netsim.Tree.Send":              {0: {nonneg, "source port"}, 1: {nonneg, "destination port"}, 2: {nonneg, "message size (bytes)"}, 3: {nonneg, "send time"}},
+	"repro/internal/netsim.Tree.Accept":            {0: {nonneg, "source port"}, 1: {nonneg, "destination port"}, 2: {nonneg, "message size (bytes)"}, 3: {nonneg, "arrival time"}},
+	"repro/internal/netsim.Tree.Transfer":          {0: {nonneg, "source port"}, 1: {nonneg, "destination port"}, 2: {nonneg, "message size (bytes)"}},
+	"repro/internal/netsim.Tree.Control":           {0: {nonneg, "source port"}, 1: {nonneg, "destination port"}, 2: {nonneg, "message size (bytes)"}, 3: {nonneg, "send time"}},
+	"repro/internal/netsim.Tree.SerializationTime": {0: {nonneg, "message size (bytes)"}},
 
 	// trace and sim: the simulated clock never runs backwards past
 	// zero, and a group needs at least one shard and one tick of
@@ -134,9 +134,9 @@ var builtinResults = map[string][]dataflow.Interval{
 	"repro/internal/power.CPUModel.Dynamic":               {nonneg},
 	"repro/internal/power.CPUModel.Power":                 {nonneg},
 	"repro/internal/machine.Node.OPIndex":                 {nonneg},
-	"repro/internal/netsim.Switch.Ports":                  {nonneg},
-	"repro/internal/netsim.Switch.MinLatency":             {nonneg},
-	"repro/internal/netsim.Switch.SerializationTime":      {nonneg},
+	"repro/internal/netsim.Tree.Ports":                    {nonneg},
+	"repro/internal/netsim.Tree.MinLatency":               {nonneg},
+	"repro/internal/netsim.Tree.SerializationTime":        {nonneg},
 	"repro/internal/sim.Engine.Now":                       {nonneg},
 	"repro/internal/sim.Group.Now":                        {nonneg},
 	"repro/internal/sim.Proc.Now":                         {nonneg},

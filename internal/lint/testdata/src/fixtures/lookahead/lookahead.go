@@ -67,9 +67,9 @@ func convertedStamp(e *sim.Engine, raw int64) {
 
 // ---- fabric bookings ----
 
-func bookPast(sw *netsim.Switch, e *sim.Engine) {
+func bookPast(sw *netsim.Tree, e *sim.Engine) {
 	now := e.Now()
-	sw.Send(0, 1, 4096, now.Add(-10)) // want `\(netsim\.Switch\)\.Send schedules an event provably before Now\(\)`
+	sw.Send(0, 1, 4096, now.Add(-10)) // want `\(netsim\.Tree\)\.Send schedules an event provably before Now\(\)`
 	_, arrive := sw.Send(0, 1, 4096, now)
 	sw.Accept(0, 1, 4096, arrive) // clean: the fabric only moves time forward
 }

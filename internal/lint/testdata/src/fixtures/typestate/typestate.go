@@ -109,16 +109,16 @@ func DoubleReplay(in io.Reader) error {
 }
 
 // SpawnAfterClose drives a recorder past Close.
-func SpawnAfterClose(eng *sim.Engine) {
+func SpawnAfterClose(g *sim.Group) {
 	rec := trace.MustNew(trace.Config{})
 	_ = rec.Close()
-	rec.Spawn(eng, func() bool { return true }) // want `trace\.Recorder\.Spawn called in state "closed"`
+	rec.Spawn(g, func() bool { return true }) // want `trace\.Recorder\.Spawn called in state "closed"`
 }
 
 // RecorderNeverClosed owes a Close on the fall-off exit.
 func RecorderNeverClosed(g *sim.Group, done func() bool) {
 	rec := trace.MustNew(trace.Config{})
-	rec.SpawnGroup(g, done)
+	rec.Spawn(g, done)
 } // want `trace\.Recorder value does not reach Close`
 
 // RecorderErrGuarded is the canonical clean shape: the err != nil
@@ -129,7 +129,7 @@ func RecorderErrGuarded(g *sim.Group, done func() bool) error {
 		return err
 	}
 	defer func() { _ = rec.Close() }()
-	rec.SpawnGroup(g, done)
+	rec.Spawn(g, done)
 	return nil
 }
 
@@ -159,7 +159,7 @@ func GroupNeverClosed() {
 func GroupHeldThroughCalls(done func() bool) {
 	g := sim.NewGroup(2, 10)
 	rec := trace.MustNew(trace.Config{})
-	rec.SpawnGroup(g, done)
+	rec.Spawn(g, done)
 	_ = rec.Close()
 } // want `sim\.Group value does not reach Close`
 

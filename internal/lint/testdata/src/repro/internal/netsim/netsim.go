@@ -12,28 +12,28 @@ type Config struct {
 	MinLatency sim.Duration
 }
 
-// Switch mirrors the output-queued switch.
-type Switch struct{ ports int }
+// Tree mirrors the fabric New builds (a single-edge tree).
+type Tree struct{ ports int }
 
-func New(eng *sim.Engine, ports int, cfg Config) *Switch { return &Switch{ports: ports} }
+func New(eng *sim.Engine, ports int, cfg Config) *Tree { return &Tree{ports: ports} }
 
-func (s *Switch) Ports() int               { return s.ports }
-func (s *Switch) MinLatency() sim.Duration { return 0 }
-func (s *Switch) SerializationTime(size int64) sim.Duration {
+func (s *Tree) Ports() int               { return s.ports }
+func (s *Tree) MinLatency() sim.Duration { return 0 }
+func (s *Tree) SerializationTime(size int64) sim.Duration {
 	return 0
 }
 
-func (s *Switch) Send(src, dst int, size int64, now sim.Time) (start, arrive sim.Time) {
+func (s *Tree) Send(src, dst int, size int64, now sim.Time) (start, arrive sim.Time) {
 	return now, now
 }
 
-func (s *Switch) Accept(src, dst int, size int64, arrive sim.Time) sim.Time {
+func (s *Tree) Accept(src, dst int, size int64, arrive sim.Time) sim.Time {
 	return arrive
 }
 
-func (s *Switch) Transfer(src, dst int, size int64) {}
+func (s *Tree) Transfer(src, dst int, size int64) {}
 
-func (s *Switch) Control(src, dst int, size int64, now sim.Time) sim.Time {
+func (s *Tree) Control(src, dst int, size int64, now sim.Time) sim.Time {
 	return now
 }
 

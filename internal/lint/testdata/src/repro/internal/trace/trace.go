@@ -92,7 +92,6 @@ type Recorder struct{}
 func New(cfg Config) (*Recorder, error) { return &Recorder{}, nil }
 func MustNew(cfg Config) *Recorder      { return &Recorder{} }
 
-func (r *Recorder) Spawn(eng *sim.Engine, done func() bool)   {}
-func (r *Recorder) SpawnGroup(g *sim.Group, done func() bool) {}
-func (r *Recorder) Close() error                              { return nil }
-func (r *Recorder) Err() error                                { return nil }
+func (r *Recorder) Spawn(g *sim.Group, done func() bool) {}
+func (r *Recorder) Close() error                         { return nil }
+func (r *Recorder) Err() error                           { return nil }

@@ -21,12 +21,12 @@
 //     including error exits; the archive is unreadable otherwise.
 //   - trace.NewReader: Replay and Next are legal only before the
 //     stream is consumed by Replay; a second Replay re-reads nothing.
-//   - trace.New / trace.MustNew recorders: Spawn/SpawnGroup only while
+//   - trace.New / trace.MustNew recorders: Spawn only while
 //     open, Close required on every path (Close is idempotent, so the
 //     canonical defer rec.Close() discharges it).
 //   - sim.NewGroup: Post, ScheduleGlobal, and Run are illegal after
 //     Close, and every group must reach Close. Passing a group around
-//     (mpi.NewWorldOn, trace.SpawnGroup) does NOT hand off the
+//     (mpi.NewWorld, trace.Recorder.Spawn) does NOT hand off the
 //     obligation — the creator owns the group's lifecycle.
 //   - exec.Map result discipline: the results slice is meaningless
 //     when Map returned an error (workers that never ran leave zero
@@ -123,13 +123,12 @@ var readerProto = &dataflow.Proto{
 // canonical discharge), and spawning after Close is a bug.
 var recorderProto = &dataflow.Proto{
 	Name:   "trace.Recorder",
-	Doc:    "Spawn/SpawnGroup while open, then Close on every path (Close is idempotent)",
+	Doc:    "Spawn while open, then Close on every path (Close is idempotent)",
 	States: []string{"open", "closed"},
 	Start:  0,
 	Methods: map[string]dataflow.ProtoMethod{
-		"Spawn":      {Next: []int{0, -1}},
-		"SpawnGroup": {Next: []int{0, -1}},
-		"Close":      {Next: []int{1, 1}},
+		"Spawn": {Next: []int{0, -1}},
+		"Close": {Next: []int{1, 1}},
 	},
 	Accepting:    dataflow.SingleState(1),
 	CompleteDoc:  "Close",

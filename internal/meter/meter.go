@@ -55,10 +55,11 @@ func NewACPIBattery(node *machine.Node, capacityMWh float64, refresh sim.Duratio
 	return &ACPIBattery{node: node, capacity: capacityMWh, refresh: refresh}
 }
 
-// Spawn starts the polling process. It takes an immediate reading at
-// the current time, then polls every refresh until done() is true.
-func (b *ACPIBattery) Spawn(eng *sim.Engine, done func() bool) {
-	eng.Spawn(fmt.Sprintf("acpi%d", b.node.ID()), func(p *sim.Proc) {
+// Spawn starts the polling process on the node's own engine. It takes
+// an immediate reading at the current time, then polls every refresh
+// until done() is true.
+func (b *ACPIBattery) Spawn(done func() bool) {
+	b.node.Engine().Spawn(fmt.Sprintf("acpi%d", b.node.ID()), func(p *sim.Proc) {
 		b.poll(p.Now())
 		for {
 			p.Sleep(b.refresh)
@@ -153,39 +154,17 @@ func NewBaytechStrip(nodes []*machine.Node, interval sim.Duration) *BaytechStrip
 	}
 }
 
-// Spawn starts the management unit's polling process.
-func (s *BaytechStrip) Spawn(eng *sim.Engine, done func() bool) {
-	eng.Spawn("baytech", func(p *sim.Proc) {
-		for i, n := range s.nodes {
-			s.lastE[i] = n.EnergyAt(p.Now())
-		}
-		for {
-			p.Sleep(s.interval)
-			now := p.Now()
-			for i, n := range s.nodes {
-				e := n.EnergyAt(now)
-				avg := power.Watts(float64(e-s.lastE[i]) / s.interval.Seconds())
-				s.lastE[i] = e
-				s.records = append(s.records, OutletRecord{At: now, Outlet: i, AvgW: avg})
-			}
-			if done != nil && done() {
-				return
-			}
-		}
-	})
-}
-
 // GlobalPri is the coordinator-global priority the strip's polls use;
 // it must not collide with any other same-time global source (see
 // sim.Group.ScheduleGlobal).
 const GlobalPri = 2
 
-// SpawnGroup starts the polling process on a sharded group. Each poll
+// Spawn starts the management unit's polling process on g. Each poll
 // runs as a coordinator global at a window barrier, where every
-// shard's node energy integrator is safely visible; poll times and
-// record order match Spawn. The first tick only baselines the energy
-// counters, mirroring Spawn's pre-loop read.
-func (s *BaytechStrip) SpawnGroup(g *sim.Group, done func() bool) {
+// shard's node energy integrator is safely visible. The first tick
+// only baselines the energy counters; records follow every interval
+// until done() is true.
+func (s *BaytechStrip) Spawn(g *sim.Group, done func() bool) {
 	start := g.Now()
 	g.ScheduleGlobal(start, GlobalPri, func() {
 		for i, n := range s.nodes {

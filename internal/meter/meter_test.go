@@ -13,20 +13,21 @@ import (
 // strip attached.
 func runFixture(t *testing.T, workSeconds float64, refresh, stripInterval sim.Duration) (*machine.Node, *ACPIBattery, *BaytechStrip, sim.Time) {
 	t.Helper()
-	e := sim.NewEngine()
-	n := machine.NewNode(e, 0, machine.DefaultParams())
+	g := sim.NewGroup(1, sim.Millisecond)
+	defer g.Close()
+	n := machine.NewNode(g.Engine(0), 0, machine.DefaultParams())
 	done := false
 	bat := NewACPIBattery(n, DefaultBatteryCapacityMWh, refresh)
-	bat.Spawn(e, func() bool { return done })
+	bat.Spawn(func() bool { return done })
 	strip := NewBaytechStrip([]*machine.Node{n}, stripInterval)
-	strip.Spawn(e, func() bool { return done })
+	strip.Spawn(g, func() bool { return done })
 	var endOfWork sim.Time
-	e.Spawn("app", func(p *sim.Proc) {
+	g.Engine(0).Spawn("app", func(p *sim.Proc) {
 		n.Compute(p, 1.4e9*workSeconds)
 		endOfWork = p.Now()
 		done = true
 	})
-	if _, err := e.Run(0); err != nil {
+	if _, err := g.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	return n, bat, strip, endOfWork
@@ -85,7 +86,7 @@ func TestBatteryExhaustion(t *testing.T) {
 	done := false
 	// Tiny battery: 1 mWh = 3.6 J, gone in well under a second at ~31 W.
 	bat := NewACPIBattery(n, 2, 100*sim.Millisecond)
-	bat.Spawn(e, func() bool { return done })
+	bat.Spawn(func() bool { return done })
 	e.Spawn("app", func(p *sim.Proc) {
 		n.Compute(p, 1.4e9) // ~1 s
 		done = true
@@ -146,10 +147,16 @@ func TestBaytechEnergyIntegration(t *testing.T) {
 
 func TestCrossValidationACPIvsBaytech(t *testing.T) {
 	// The paper's redundancy check: both instruments agree on energy.
-	n, bat, strip, _ := runFixture(t, 600, 17*sim.Second, sim.Minute)
-	_ = n
-	recs := strip.Records()
-	lastAt := recs[len(recs)-1].At
+	_, bat, strip, _ := runFixture(t, 600, 17*sim.Second, sim.Minute)
+	// Compare up to the last strip record a battery reading brackets:
+	// the two instruments stop on their own poll grids.
+	rs := bat.Readings()
+	var lastAt sim.Time
+	for _, r := range strip.Records() {
+		if r.At <= rs[len(rs)-1].At {
+			lastAt = r.At
+		}
+	}
 	acpi, ok1 := bat.EnergyBetween(0, lastAt)
 	bay, ok2 := strip.EnergyBetween(0, 0, lastAt)
 	if !ok1 || !ok2 {

@@ -10,7 +10,7 @@ import (
 func TestGathervCollectsVariableSizes(t *testing.T) {
 	n := 5
 	root := 2
-	e, w := testWorld(n, nil)
+	g, w := testWorld(n, nil)
 	var got []any
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		sizes := make([]int64, n)
@@ -24,7 +24,7 @@ func TestGathervCollectsVariableSizes(t *testing.T) {
 			t.Errorf("non-root got %v", res)
 		}
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	for i, v := range got {
 		if v != fmt.Sprintf("blk%d", i) {
 			t.Fatalf("slot %d = %v", i, v)
@@ -44,7 +44,7 @@ func TestGathervCollectsVariableSizes(t *testing.T) {
 
 func TestScattervDistributesVariableSizes(t *testing.T) {
 	n := 4
-	e, w := testWorld(n, nil)
+	g, w := testWorld(n, nil)
 	got := make([]any, n)
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		var sizes []int64
@@ -57,7 +57,7 @@ func TestScattervDistributesVariableSizes(t *testing.T) {
 		}
 		got[r.ID()] = r.Scatterv(p, 0, sizes, parts)
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	for i, v := range got {
 		if v != i*11 {
 			t.Fatalf("rank %d got %v", i, v)
@@ -67,13 +67,13 @@ func TestScattervDistributesVariableSizes(t *testing.T) {
 
 func TestScanPrefixSums(t *testing.T) {
 	n := 6
-	e, w := testWorld(n, nil)
+	g, w := testWorld(n, nil)
 	got := make([]any, n)
 	sum := func(a, b any) any { return a.(int) + b.(int) }
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		got[r.ID()] = r.Scan(p, 8, r.ID()+1, sum)
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	for i, v := range got {
 		want := (i + 1) * (i + 2) / 2
 		if v != want {
@@ -83,12 +83,12 @@ func TestScanPrefixSums(t *testing.T) {
 }
 
 func TestScanSingleRank(t *testing.T) {
-	e, w := testWorld(1, nil)
+	g, w := testWorld(1, nil)
 	var got any
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		got = r.Scan(p, 8, 42, func(a, b any) any { return a.(int) + b.(int) })
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	if got != 42 {
 		t.Fatalf("got %v", got)
 	}
@@ -96,7 +96,7 @@ func TestScanSingleRank(t *testing.T) {
 
 func TestReduceScatter(t *testing.T) {
 	n := 4
-	e, w := testWorld(n, nil)
+	g, w := testWorld(n, nil)
 	got := make([]any, n)
 	sum := func(a, b any) any { return a.(int) + b.(int) }
 	split := func(total any) []any {
@@ -109,7 +109,7 @@ func TestReduceScatter(t *testing.T) {
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		got[r.ID()] = r.ReduceScatter(p, 1024, 10, sum, split)
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	for i, v := range got {
 		if v != 40+i {
 			t.Fatalf("rank %d got %v want %d", i, v, 40+i)
@@ -118,17 +118,17 @@ func TestReduceScatter(t *testing.T) {
 }
 
 func TestReduceScatterNilSplit(t *testing.T) {
-	e, w := testWorld(3, nil)
+	g, w := testWorld(3, nil)
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		if got := r.ReduceScatter(p, 300, nil, nil, nil); got != nil {
 			t.Errorf("rank %d got %v", r.ID(), got)
 		}
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 }
 
 func TestVariableCollectiveValidation(t *testing.T) {
-	e, w := testWorld(2, nil)
+	g, w := testWorld(2, nil)
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		if r.ID() != 0 {
 			// Rank 1 must still participate in nothing; validation
@@ -149,5 +149,5 @@ func TestVariableCollectiveValidation(t *testing.T) {
 			}()
 		}
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 }

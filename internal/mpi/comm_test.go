@@ -10,7 +10,7 @@ import (
 func TestSplitRowsAndColumns(t *testing.T) {
 	// A 2×3 process grid split into row and column communicators.
 	const rows, cols = 2, 3
-	e, w := testWorld(rows*cols, nil)
+	g, w := testWorld(rows*cols, nil)
 	rowSums := make([]any, rows*cols)
 	colSums := make([]any, rows*cols)
 	sum := func(a, b any) any { return a.(int) + b.(int) }
@@ -28,7 +28,7 @@ func TestSplitRowsAndColumns(t *testing.T) {
 		rowSums[r.ID()] = rowComm.Allreduce(p, 8, r.ID(), sum)
 		colSums[r.ID()] = colComm.Allreduce(p, 8, r.ID(), sum)
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	// Row 0 = ranks {0,1,2} sum 3; row 1 = {3,4,5} sum 12.
 	for i := 0; i < rows*cols; i++ {
 		wantRow := 3
@@ -47,14 +47,14 @@ func TestSplitRowsAndColumns(t *testing.T) {
 }
 
 func TestSplitKeyOrdersRanks(t *testing.T) {
-	e, w := testWorld(4, nil)
+	g, w := testWorld(4, nil)
 	positions := make([]int, 4)
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		// Reverse ordering: higher world rank gets lower key.
 		c := r.Split(p, 0, -r.ID())
 		positions[r.ID()] = c.Rank()
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	for world, pos := range positions {
 		if want := 3 - world; pos != want {
 			t.Fatalf("world %d at comm pos %d want %d", world, pos, want)
@@ -63,7 +63,7 @@ func TestSplitKeyOrdersRanks(t *testing.T) {
 }
 
 func TestSplitUndefinedColor(t *testing.T) {
-	e, w := testWorld(3, nil)
+	g, w := testWorld(3, nil)
 	var excluded *Comm = &Comm{} // sentinel non-nil
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		color := 0
@@ -77,7 +77,7 @@ func TestSplitUndefinedColor(t *testing.T) {
 			t.Errorf("rank %d comm %+v", r.ID(), c)
 		}
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	if excluded != nil {
 		t.Fatal("negative color must yield a nil comm")
 	}
@@ -86,7 +86,7 @@ func TestSplitUndefinedColor(t *testing.T) {
 func TestCommP2PIsolation(t *testing.T) {
 	// Two disjoint communicators use the same comm-local tag; traffic
 	// must not cross.
-	e, w := testWorld(4, nil)
+	g, w := testWorld(4, nil)
 	got := make([]any, 4)
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		c := r.Split(p, r.ID()%2, 0)
@@ -96,7 +96,7 @@ func TestCommP2PIsolation(t *testing.T) {
 			got[r.ID()] = c.Recv(p, 0, 5).Payload
 		}
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	// World ranks 2 and 3 are comm rank 1 of groups 0 and 1.
 	if got[2] != "group0" || got[3] != "group1" {
 		t.Fatalf("isolation broken: %v", got)
@@ -104,7 +104,7 @@ func TestCommP2PIsolation(t *testing.T) {
 }
 
 func TestCommRecvTranslatesSource(t *testing.T) {
-	e, w := testWorld(4, nil)
+	g, w := testWorld(4, nil)
 	var m *Message
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		// Comm of the odd ranks: world 1 → comm 0, world 3 → comm 1.
@@ -119,14 +119,14 @@ func TestCommRecvTranslatesSource(t *testing.T) {
 			m = c.Recv(p, AnySource, 2)
 		}
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	if m == nil || m.Src != 1 || m.Tag != 2 || m.Payload != "hi" {
 		t.Fatalf("message %+v", m)
 	}
 }
 
 func TestCommCollectives(t *testing.T) {
-	e, w := testWorld(6, nil)
+	g, w := testWorld(6, nil)
 	sum := func(a, b any) any { return a.(int) + b.(int) }
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		c := r.Split(p, r.ID()%2, 0)
@@ -149,11 +149,11 @@ func TestCommCollectives(t *testing.T) {
 		}
 		c.Barrier(p)
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 }
 
 func TestCommSendrecvRing(t *testing.T) {
-	e, w := testWorld(4, nil)
+	g, w := testWorld(4, nil)
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		c := r.Split(p, 0, 0) // everyone, same order
 		next := (c.Rank() + 1) % c.Size()
@@ -163,11 +163,11 @@ func TestCommSendrecvRing(t *testing.T) {
 			t.Errorf("rank %d got %v want %d", c.Rank(), m.Payload, prev)
 		}
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 }
 
 func TestCommTagValidation(t *testing.T) {
-	e, w := testWorld(2, nil)
+	g, w := testWorld(2, nil)
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		c := r.Split(p, 0, 0)
 		if r.ID() != 0 {
@@ -180,14 +180,14 @@ func TestCommTagValidation(t *testing.T) {
 		}()
 		c.Send(p, 1, MaxCommTag+1, 8, nil)
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 }
 
 func TestCommSlotExhaustion(t *testing.T) {
 	// Only rank 0 allocates slots; when it runs out its panic unwinds
 	// mid-split, leaving the peer parked — the engine must surface
 	// that as a deadlock rather than hang.
-	e, w := testWorld(2, nil)
+	g, w := testWorld(2, nil)
 	panicked := false
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		defer func() {
@@ -199,10 +199,10 @@ func TestCommSlotExhaustion(t *testing.T) {
 			r.Split(p, 0, 0)
 		}
 	})
-	if _, err := e.Run(0); err == nil {
+	if _, err := g.Run(0); err == nil {
 		t.Fatal("expected a deadlock error from the orphaned peer")
 	}
-	e.Close()
+	g.Close()
 	if !panicked {
 		t.Fatal("rank 0 never hit slot exhaustion")
 	}

@@ -77,73 +77,41 @@ func DefaultConfig() Config {
 	}
 }
 
-// World is a communicator spanning one rank per node. Each rank lives
-// on its node's engine; when the nodes are partitioned across the
-// shards of a sim.Group, cross-shard deliveries travel through the
-// group's inboxes with a shard-count-invariant (source, sequence)
-// arrival key, so a sharded run is byte-identical to a sequential one.
+// World is a communicator spanning one rank per node. The nodes are
+// partitioned across the shards of a sim.Group (one shard is the
+// sequential case); cross-shard deliveries travel through the group's
+// inboxes with a shard-count-invariant (source, sequence) arrival key,
+// so a sharded run is byte-identical to a single-shard one.
 type World struct {
-	group *sim.Group // nil when every rank shares one engine
+	group *sim.Group
 	sw    netsim.Fabric
 	cfg   Config
 	ranks []*Rank
 	nic   []int    // active-transfer refcount per node
 	xseq  []uint64 // per-source-rank arrival sequence (claimed on the source shard)
-	shard []int    // rank -> shard index; nil when group is nil
+	shard []int    // rank -> shard index
 
 	nextCommSlot int // next sub-communicator tag-space slot (1-based)
 }
 
-// NewWorld builds a world with one rank bound to each node, all of them
-// on the single engine eng. The fabric must have at least as many ports
-// as nodes (rank i uses port i).
-func NewWorld(eng *sim.Engine, nodes []*machine.Node, sw netsim.Fabric, cfg Config) *World {
-	for _, n := range nodes {
-		if n.Engine() != eng {
-			panic("mpi: node not on the world's engine") //lint:allow panicfree (models MPI_Abort; rank/tag/count errors abort the MPI job)
-		}
-	}
-	return newWorld(nil, nil, nodes, sw, cfg)
-}
-
-// NewWorldOn builds a world whose nodes are partitioned across the
-// shards of g: rank i runs on nodes[i].Engine(), which must be one of
-// the group's shard engines. Message delivery between ranks on
-// different shards is routed through the group; the fabric's MinLatency
-// must be at least the group's lookahead for the conservative window to
-// be sound.
-func NewWorldOn(g *sim.Group, nodes []*machine.Node, sw netsim.Fabric, cfg Config) *World {
-	if g == nil {
-		panic("mpi: NewWorldOn needs a group") //lint:allow panicfree (models MPI_Abort; rank/tag/count errors abort the MPI job)
-	}
-	if g.Size() > 1 && sw.MinLatency() < g.Lookahead() {
-		// A single-shard group never crosses a shard boundary, so the
-		// lookahead only paces windows and any fabric is safe.
-		panic("mpi: fabric minimum latency below group lookahead") //lint:allow panicfree (models MPI_Abort; rank/tag/count errors abort the MPI job)
-	}
-	shard := make([]int, len(nodes))
-	for i, n := range nodes {
-		s := -1
-		for j := 0; j < g.Size(); j++ {
-			if g.Engine(j) == n.Engine() {
-				s = j
-				break
-			}
-		}
-		if s < 0 {
-			panic(fmt.Sprintf("mpi: node %d not on a group shard", i)) //lint:allow panicfree (models MPI_Abort; rank/tag/count errors abort the MPI job)
-		}
-		shard[i] = s
-	}
-	return newWorld(g, shard, nodes, sw, cfg)
-}
-
-func newWorld(g *sim.Group, shard []int, nodes []*machine.Node, sw netsim.Fabric, cfg Config) *World {
+// NewWorld builds a world with one rank bound to each node, partitioned
+// across the shards of g: rank i runs on nodes[i].Engine(), which must
+// be one of the group's shard engines, and uses fabric port i (the
+// fabric must have at least as many ports as nodes). Message delivery
+// between ranks on different shards is routed through the group; the
+// fabric's MinLatency must be at least the group's lookahead for the
+// conservative window to be sound.
+func NewWorld(g *sim.Group, nodes []*machine.Node, sw netsim.Fabric, cfg Config) *World {
 	if len(nodes) == 0 {
 		panic("mpi: empty world") //lint:allow panicfree (models MPI_Abort; rank/tag/count errors abort the MPI job)
 	}
 	if sw.Ports() < len(nodes) {
 		panic(fmt.Sprintf("mpi: %d nodes but only %d switch ports", len(nodes), sw.Ports())) //lint:allow panicfree (models MPI_Abort; rank/tag/count errors abort the MPI job)
+	}
+	if g.Size() > 1 && sw.MinLatency() < g.Lookahead() {
+		// A single-shard group never crosses a shard boundary, so the
+		// lookahead only paces windows and any fabric is safe.
+		panic("mpi: fabric minimum latency below group lookahead") //lint:allow panicfree (models MPI_Abort; rank/tag/count errors abort the MPI job)
 	}
 	w := &World{
 		group:        g,
@@ -151,10 +119,20 @@ func newWorld(g *sim.Group, shard []int, nodes []*machine.Node, sw netsim.Fabric
 		cfg:          cfg,
 		nic:          make([]int, len(nodes)),
 		xseq:         make([]uint64, len(nodes)),
-		shard:        shard,
+		shard:        make([]int, len(nodes)),
 		nextCommSlot: 1,
 	}
 	for i, n := range nodes {
+		w.shard[i] = -1
+		for j := 0; j < g.Size(); j++ {
+			if g.Engine(j) == n.Engine() {
+				w.shard[i] = j
+				break
+			}
+		}
+		if w.shard[i] < 0 {
+			panic(fmt.Sprintf("mpi: node %d not on a group shard", i)) //lint:allow panicfree (models MPI_Abort; rank/tag/count errors abort the MPI job)
+		}
 		w.ranks = append(w.ranks, &Rank{
 			w:          w,
 			id:         i,
@@ -201,7 +179,7 @@ func (w *World) SpawnRanks(body func(p *sim.Proc, r *Rank)) []*sim.Proc {
 //lint:ownedby rank dst
 func (w *World) post(src, dst int, t sim.Time, fn func()) {
 	w.xseq[src]++
-	if w.group != nil && w.shard[src] != w.shard[dst] {
+	if w.shard[src] != w.shard[dst] {
 		w.group.Post(w.shard[dst], t, src, w.xseq[src], fn)
 		return
 	}
@@ -335,8 +313,6 @@ func matches(src, tag int, m *Message) bool {
 }
 
 // deliver runs at the message's arrival time on the receiving rank.
-//
-//lint:allow profgate (per-message protocol bookkeeping — stash maps, queue appends, cond signals — allocates a bounded handful of objects by design; the zero-alloc discipline lives in the event core below)
 func (r *Rank) deliver(m *Message) {
 	switch m.kind {
 	case kindEager, kindRTS:

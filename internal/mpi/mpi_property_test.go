@@ -18,7 +18,7 @@ func TestRandomTrafficDeliveredExactlyOnce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(4)
-		e, w := testWorld(n, nil)
+		g, w := testWorld(n, nil)
 
 		// Plan: each rank sends a random number of messages to random
 		// peers; receivers know exactly what to expect per (src, tag).
@@ -66,7 +66,7 @@ func TestRandomTrafficDeliveredExactlyOnce(t *testing.T) {
 			}
 			r.Waitall(p, reqs...)
 		})
-		if _, err := e.Run(0); err != nil {
+		if _, err := g.Run(0); err != nil {
 			return false
 		}
 		// Check counts and FIFO per (src, dst).
@@ -96,7 +96,7 @@ func TestRandomTrafficDeliveredExactlyOnce(t *testing.T) {
 // matching state behind.
 func TestCollectivesCompleteForAllSizes(t *testing.T) {
 	for n := 1; n <= 9; n++ {
-		e, w := testWorld(n, nil)
+		g, w := testWorld(n, nil)
 		w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 			r.Barrier(p)
 			r.Bcast(p, n/2, 4096, nil)
@@ -109,7 +109,7 @@ func TestCollectivesCompleteForAllSizes(t *testing.T) {
 			r.Allgather(p, 4<<10)
 			r.Barrier(p)
 		})
-		if _, err := e.Run(0); err != nil {
+		if _, err := g.Run(0); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		for i := 0; i < n; i++ {
@@ -125,7 +125,7 @@ func TestCollectivesCompleteForAllSizes(t *testing.T) {
 // goes rendezvous. Both must deliver.
 func TestEagerThresholdBoundary(t *testing.T) {
 	for _, delta := range []int64{0, 1} {
-		e, w := testWorld(2, nil)
+		g, w := testWorld(2, nil)
 		size := DefaultConfig().EagerThreshold + delta
 		var got *Message
 		w.SpawnRanks(func(p *sim.Proc, r *Rank) {
@@ -135,7 +135,7 @@ func TestEagerThresholdBoundary(t *testing.T) {
 				got = r.Recv(p, 0, 1)
 			}
 		})
-		mustRun(t, e)
+		mustRun(t, g)
 		if got == nil || got.Size != size {
 			t.Fatalf("delta=%d: %+v", delta, got)
 		}
@@ -145,7 +145,7 @@ func TestEagerThresholdBoundary(t *testing.T) {
 // A mismatched receive is a deadlock the kernel must detect and report,
 // not hang on.
 func TestMismatchedRecvReportsDeadlock(t *testing.T) {
-	e, w := testWorld(2, nil)
+	g, w := testWorld(2, nil)
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		if r.ID() == 0 {
 			r.Send(p, 1, 1, 64, nil)
@@ -153,17 +153,17 @@ func TestMismatchedRecvReportsDeadlock(t *testing.T) {
 		}
 		r.Recv(p, 0, 2) // wrong tag: never arrives
 	})
-	_, err := e.Run(0)
+	_, err := g.Run(0)
 	if !errors.Is(err, sim.ErrDeadlock) {
 		t.Fatalf("err = %v", err)
 	}
-	e.Close()
+	g.Close()
 }
 
 // Head-to-head rendezvous sends without matching receives posted first
 // must still progress (the handshake decouples them).
 func TestHeadToHeadLargeSends(t *testing.T) {
-	e, w := testWorld(2, nil)
+	g, w := testWorld(2, nil)
 	const size = 5 << 20
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		other := 1 - r.ID()
@@ -173,12 +173,12 @@ func TestHeadToHeadLargeSends(t *testing.T) {
 		r.Recv(p, other, 1)
 		r.Wait(p, sq)
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 }
 
 // Wildcard Irecv matches whichever source arrives first.
 func TestIrecvAnySource(t *testing.T) {
-	e, w := testWorld(3, nil)
+	g, w := testWorld(3, nil)
 	var got *Message
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		switch r.ID() {
@@ -192,7 +192,7 @@ func TestIrecvAnySource(t *testing.T) {
 			r.Send(p, 0, 9, 64, "early")
 		}
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	if got == nil || got.Src != 2 {
 		t.Fatalf("got %+v", got)
 	}
@@ -201,7 +201,7 @@ func TestIrecvAnySource(t *testing.T) {
 // Many outstanding requests on one rank complete under Waitall in any
 // completion order.
 func TestManyOutstandingRequests(t *testing.T) {
-	e, w := testWorld(4, nil)
+	g, w := testWorld(4, nil)
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		if r.ID() == 0 {
 			var reqs []*Request
@@ -219,7 +219,7 @@ func TestManyOutstandingRequests(t *testing.T) {
 			r.Recv(p, 0, 10+k)
 		}
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	if got := w.Rank(0).Stats().MsgsRecv; got != 9 {
 		t.Fatalf("rank0 received %d", got)
 	}
@@ -230,7 +230,7 @@ func TestManyOutstandingRequests(t *testing.T) {
 // portion.
 func TestSoftwareOverheadScalesWithFrequency(t *testing.T) {
 	elapsed := func(opIdx int) sim.Duration {
-		e, w := testWorld(2, nil)
+		g, w := testWorld(2, nil)
 		var end sim.Time
 		w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 			r.Node().SetOperatingPointIndex(p, opIdx)
@@ -248,7 +248,7 @@ func TestSoftwareOverheadScalesWithFrequency(t *testing.T) {
 				end = p.Now()
 			}
 		})
-		mustRun(t, e)
+		mustRun(t, g)
 		return end.Sub(0)
 	}
 	fast, slow := elapsed(0), elapsed(4)
@@ -264,7 +264,7 @@ func TestSoftwareOverheadScalesWithFrequency(t *testing.T) {
 // cover all ranks).
 func TestReduceCombineCoverage(t *testing.T) {
 	n := 7
-	e, w := testWorld(n, nil)
+	g, w := testWorld(n, nil)
 	var got any
 	concat := func(a, b any) any { return a.(string) + b.(string) }
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
@@ -273,7 +273,7 @@ func TestReduceCombineCoverage(t *testing.T) {
 			got = res
 		}
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	s := got.(string)
 	seen := map[rune]bool{}
 	for _, c := range s {
@@ -287,12 +287,12 @@ func TestReduceCombineCoverage(t *testing.T) {
 // Spin-state bookkeeping: after a full collective storm, the node ends
 // Idle and all NIC windows are closed.
 func TestNodeStateCleanAfterCollectives(t *testing.T) {
-	e, w := testWorld(4, nil)
+	g, w := testWorld(4, nil)
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		r.Alltoall(p, 2<<20)
 		r.Barrier(p)
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	for i := 0; i < 4; i++ {
 		if st := w.Rank(i).Node().State(); st != machine.Idle {
 			t.Fatalf("node %d left in state %v", i, st)

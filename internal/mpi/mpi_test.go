@@ -10,25 +10,31 @@ import (
 	"repro/internal/sim"
 )
 
-// testWorld builds an n-rank world on fresh nodes with the default
+// shardedWorld builds an n-rank world on fresh nodes split
+// contiguously over a group of the given shard count, with the default
 // configuration, optionally tweaked.
-func testWorld(n int, tweak func(*Config)) (*sim.Engine, *World) {
-	e := sim.NewEngine()
+func shardedWorld(shards, n int, tweak func(*Config)) (*sim.Group, *World) {
+	g := sim.NewGroup(shards, netsim.Default100Mb().Latency)
 	nodes := make([]*machine.Node, n)
 	for i := range nodes {
-		nodes[i] = machine.NewNode(e, i, machine.DefaultParams())
+		nodes[i] = machine.NewNode(g.Engine(i*shards/n), i, machine.DefaultParams())
 	}
-	sw := netsim.New(e, n, netsim.Default100Mb())
+	sw := netsim.New(g.Engine(0), n, netsim.Default100Mb())
 	cfg := DefaultConfig()
 	if tweak != nil {
 		tweak(&cfg)
 	}
-	return e, NewWorld(e, nodes, sw, cfg)
+	return g, NewWorld(g, nodes, sw, cfg)
 }
 
-func mustRun(t *testing.T, e *sim.Engine) sim.Time {
+// testWorld is shardedWorld on a single shard.
+func testWorld(n int, tweak func(*Config)) (*sim.Group, *World) {
+	return shardedWorld(1, n, tweak)
+}
+
+func mustRun(t *testing.T, g *sim.Group) sim.Time {
 	t.Helper()
-	end, err := e.Run(0)
+	end, err := g.Run(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +42,7 @@ func mustRun(t *testing.T, e *sim.Engine) sim.Time {
 }
 
 func TestEagerSendRecv(t *testing.T) {
-	e, w := testWorld(2, nil)
+	g, w := testWorld(2, nil)
 	var got *Message
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		switch r.ID() {
@@ -46,14 +52,14 @@ func TestEagerSendRecv(t *testing.T) {
 			got = r.Recv(p, 0, 7)
 		}
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	if got == nil || got.Payload != "hello" || got.Src != 0 || got.Tag != 7 || got.Size != 1024 {
 		t.Fatalf("got %+v", got)
 	}
 }
 
 func TestRendezvousSendRecv(t *testing.T) {
-	e, w := testWorld(2, nil)
+	g, w := testWorld(2, nil)
 	var got *Message
 	var sendDone, recvDone sim.Time
 	const size = 10 << 20 // 10 MB, well above eager
@@ -67,7 +73,7 @@ func TestRendezvousSendRecv(t *testing.T) {
 			recvDone = p.Now()
 		}
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	if got == nil || got.Payload != "big" {
 		t.Fatalf("got %+v", got)
 	}
@@ -84,7 +90,7 @@ func TestRendezvousSendRecv(t *testing.T) {
 }
 
 func TestMessageOrderingSameSourceTag(t *testing.T) {
-	e, w := testWorld(2, nil)
+	g, w := testWorld(2, nil)
 	var got []int
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		switch r.ID() {
@@ -98,14 +104,14 @@ func TestMessageOrderingSameSourceTag(t *testing.T) {
 			}
 		}
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	if fmt.Sprint(got) != "[0 1 2 3 4]" {
 		t.Fatalf("out of order: %v", got)
 	}
 }
 
 func TestTagSelectivity(t *testing.T) {
-	e, w := testWorld(2, nil)
+	g, w := testWorld(2, nil)
 	var first, second any
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		switch r.ID() {
@@ -118,14 +124,14 @@ func TestTagSelectivity(t *testing.T) {
 			second = r.Recv(p, 0, 10).Payload
 		}
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	if first != "twenty" || second != "ten" {
 		t.Fatalf("first=%v second=%v", first, second)
 	}
 }
 
 func TestAnySourceAnyTag(t *testing.T) {
-	e, w := testWorld(3, nil)
+	g, w := testWorld(3, nil)
 	var srcs []int
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		switch r.ID() {
@@ -138,7 +144,7 @@ func TestAnySourceAnyTag(t *testing.T) {
 			r.Send(p, 0, r.ID(), 64, nil)
 		}
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	sort.Ints(srcs)
 	if fmt.Sprint(srcs) != "[1 2]" {
 		t.Fatalf("srcs = %v", srcs)
@@ -146,20 +152,20 @@ func TestAnySourceAnyTag(t *testing.T) {
 }
 
 func TestSelfSend(t *testing.T) {
-	e, w := testWorld(1, nil)
+	g, w := testWorld(1, nil)
 	var got *Message
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		r.Send(p, 0, 5, 256, "self")
 		got = r.Recv(p, 0, 5)
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	if got == nil || got.Payload != "self" {
 		t.Fatalf("got %+v", got)
 	}
 }
 
 func TestIsendIrecvWait(t *testing.T) {
-	e, w := testWorld(2, nil)
+	g, w := testWorld(2, nil)
 	var got *Message
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		switch r.ID() {
@@ -174,21 +180,21 @@ func TestIsendIrecvWait(t *testing.T) {
 			got = r.Wait(p, q)
 		}
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	if got == nil || got.Payload != "async" {
 		t.Fatalf("got %+v", got)
 	}
 }
 
 func TestSendrecvExchange(t *testing.T) {
-	e, w := testWorld(2, nil)
+	g, w := testWorld(2, nil)
 	vals := make([]any, 2)
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		other := 1 - r.ID()
 		m := r.Sendrecv(p, other, 9, 200<<10, fmt.Sprintf("from%d", r.ID()), other, 9)
 		vals[r.ID()] = m.Payload
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	if vals[0] != "from1" || vals[1] != "from0" {
 		t.Fatalf("vals = %v", vals)
 	}
@@ -196,7 +202,7 @@ func TestSendrecvExchange(t *testing.T) {
 
 func TestBarrierSynchronizes(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 8} {
-		e, w := testWorld(n, nil)
+		g, w := testWorld(n, nil)
 		exits := make([]sim.Time, n)
 		var latestEntry sim.Time
 		w.SpawnRanks(func(p *sim.Proc, r *Rank) {
@@ -209,7 +215,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 			r.Barrier(p)
 			exits[r.ID()] = p.Now()
 		})
-		mustRun(t, e)
+		mustRun(t, g)
 		for i, x := range exits {
 			if x < latestEntry {
 				t.Fatalf("n=%d rank %d exited at %v before last entry %v", n, i, x, latestEntry)
@@ -221,7 +227,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 func TestBcastDeliversPayload(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 7} {
 		for root := 0; root < n; root += 2 {
-			e, w := testWorld(n, nil)
+			g, w := testWorld(n, nil)
 			got := make([]any, n)
 			w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 				var val any
@@ -230,7 +236,7 @@ func TestBcastDeliversPayload(t *testing.T) {
 				}
 				got[r.ID()] = r.Bcast(p, root, 4096, val)
 			})
-			mustRun(t, e)
+			mustRun(t, g)
 			for i, v := range got {
 				if v != "payload" {
 					t.Fatalf("n=%d root=%d rank %d got %v", n, root, i, v)
@@ -244,7 +250,7 @@ func TestReduceCombines(t *testing.T) {
 	sum := func(a, b any) any { return a.(int) + b.(int) }
 	for _, n := range []int{1, 2, 3, 6, 8} {
 		root := n / 2
-		e, w := testWorld(n, nil)
+		g, w := testWorld(n, nil)
 		var got any
 		w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 			res := r.Reduce(p, root, 1024, r.ID()+1, sum)
@@ -254,7 +260,7 @@ func TestReduceCombines(t *testing.T) {
 				t.Errorf("non-root rank %d got %v", r.ID(), res)
 			}
 		})
-		mustRun(t, e)
+		mustRun(t, g)
 		want := n * (n + 1) / 2
 		if got != want {
 			t.Fatalf("n=%d: sum = %v want %d", n, got, want)
@@ -264,12 +270,12 @@ func TestReduceCombines(t *testing.T) {
 
 func TestAllreduce(t *testing.T) {
 	sum := func(a, b any) any { return a.(int) + b.(int) }
-	e, w := testWorld(5, nil)
+	g, w := testWorld(5, nil)
 	got := make([]any, 5)
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		got[r.ID()] = r.Allreduce(p, 512, r.ID()+1, sum)
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	for i, v := range got {
 		if v != 15 {
 			t.Fatalf("rank %d got %v", i, v)
@@ -279,11 +285,11 @@ func TestAllreduce(t *testing.T) {
 
 func TestAlltoallCompletes(t *testing.T) {
 	for _, n := range []int{2, 3, 8} {
-		e, w := testWorld(n, nil)
+		g, w := testWorld(n, nil)
 		w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 			r.Alltoall(p, 128<<10)
 		})
-		mustRun(t, e)
+		mustRun(t, g)
 		// Every rank sent (n-1) data messages of the given size.
 		for i := 0; i < n; i++ {
 			st := w.Rank(i).Stats()
@@ -296,7 +302,7 @@ func TestAlltoallCompletes(t *testing.T) {
 
 func TestAlltoallvSizes(t *testing.T) {
 	n := 4
-	e, w := testWorld(n, nil)
+	g, w := testWorld(n, nil)
 	// Rank i sends (j+1) KB to rank j.
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		sizes := make([]int64, n)
@@ -305,7 +311,7 @@ func TestAlltoallvSizes(t *testing.T) {
 		}
 		r.Alltoallv(p, sizes)
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	for j := 0; j < n; j++ {
 		want := int64(n-1) * int64(j+1) << 10
 		if got := w.Rank(j).Stats().BytesRecv; got != want {
@@ -317,7 +323,7 @@ func TestAlltoallvSizes(t *testing.T) {
 func TestGatherCollectsInRankOrder(t *testing.T) {
 	n := 6
 	root := 2
-	e, w := testWorld(n, nil)
+	g, w := testWorld(n, nil)
 	var got []any
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		res := r.Gather(p, root, 32<<10, fmt.Sprintf("r%d", r.ID()))
@@ -325,7 +331,7 @@ func TestGatherCollectsInRankOrder(t *testing.T) {
 			got = res
 		}
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	if len(got) != n {
 		t.Fatalf("gathered %d", len(got))
 	}
@@ -338,7 +344,7 @@ func TestGatherCollectsInRankOrder(t *testing.T) {
 
 func TestScatter(t *testing.T) {
 	n := 4
-	e, w := testWorld(n, nil)
+	g, w := testWorld(n, nil)
 	got := make([]any, n)
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		var parts []any
@@ -349,7 +355,7 @@ func TestScatter(t *testing.T) {
 		}
 		got[r.ID()] = r.Scatter(p, 0, 2048, parts)
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	for i, v := range got {
 		if v != i*10 {
 			t.Fatalf("rank %d got %v", i, v)
@@ -359,11 +365,11 @@ func TestScatter(t *testing.T) {
 
 func TestAllgatherCompletes(t *testing.T) {
 	n := 5
-	e, w := testWorld(n, nil)
+	g, w := testWorld(n, nil)
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		r.Allgather(p, 16<<10)
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	for i := 0; i < n; i++ {
 		if got := w.Rank(i).Stats().MsgsRecv; got != int64(n-1) {
 			t.Fatalf("rank %d received %d messages", i, got)
@@ -374,7 +380,7 @@ func TestAllgatherCompletes(t *testing.T) {
 func TestSpinThenBlockStates(t *testing.T) {
 	// A receiver waiting far longer than the spin threshold must book
 	// spin time up to the threshold and blocked time beyond it.
-	e, w := testWorld(2, func(c *Config) { c.SpinThreshold = 100 * sim.Millisecond })
+	g, w := testWorld(2, func(c *Config) { c.SpinThreshold = 100 * sim.Millisecond })
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		switch r.ID() {
 		case 0:
@@ -384,7 +390,7 @@ func TestSpinThenBlockStates(t *testing.T) {
 			r.Recv(p, 0, 1)
 		}
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	n1 := w.Rank(1).Node()
 	spin := n1.StateTime(machine.Spin)
 	blocked := n1.StateTime(machine.Blocked)
@@ -397,7 +403,7 @@ func TestSpinThenBlockStates(t *testing.T) {
 }
 
 func TestPureSpinWhenThresholdNegative(t *testing.T) {
-	e, w := testWorld(2, func(c *Config) { c.SpinThreshold = -1 })
+	g, w := testWorld(2, func(c *Config) { c.SpinThreshold = -1 })
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		switch r.ID() {
 		case 0:
@@ -407,7 +413,7 @@ func TestPureSpinWhenThresholdNegative(t *testing.T) {
 			r.Recv(p, 0, 1)
 		}
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	n1 := w.Rank(1).Node()
 	if b := n1.StateTime(machine.Blocked); b != 0 {
 		t.Fatalf("blocked time %v with spin-forever", b)
@@ -420,7 +426,7 @@ func TestPureSpinWhenThresholdNegative(t *testing.T) {
 func TestUtilizationDuringSpinLooksBusy(t *testing.T) {
 	// The cpuspeed-defeating property: a rank spinning in MPI wait
 	// appears ~100% busy in /proc/stat terms.
-	e, w := testWorld(2, func(c *Config) { c.SpinThreshold = -1 })
+	g, w := testWorld(2, func(c *Config) { c.SpinThreshold = -1 })
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		switch r.ID() {
 		case 0:
@@ -430,7 +436,7 @@ func TestUtilizationDuringSpinLooksBusy(t *testing.T) {
 			r.Recv(p, 0, 1)
 		}
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	busy, idle := w.Rank(1).Node().Utilization()
 	frac := float64(busy) / float64(busy+idle)
 	if frac < 0.99 {
@@ -439,7 +445,7 @@ func TestUtilizationDuringSpinLooksBusy(t *testing.T) {
 }
 
 func TestCommunicationEnergyAccrues(t *testing.T) {
-	e, w := testWorld(2, nil)
+	g, w := testWorld(2, nil)
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		other := 1 - r.ID()
 		for i := 0; i < 3; i++ {
@@ -452,7 +458,7 @@ func TestCommunicationEnergyAccrues(t *testing.T) {
 			}
 		}
 	})
-	end := mustRun(t, e)
+	end := mustRun(t, g)
 	for i := 0; i < 2; i++ {
 		if eJ := w.Rank(i).Node().EnergyAt(end); eJ <= 0 {
 			t.Fatalf("rank %d energy %v", i, eJ)
@@ -467,7 +473,7 @@ func TestCommunicationEnergyAccrues(t *testing.T) {
 }
 
 func TestStatsCounters(t *testing.T) {
-	e, w := testWorld(2, nil)
+	g, w := testWorld(2, nil)
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		switch r.ID() {
 		case 0:
@@ -478,7 +484,7 @@ func TestStatsCounters(t *testing.T) {
 			r.Recv(p, 0, 1)
 		}
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	s0, s1 := w.Rank(0).Stats(), w.Rank(1).Stats()
 	if s0.MsgsSent != 2 || s0.BytesSent != 3000 {
 		t.Fatalf("sender stats %+v", s0)
@@ -489,7 +495,7 @@ func TestStatsCounters(t *testing.T) {
 }
 
 func TestUserTagValidation(t *testing.T) {
-	e, w := testWorld(2, nil)
+	g, w := testWorld(2, nil)
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		if r.ID() != 0 {
 			return
@@ -505,18 +511,18 @@ func TestUserTagValidation(t *testing.T) {
 			}()
 		}
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 }
 
 func TestDeterministicSchedule(t *testing.T) {
 	runOnce := func() sim.Time {
-		e, w := testWorld(4, nil)
+		g, w := testWorld(4, nil)
 		w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 			r.Alltoall(p, 300<<10)
 			r.Barrier(p)
 			r.Alltoall(p, 300<<10)
 		})
-		end, err := e.Run(0)
+		end, err := g.Run(0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -528,16 +534,16 @@ func TestDeterministicSchedule(t *testing.T) {
 }
 
 func TestCollectivesDoNotLeakWaiters(t *testing.T) {
-	e, w := testWorld(4, nil)
+	g, w := testWorld(4, nil)
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		r.Barrier(p)
 		r.Bcast(p, 0, 1<<20, nil)
 		r.Alltoall(p, 1<<20)
 		r.Barrier(p)
 	})
-	mustRun(t, e)
-	if e.Live() != 0 {
-		t.Fatalf("%d processes still live", e.Live())
+	mustRun(t, g)
+	if g.Engine(0).Live() != 0 {
+		t.Fatalf("%d processes still live", g.Engine(0).Live())
 	}
 	for i := 0; i < 4; i++ {
 		r := w.Rank(i)
@@ -549,7 +555,7 @@ func TestCollectivesDoNotLeakWaiters(t *testing.T) {
 }
 
 func TestProbeAndIprobe(t *testing.T) {
-	e, w := testWorld(2, nil)
+	g, w := testWorld(2, nil)
 	var probed, received *Message
 	var early bool
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
@@ -566,7 +572,7 @@ func TestProbeAndIprobe(t *testing.T) {
 			received = r.Recv(p, 0, 9)
 		}
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	if early {
 		t.Fatal("Iprobe saw a message before it was sent")
 	}
@@ -581,7 +587,7 @@ func TestProbeAndIprobe(t *testing.T) {
 func TestProbeRendezvousEnvelope(t *testing.T) {
 	// Probe must see the RTS envelope of a large message (with its
 	// true size) before any payload moves.
-	e, w := testWorld(2, nil)
+	g, w := testWorld(2, nil)
 	var sizeSeen int64
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		switch r.ID() {
@@ -593,7 +599,7 @@ func TestProbeRendezvousEnvelope(t *testing.T) {
 			r.Recv(p, 0, 3)
 		}
 	})
-	mustRun(t, e)
+	mustRun(t, g)
 	if sizeSeen != 8<<20 {
 		t.Fatalf("probed size %d", sizeSeen)
 	}

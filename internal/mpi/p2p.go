@@ -124,8 +124,6 @@ func (r *Rank) Recv(p *sim.Proc, src, tag int) *Message {
 
 // matchOrWait finds a matching envelope in the unexpected queue or
 // parks until one is delivered.
-//
-//lint:allow profgate (posting a receive allocates its queue entry and cond by design — bounded per-message protocol state, not an event-core loop)
 func (r *Rank) matchOrWait(p *sim.Proc, src, tag int) *Message {
 	for i, m := range r.unexpected {
 		if matches(src, tag, m) {
@@ -140,8 +138,6 @@ func (r *Rank) matchOrWait(p *sim.Proc, src, tag int) *Message {
 
 // completeRecv finishes the protocol for a matched envelope: copy-out
 // for eager data, or the CTS/data exchange for a rendezvous RTS.
-//
-//lint:allow profgate (the rendezvous reply path allocates its CTS message and data cond by design — bounded per-message protocol state, not an event-core loop)
 func (r *Rank) completeRecv(p *sim.Proc, m *Message) *Message {
 	switch m.kind {
 	case kindEager:

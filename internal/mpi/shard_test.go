@@ -5,8 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/machine"
-	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
@@ -18,18 +16,8 @@ import (
 func runSharded(t *testing.T, shards, n int, tweak func(*Config),
 	body func(p *sim.Proc, r *Rank, trace *[]string)) [][]string {
 	t.Helper()
-	g := sim.NewGroup(shards, netsim.Default100Mb().Latency)
+	g, w := shardedWorld(shards, n, tweak)
 	defer g.Close()
-	nodes := make([]*machine.Node, n)
-	for i := range nodes {
-		nodes[i] = machine.NewNode(g.Engine(i*shards/n), i, machine.DefaultParams())
-	}
-	sw := netsim.New(g.Engine(0), n, netsim.Default100Mb())
-	cfg := DefaultConfig()
-	if tweak != nil {
-		tweak(&cfg)
-	}
-	w := NewWorldOn(g, nodes, sw, cfg)
 	traces := make([][]string, n)
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		body(p, r, &traces[r.ID()])
@@ -130,41 +118,4 @@ func TestShardedEqualityUnbalancedRanks(t *testing.T) {
 			*trace = append(*trace, fmt.Sprintf("%v rd=%v", p.Now(), got))
 		}
 	})
-}
-
-// TestShardedOneShardMatchesLegacyEngine pins the migration contract:
-// a 1-shard group run is event-for-event identical to the plain
-// single-engine world (same event keys, same heap order), so moving
-// the cluster onto groups changed nothing at Shards=1.
-func TestShardedOneShardMatchesLegacyEngine(t *testing.T) {
-	const n = 4
-	body := func(p *sim.Proc, r *Rank, trace *[]string) {
-		me := r.ID()
-		next, prev := (me+1)%n, (me+n-1)%n
-		for round := 0; round < 4; round++ {
-			m := r.Sendrecv(p, next, round, 300_000, me, prev, round)
-			*trace = append(*trace, fmt.Sprintf("%v ring %v", p.Now(), m.Payload))
-		}
-	}
-
-	e := sim.NewEngine()
-	defer e.Close()
-	nodes := make([]*machine.Node, n)
-	for i := range nodes {
-		nodes[i] = machine.NewNode(e, i, machine.DefaultParams())
-	}
-	w := NewWorld(e, nodes, netsim.New(e, n, netsim.Default100Mb()), DefaultConfig())
-	legacy := make([][]string, n)
-	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
-		body(p, r, &legacy[r.ID()])
-		legacy[r.ID()] = append(legacy[r.ID()], fmt.Sprintf("done@%v", p.Now()))
-	})
-	if _, err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-
-	grouped := runSharded(t, 1, n, nil, body)
-	if !reflect.DeepEqual(grouped, legacy) {
-		t.Fatalf("1-shard group differs from legacy engine\n got %v\nwant %v", grouped, legacy)
-	}
 }

@@ -1,6 +1,8 @@
 // Package netsim models the cluster interconnect: a non-blocking
 // store-and-forward Ethernet switch (the paper's Cisco Catalyst 2950)
-// with one full-duplex 100 Mb port per node.
+// with one full-duplex 100 Mb port per node, or, for topology studies,
+// a two-tier tree of such switches. The flat switch is the one-edge
+// case of the tree (New).
 //
 // The model is message-granular rather than frame-granular: a transfer
 // occupies the sender's transmit link and the receiver's receive link
@@ -24,11 +26,7 @@
 // + lat + ser.
 package netsim
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Config describes the interconnect fabric.
 type Config struct {
@@ -51,181 +49,18 @@ func Default100Mb() Config {
 	}
 }
 
-// Switch is the interconnect instance. All methods must be called from
-// engine context (process bodies or event callbacks). Under a sharded
-// group, Send/Control must run on the source port's shard and Accept on
-// the destination port's shard: every field below is indexed by the
-// port whose shard writes it, so shards never touch each other's
-// cachelines and the model needs no locks.
-type Switch struct {
-	eng    *sim.Engine
-	cfg    Config
-	txFree []sim.Time
-	rxFree []sim.Time
-
-	portMsgs  []int64 // messages sent, per source port
-	portBytes []int64 // bytes sent, per source port
-}
-
-// New builds a switch with ports full-duplex ports.
+// New builds the paper's flat fabric: one non-blocking switch with
+// ports full-duplex ports. It is a Tree with a single edge switch, so
+// every pair of ports is intra-edge and the uplink never carries
+// traffic.
 //
 //lint:range ports [1,inf]
-func New(eng *sim.Engine, ports int, cfg Config) *Switch {
-	if ports <= 0 {
-		panic(fmt.Sprintf("netsim: %d ports", ports)) //lint:allow panicfree (constructor misuse; topology config is fixed at build time)
-	}
-	if cfg.BandwidthBytesPerSec <= 0 {
-		panic("netsim: non-positive bandwidth") //lint:allow panicfree (constructor misuse; topology config is fixed at build time)
-	}
-	if cfg.Latency < 0 {
-		panic("netsim: negative latency") //lint:allow panicfree (constructor misuse; topology config is fixed at build time)
-	}
-	return &Switch{
-		eng:       eng,
-		cfg:       cfg,
-		txFree:    make([]sim.Time, ports),
-		rxFree:    make([]sim.Time, ports),
-		portMsgs:  make([]int64, ports),
-		portBytes: make([]int64, ports),
-	}
-}
-
-// Ports returns the number of switch ports.
-func (s *Switch) Ports() int { return len(s.txFree) }
-
-// Config returns the fabric configuration.
-func (s *Switch) Config() Config { return s.cfg }
-
-// SerializationTime returns how long size bytes occupy a link.
-func (s *Switch) SerializationTime(size int64) sim.Duration {
-	if size <= 0 {
-		return 0
-	}
-	return sim.DurationOf(float64(size) / s.cfg.BandwidthBytesPerSec)
-}
-
-// MinLatency reports the smallest delay any message can experience
-// between leaving a sender and becoming visible at a receiver. It is
-// the conservative lookahead bound for sharded runs: a cross-shard
-// interaction initiated at t can never matter to its target before
-// t + MinLatency().
-func (s *Switch) MinLatency() sim.Duration { return s.cfg.Latency }
-
-// Send books the transmit side of a message of size bytes from port src
-// to port dst, starting no earlier than now. It returns start (when the
-// first byte leaves the sender, i.e. when the transmit link is free)
-// and arrive (when the first byte reaches the receiver port, one switch
-// latency later). The caller must complete the booking by calling
-// Accept from receiver context at arrive; fan-in contention on the
-// receive link is resolved there, in arrival order.
-//
-//lint:hotpath runs once per simulated message
-func (s *Switch) Send(src, dst int, size int64, now sim.Time) (start, arrive sim.Time) {
-	if src == dst {
-		s.selfTransferPanic(src)
-	}
-	s.checkPort(src)
-	s.checkPort(dst)
-	start = now
-	if s.txFree[src] > start {
-		start = s.txFree[src]
-	}
-	s.txFree[src] = start.Add(s.SerializationTime(size))
-	arrive = start.Add(s.cfg.Latency)
-	s.portMsgs[src]++
-	s.portBytes[src] += size
-	return start, arrive
-}
-
-// Accept books the receive side of a message whose first byte reaches
-// dst at arrive (as returned by Send) and returns deliver, when the
-// last byte has been copied in behind any earlier arrivals still
-// occupying the receive link.
-//
-//lint:hotpath runs once per simulated message
-func (s *Switch) Accept(src, dst int, size int64, arrive sim.Time) (deliver sim.Time) {
-	s.checkPort(src)
-	s.checkPort(dst)
-	deliver = arrive
-	if s.rxFree[dst] > deliver {
-		deliver = s.rxFree[dst]
-	}
-	deliver = deliver.Add(s.SerializationTime(size))
-	s.rxFree[dst] = deliver
-	return deliver
-}
-
-// Transfer books a whole message from port src to port dst starting no
-// earlier than the engine clock, and returns the interval it occupies:
-// start (when the first byte leaves the sender) and deliver (when the
-// last byte arrives at the receiver). It is the single-engine
-// convenience form of Send followed immediately by Accept; sharded
-// callers split the two stages across the owning shards instead.
-func (s *Switch) Transfer(src, dst int, size int64) (start, deliver sim.Time) {
-	start, arrive := s.Send(src, dst, size, s.eng.Now())
-	deliver = s.Accept(src, dst, size, arrive)
-	return start, deliver
-}
-
-// Control books a small protocol message (RTS/CTS handshakes, ACKs)
-// from src to dst at time now without occupying the links: real stacks
-// interleave tiny control packets into bulk streams rather than
-// queueing them behind megabytes of data, so they see only
-// serialization plus switch latency. It returns the delivery time.
-func (s *Switch) Control(src, dst int, size int64, now sim.Time) (deliver sim.Time) {
-	if src == dst {
-		s.selfTransferPanic(src)
-	}
-	s.checkPort(src)
-	s.checkPort(dst)
-	s.portMsgs[src]++
-	s.portBytes[src] += size
-	return now.Add(s.SerializationTime(size) + s.cfg.Latency)
-}
-
-func (s *Switch) selfTransferPanic(port int) {
-	panic(fmt.Sprintf("netsim: self-transfer on port %d", port)) //lint:allow panicfree (network-model invariant; port/size misuse is a simulator bug)
-}
-
-// TxBusyUntil reports when the port's transmit link frees up.
-func (s *Switch) TxBusyUntil(port int) sim.Time {
-	s.checkPort(port)
-	return s.txFree[port]
-}
-
-// RxBusyUntil reports when the port's receive link frees up.
-func (s *Switch) RxBusyUntil(port int) sim.Time {
-	s.checkPort(port)
-	return s.rxFree[port]
-}
-
-// Stats reports the total messages and bytes transferred. The totals
-// are summed from per-source-port counters (each written only by the
-// port's owning shard), so call it only between windows or after a run.
-func (s *Switch) Stats() (messages, bytes int64) {
-	for p := range s.portMsgs {
-		messages += s.portMsgs[p]
-		bytes += s.portBytes[p]
-	}
-	return messages, bytes
-}
-
-// PortBytes reports the bytes sent from port.
-func (s *Switch) PortBytes(port int) int64 {
-	s.checkPort(port)
-	return s.portBytes[port]
-}
-
-func (s *Switch) checkPort(p int) {
-	if p < 0 || p >= len(s.txFree) {
-		s.portRangePanic(p)
-	}
-}
-
-// portRangePanic is the cold half of checkPort, split out so the hot
-// Send/Accept paths stay allocation-free and inlinable.
-func (s *Switch) portRangePanic(p int) {
-	panic(fmt.Sprintf("netsim: port %d out of range [0,%d)", p, len(s.txFree))) //lint:allow panicfree (network-model invariant; port/size misuse is a simulator bug)
+func New(eng *sim.Engine, ports int, cfg Config) *Tree {
+	return NewTree(eng, ports, TreeConfig{
+		Host:                       cfg,
+		PortsPerEdge:               ports,
+		UplinkBandwidthBytesPerSec: cfg.BandwidthBytesPerSec,
+	})
 }
 
 // Gigabit returns a switched gigabit Ethernet model (an interconnect

@@ -7,9 +7,11 @@ import (
 	"repro/internal/sim"
 )
 
-func newSwitch(ports int) (*sim.Engine, *Switch) {
+const testLatency = 50 * sim.Microsecond
+
+func newSwitch(ports int) (*sim.Engine, *Tree) {
 	e := sim.NewEngine()
-	return e, New(e, ports, Config{BandwidthBytesPerSec: 1e6, Latency: 50 * sim.Microsecond})
+	return e, New(e, ports, Config{BandwidthBytesPerSec: 1e6, Latency: testLatency})
 }
 
 func TestSerializationTime(t *testing.T) {
@@ -99,26 +101,34 @@ func TestTransferAfterIdleStartsNow(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	_, s := newSwitch(3)
-	s.Transfer(0, 1, 100)
-	s.Transfer(1, 2, 200)
-	s.Transfer(0, 2, 300)
-	msgs, bytes := s.Stats()
-	if msgs != 3 || bytes != 600 {
-		t.Fatalf("stats = %d msgs %d bytes", msgs, bytes)
-	}
-	if s.PortBytes(0) != 400 || s.PortBytes(1) != 200 || s.PortBytes(2) != 0 {
-		t.Fatalf("port bytes: %d %d %d", s.PortBytes(0), s.PortBytes(1), s.PortBytes(2))
+	for i, tr := range []struct {
+		src, dst        int
+		size            int64
+		wantMsgs, wantB int64
+	}{
+		{0, 1, 100, 1, 100},
+		{1, 2, 200, 2, 300},
+		{0, 2, 300, 3, 600},
+	} {
+		s.Transfer(tr.src, tr.dst, tr.size)
+		if msgs, bytes := s.Stats(); msgs != tr.wantMsgs || bytes != tr.wantB {
+			t.Fatalf("after transfer %d: stats = %d msgs %d bytes", i, msgs, bytes)
+		}
 	}
 }
 
 func TestBusyUntil(t *testing.T) {
-	_, s := newSwitch(2)
+	_, s := newSwitch(3)
 	_, deliver := s.Transfer(0, 1, 1_000_000)
-	if s.TxBusyUntil(0) != sim.Time(sim.Second) {
-		t.Fatalf("tx busy until %v", s.TxBusyUntil(0))
+	// The sender's transmit link stays busy for the 1 s serialization:
+	// a second send from port 0 at time 0 waits for it.
+	if start, _ := s.Send(0, 2, 1000, 0); start != sim.Time(sim.Second) {
+		t.Fatalf("tx link free at %v", start)
 	}
-	if s.RxBusyUntil(1) != deliver {
-		t.Fatalf("rx busy until %v", s.RxBusyUntil(1))
+	// The receiver's link stays busy until the first delivery: a later
+	// arrival that reaches port 1 early queues behind it.
+	if got := s.Accept(2, 1, 1000, 0); got != deliver.Add(s.SerializationTime(1000)) {
+		t.Fatalf("rx link: deliver %v, first delivery %v", got, deliver)
 	}
 }
 
@@ -201,7 +211,7 @@ func TestControlBypassesLinkOccupancy(t *testing.T) {
 	if ctrlDeliver >= bulkDeliver {
 		t.Fatalf("control queued behind bulk: %v vs %v", ctrlDeliver, bulkDeliver)
 	}
-	want := sim.Time(s.SerializationTime(64) + s.Config().Latency)
+	want := sim.Time(s.SerializationTime(64) + testLatency)
 	if ctrlDeliver != want {
 		t.Fatalf("control deliver %v want %v", ctrlDeliver, want)
 	}

@@ -6,8 +6,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Fabric is the interconnect abstraction the MPI runtime drives. Switch
-// (single-tier) and Tree (two-tier, oversubscribed) both implement it.
+// Fabric is the interconnect abstraction the MPI runtime drives. Tree
+// implements it, both flat (New) and two-tier (NewTree).
 // Bulk transfers are booked in two stages so sender and receiver can
 // live on different event-core shards: Send from sender context,
 // Accept from receiver context when the arrival fires.
@@ -31,8 +31,8 @@ type Fabric interface {
 	Control(src, dst int, size int64, now sim.Time) (deliver sim.Time)
 }
 
-// Switch implements Fabric.
-var _ Fabric = (*Switch)(nil)
+// Tree implements Fabric.
+var _ Fabric = (*Tree)(nil)
 
 // TreeConfig describes a two-tier interconnect: hosts attach to edge
 // switches; edge switches attach to a core switch through uplinks that
@@ -48,21 +48,29 @@ type TreeConfig struct {
 	CoreLatency sim.Duration
 }
 
-// Tree is a two-tier fabric. Intra-edge traffic behaves like a single
-// switch; inter-edge traffic additionally serializes on the source
-// edge's uplink and the destination edge's downlink, which is where
-// oversubscription bites.
+// Tree is a two-tier fabric. Intra-edge traffic sees a single
+// non-blocking switch; inter-edge traffic additionally serializes on
+// the source edge's uplink and the destination edge's downlink, which
+// is where oversubscription bites.
+//
+// All methods must be called from engine context (process bodies or
+// event callbacks). Under a sharded group, Send/Control must run on the
+// source port's shard and Accept on the destination port's shard. The
+// per-port fields are indexed by the port whose shard writes them, so
+// a single-edge tree (New) needs no locks. The per-edge uplink and
+// downlink state is shared by every port on an edge and booked from
+// the sender's shard, so a multi-edge tree is only valid on a single
+// shard (cluster.Config.Validate enforces this).
 type Tree struct {
 	eng    *sim.Engine
 	cfg    TreeConfig
-	ports  int
-	txFree []sim.Time
-	rxFree []sim.Time
+	txFree []sim.Time // per host port
+	rxFree []sim.Time // per host port
 	upFree []sim.Time // per edge switch: uplink toward the core
 	dnFree []sim.Time // per edge switch: downlink from the core
 
-	messages int64
-	bytes    int64
+	portMsgs  []int64 // messages sent, per source port
+	portBytes []int64 // bytes sent, per source port
 }
 
 // NewTree builds a tree fabric with the given number of host ports.
@@ -81,18 +89,19 @@ func NewTree(eng *sim.Engine, ports int, cfg TreeConfig) *Tree {
 	}
 	edges := (ports + cfg.PortsPerEdge - 1) / cfg.PortsPerEdge
 	return &Tree{
-		eng:    eng,
-		cfg:    cfg,
-		ports:  ports,
-		txFree: make([]sim.Time, ports),
-		rxFree: make([]sim.Time, ports),
-		upFree: make([]sim.Time, edges),
-		dnFree: make([]sim.Time, edges),
+		eng:       eng,
+		cfg:       cfg,
+		txFree:    make([]sim.Time, ports),
+		rxFree:    make([]sim.Time, ports),
+		upFree:    make([]sim.Time, edges),
+		dnFree:    make([]sim.Time, edges),
+		portMsgs:  make([]int64, ports),
+		portBytes: make([]int64, ports),
 	}
 }
 
 // Ports implements Fabric.
-func (t *Tree) Ports() int { return t.ports }
+func (t *Tree) Ports() int { return len(t.txFree) }
 
 // Edges reports the number of edge switches.
 func (t *Tree) Edges() int { return len(t.upFree) }
@@ -119,13 +128,20 @@ func (t *Tree) uplinkSer(size int64) sim.Duration {
 }
 
 // MinLatency implements Fabric: the intra-edge hop is the fastest path.
+// It is the conservative lookahead bound for sharded runs: a
+// cross-shard interaction initiated at t can never matter to its target
+// before t + MinLatency().
 func (t *Tree) MinLatency() sim.Duration { return t.cfg.Host.Latency }
 
-// Send implements Fabric. Unlike the flat switch, the tree's shared
-// uplink/downlink state couples ports on the same edge, so a Tree is
-// only valid on a single shard (cluster.Config.Validate enforces this);
-// the two-stage split still applies, with fan-in to the receive link
-// resolved by Accept in arrival order.
+// Send books the transmit side of a message of size bytes from port src
+// to port dst, starting no earlier than now. It returns start (when the
+// first byte leaves the sender, i.e. when the transmit link is free)
+// and arrive (when the first byte reaches the receiver port). The
+// caller must complete the booking by calling Accept from receiver
+// context at arrive; fan-in contention on the receive link is resolved
+// there, in arrival order.
+//
+//lint:hotpath runs once per simulated message
 func (t *Tree) Send(src, dst int, size int64, now sim.Time) (start, arrive sim.Time) {
 	if src == dst {
 		t.selfTransferPanic(src)
@@ -135,10 +151,10 @@ func (t *Tree) Send(src, dst int, size int64, now sim.Time) (start, arrive sim.T
 	serHost := t.SerializationTime(size)
 	lat := t.cfg.Host.Latency
 
-	es, ed := t.EdgeOf(src), t.EdgeOf(dst)
+	es, ed := src/t.cfg.PortsPerEdge, dst/t.cfg.PortsPerEdge
 	if es == ed {
-		// Intra-edge: identical to the single switch.
-		start = maxTime(now, t.txFree[src])
+		// Intra-edge: a single store-and-forward switch hop.
+		start = max(now, t.txFree[src])
 		t.txFree[src] = start.Add(serHost)
 		arrive = start.Add(lat)
 	} else {
@@ -148,7 +164,7 @@ func (t *Tree) Send(src, dst int, size int64, now sim.Time) (start, arrive sim.T
 		// pipeline offset.
 		serUp := t.uplinkSer(size)
 		totalLat := 2*lat + t.cfg.CoreLatency
-		start = maxTime(now, t.txFree[src],
+		start = max(now, t.txFree[src],
 			t.upFree[es]-sim.Time(lat),
 			t.dnFree[ed]-sim.Time(lat+t.cfg.CoreLatency))
 		t.txFree[src] = start.Add(serHost)
@@ -156,47 +172,57 @@ func (t *Tree) Send(src, dst int, size int64, now sim.Time) (start, arrive sim.T
 		t.dnFree[ed] = start.Add(sim.Duration(lat) + t.cfg.CoreLatency + serUp)
 		arrive = start.Add(sim.Duration(totalLat))
 	}
-	t.messages++
-	t.bytes += size
+	t.portMsgs[src]++
+	t.portBytes[src] += size
 	return start, arrive
 }
 
-// Accept implements Fabric: the last byte lands one bottleneck-stage
-// serialization behind whatever is still occupying the receive link.
+// Accept books the receive side of a message whose first byte reaches
+// dst at arrive (as returned by Send) and returns deliver, when the
+// last byte lands one bottleneck-stage serialization behind any earlier
+// arrivals still occupying the receive link.
+//
+//lint:hotpath runs once per simulated message
 func (t *Tree) Accept(src, dst int, size int64, arrive sim.Time) (deliver sim.Time) {
 	t.checkPort(src)
 	t.checkPort(dst)
 	bottleneck := t.SerializationTime(size)
-	if t.EdgeOf(src) != t.EdgeOf(dst) {
-		if serUp := t.uplinkSer(size); serUp > bottleneck {
-			bottleneck = serUp
-		}
+	if src/t.cfg.PortsPerEdge != dst/t.cfg.PortsPerEdge {
+		bottleneck = max(bottleneck, t.uplinkSer(size))
 	}
-	deliver = maxTime(arrive, t.rxFree[dst]).Add(bottleneck)
+	deliver = max(arrive, t.rxFree[dst]).Add(bottleneck)
 	t.rxFree[dst] = deliver
 	return deliver
 }
 
-// Transfer books a whole message at the engine clock: Send followed
-// immediately by Accept, the single-engine convenience form.
+// Transfer books a whole message from port src to port dst starting no
+// earlier than the engine clock, and returns the interval it occupies:
+// start (when the first byte leaves the sender) and deliver (when the
+// last byte arrives at the receiver). It is the single-engine
+// convenience form of Send followed immediately by Accept; sharded
+// callers split the two stages across the owning shards instead.
 func (t *Tree) Transfer(src, dst int, size int64) (start, deliver sim.Time) {
 	start, arrive := t.Send(src, dst, size, t.eng.Now())
 	deliver = t.Accept(src, dst, size, arrive)
 	return start, deliver
 }
 
-// Control implements Fabric: latency-only priority delivery, with the
-// core hop added for inter-edge pairs.
+// Control books a small protocol message (RTS/CTS handshakes, ACKs)
+// from src to dst at time now without occupying the links: real stacks
+// interleave tiny control packets into bulk streams rather than
+// queueing them behind megabytes of data, so they see only
+// serialization plus switch latency, with the core hop added for
+// inter-edge pairs. It returns the delivery time.
 func (t *Tree) Control(src, dst int, size int64, now sim.Time) (deliver sim.Time) {
 	if src == dst {
 		t.selfTransferPanic(src)
 	}
 	t.checkPort(src)
 	t.checkPort(dst)
-	t.messages++
-	t.bytes += size
+	t.portMsgs[src]++
+	t.portBytes[src] += size
 	lat := t.cfg.Host.Latency
-	if t.EdgeOf(src) != t.EdgeOf(dst) {
+	if src/t.cfg.PortsPerEdge != dst/t.cfg.PortsPerEdge {
 		lat += t.cfg.Host.Latency + t.cfg.CoreLatency
 	}
 	return now.Add(t.SerializationTime(size) + lat)
@@ -206,21 +232,25 @@ func (t *Tree) selfTransferPanic(port int) {
 	panic(fmt.Sprintf("netsim: self-transfer on port %d", port)) //lint:allow panicfree (network-model invariant; port/size misuse is a simulator bug)
 }
 
-// Stats reports the total messages and bytes transferred.
-func (t *Tree) Stats() (messages, bytes int64) { return t.messages, t.bytes }
+// Stats reports the total messages and bytes transferred. The totals
+// are summed from per-source-port counters (each written only by the
+// port's owning shard), so call it only between windows or after a run.
+func (t *Tree) Stats() (messages, bytes int64) {
+	for p := range t.portMsgs {
+		messages += t.portMsgs[p]
+		bytes += t.portBytes[p]
+	}
+	return messages, bytes
+}
 
 func (t *Tree) checkPort(p int) {
-	if p < 0 || p >= t.ports {
-		panic(fmt.Sprintf("netsim: port %d out of range [0,%d)", p, t.ports)) //lint:allow panicfree (network-model invariant; port/size misuse is a simulator bug)
+	if p < 0 || p >= len(t.txFree) {
+		t.portRangePanic(p)
 	}
 }
 
-func maxTime(ts ...sim.Time) sim.Time {
-	m := ts[0]
-	for _, t := range ts[1:] {
-		if t > m {
-			m = t
-		}
-	}
-	return m
+// portRangePanic is the cold half of checkPort, split out so the hot
+// Send/Accept paths stay allocation-free and inlinable.
+func (t *Tree) portRangePanic(p int) {
+	panic(fmt.Sprintf("netsim: port %d out of range [0,%d)", p, len(t.txFree))) //lint:allow panicfree (network-model invariant; port/size misuse is a simulator bug)
 }

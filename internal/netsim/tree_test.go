@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -35,6 +37,54 @@ func TestTreeIntraEdgeMatchesSwitch(t *testing.T) {
 	want := sim.Time(500*sim.Millisecond + 50*sim.Microsecond)
 	if deliver != want {
 		t.Fatalf("deliver %v want %v", deliver, want)
+	}
+	_, flat := newSwitch(8)
+	if fs, fd := flat.Transfer(0, 1, 500_000); fs != start || fd != deliver {
+		t.Fatalf("flat switch books [%v, %v], tree edge [%v, %v]", fs, fd, start, deliver)
+	}
+}
+
+// TestTreeShardedDisjointPorts drives a single-edge tree the way two
+// event-core shards do: each goroutine owns half the ports, calls Send
+// for its own sources and Accept for its own destinations, and never
+// touches the other half's state. Under -race this proves the flat
+// fabric is shard-safe; the bookings must also match a sequential run.
+func TestTreeShardedDisjointPorts(t *testing.T) {
+	const ports, msgs = 8, 200
+	// owner g books sources g*4..g*4+3 toward the other half, then
+	// accepts the mirror-image traffic arriving on its own ports.
+	run := func(tr *Tree, g int, out []sim.Time) {
+		own, peer := g*ports/2, (1-g)*ports/2
+		for i := 0; i < msgs; i++ {
+			src, dst := own+i%4, peer+(i/4)%4
+			size := int64(1000 + 37*i)
+			_, arrive := tr.Send(src, dst, size, sim.Time(i)*sim.Time(sim.Millisecond))
+			out[2*i] = arrive
+			out[2*i+1] = tr.Accept(dst, src, size, arrive)
+		}
+	}
+	seq := New(sim.NewEngine(), ports, Default100Mb())
+	want := [2][]sim.Time{make([]sim.Time, 2*msgs), make([]sim.Time, 2*msgs)}
+	run(seq, 0, want[0])
+	run(seq, 1, want[1])
+
+	par := New(sim.NewEngine(), ports, Default100Mb())
+	got := [2][]sim.Time{make([]sim.Time, 2*msgs), make([]sim.Time, 2*msgs)}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			run(par, g, got[g])
+		}(g)
+	}
+	wg.Wait()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("concurrent bookings on disjoint ports differ from a sequential run")
+	}
+	wantMsgs, wantBytes := seq.Stats()
+	if m, b := par.Stats(); m != wantMsgs || b != wantBytes || m != 2*msgs {
+		t.Fatalf("stats = %d msgs %d bytes, want %d msgs %d bytes", m, b, wantMsgs, wantBytes)
 	}
 }
 

@@ -129,30 +129,16 @@ func MustNew(cfg Config) *Recorder {
 	return r
 }
 
-// Spawn starts the sampling process on a single engine; it takes an
-// immediate sample, then one per interval until done() reports true.
-func (r *Recorder) Spawn(eng *sim.Engine, done func() bool) {
-	eng.Spawn("trace", func(p *sim.Proc) {
-		r.sample(p.Now())
-		for {
-			p.Sleep(r.interval)
-			r.sample(p.Now())
-			if done != nil && done() {
-				return
-			}
-		}
-	})
-}
-
 // GlobalPri is the coordinator-global priority the recorder's ticks
 // use; it must not collide with any other same-time global source
 // (see sim.Group.ScheduleGlobal).
 const GlobalPri = 1
 
-// SpawnGroup starts sampling on a sharded group. Each tick runs as a
-// coordinator global at a window barrier, where every shard's node
-// state is safely visible; sample times and row order match Spawn.
-func (r *Recorder) SpawnGroup(g *sim.Group, done func() bool) {
+// Spawn starts sampling on g: an immediate sample, then one per
+// interval until done() reports true. Each tick runs as a coordinator
+// global at a window barrier, where every shard's node state is safely
+// visible.
+func (r *Recorder) Spawn(g *sim.Group, done func() bool) {
 	r.tick(g, g.Now(), done)
 }
 

@@ -71,21 +71,22 @@ func legacyCSV(t *testing.T, samples []Sample) string {
 // returns the recorder after Close.
 func fixture(t *testing.T, sinks ...Sink) *Recorder {
 	t.Helper()
-	e := sim.NewEngine()
-	n := machine.NewNode(e, 0, machine.DefaultParams())
+	g := sim.NewGroup(1, sim.Millisecond)
+	defer g.Close()
+	n := machine.NewNode(g.Engine(0), 0, machine.DefaultParams())
 	done := false
 	r, err := New(Config{Interval: 100 * sim.Millisecond, Nodes: []*machine.Node{n}, Sinks: sinks})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Spawn(e, func() bool { return done })
-	e.Spawn("app", func(p *sim.Proc) {
+	r.Spawn(g, func() bool { return done })
+	g.Engine(0).Spawn("app", func(p *sim.Proc) {
 		n.Compute(p, 1.4e9)          // 1s busy
 		n.IdleFor(p, sim.Second)     // 1s idle
 		n.MemoryRounds(p, 4_000_000) // ~0.46s memory
 		done = true
 	})
-	if _, err := e.Run(0); err != nil {
+	if _, err := g.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Close(); err != nil {
@@ -389,8 +390,9 @@ func (f *failSink) Tick(sim.Time, []Sample) error { return f.tickErr }
 func (f *failSink) End() error                    { return f.endErr }
 
 func TestRecorderErrorLatching(t *testing.T) {
-	e := sim.NewEngine()
-	n := machine.NewNode(e, 0, machine.DefaultParams())
+	g := sim.NewGroup(1, sim.Millisecond)
+	defer g.Close()
+	n := machine.NewNode(g.Engine(0), 0, machine.DefaultParams())
 	tickFail := errors.New("tick boom")
 	mem := &memSink{}
 	r, err := New(Config{Interval: 100 * sim.Millisecond, Nodes: []*machine.Node{n},
@@ -399,12 +401,12 @@ func TestRecorderErrorLatching(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := false
-	r.Spawn(e, func() bool { return done })
-	e.Spawn("app", func(p *sim.Proc) {
+	r.Spawn(g, func() bool { return done })
+	g.Engine(0).Spawn("app", func(p *sim.Proc) {
 		n.IdleFor(p, sim.Second)
 		done = true
 	})
-	if _, err := e.Run(0); err != nil {
+	if _, err := g.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if !errors.Is(r.Err(), tickFail) {

@@ -21,14 +21,13 @@ func harness(t *testing.T, w Workload) ([]*powerpack.NodeCtx, []*machine.Node, s
 // harnessWorld is harness exposing the MPI world for traffic checks.
 func harnessWorld(t *testing.T, w Workload) ([]*powerpack.NodeCtx, []*machine.Node, *mpi.World, sim.Time) {
 	t.Helper()
-	e := sim.NewEngine()
+	g, world := testWorld(w.Ranks())
+	defer g.Close()
 	n := w.Ranks()
 	nodes := make([]*machine.Node, n)
 	for i := range nodes {
-		nodes[i] = machine.NewNode(e, i, machine.DefaultParams())
+		nodes[i] = world.Rank(i).Node()
 	}
-	sw := netsim.New(e, n, netsim.Default100Mb())
-	world := mpi.NewWorld(e, nodes, sw, mpi.DefaultConfig())
 	prof := powerpack.NewProfiler()
 	ctxs := make([]*powerpack.NodeCtx, n)
 	for i := range ctxs {
@@ -37,7 +36,7 @@ func harnessWorld(t *testing.T, w Workload) ([]*powerpack.NodeCtx, []*machine.No
 	var end sim.Time
 	for i := 0; i < n; i++ {
 		i := i
-		e.Spawn("rank", func(p *sim.Proc) {
+		g.Engine(0).Spawn("rank", func(p *sim.Proc) {
 			w.Run(Ctx{P: p, Rank: world.Rank(i), Node: nodes[i], PP: ctxs[i]})
 			if p.Now() > end {
 				end = p.Now()
@@ -47,10 +46,21 @@ func harnessWorld(t *testing.T, w Workload) ([]*powerpack.NodeCtx, []*machine.No
 	// Run to exhaustion: the queue includes stale spin-downgrade timers
 	// that fire after completion, so "end" is the last rank's finish,
 	// not the engine's final event.
-	if _, err := e.Run(0); err != nil {
+	if _, err := g.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	return ctxs, nodes, world, end
+}
+
+// testWorld builds an n-rank MPI world on fresh nodes over the default
+// fabric, all on one event-core shard.
+func testWorld(n int) (*sim.Group, *mpi.World) {
+	g := sim.NewGroup(1, netsim.Default100Mb().Latency)
+	nodes := make([]*machine.Node, n)
+	for i := range nodes {
+		nodes[i] = machine.NewNode(g.Engine(0), i, machine.DefaultParams())
+	}
+	return g, mpi.NewWorld(g, nodes, netsim.New(g.Engine(0), n, netsim.Default100Mb()), mpi.DefaultConfig())
 }
 
 func TestMicrobenchNamesAndRanks(t *testing.T) {
@@ -150,29 +160,8 @@ func TestFTRegionDominatesRuntime(t *testing.T) {
 func TestFTCommVolumeMatchesClass(t *testing.T) {
 	ft := NewFT('A', 4)
 	ft.IterOverride = 1
-	_, nodes, _ := harness(t, ft)
-	_ = nodes
-	// Per rank per iteration the transpose sends points*16*(P-1)/P²
-	// bytes. Verified through the workload's own accounting in the MPI
-	// stats — rerun with direct access to the world.
-	e := sim.NewEngine()
+	_, _, world, _ := harnessWorld(t, ft)
 	n := ft.Ranks()
-	ns := make([]*machine.Node, n)
-	for i := range ns {
-		ns[i] = machine.NewNode(e, i, machine.DefaultParams())
-	}
-	sw := netsim.New(e, n, netsim.Default100Mb())
-	world := mpi.NewWorld(e, ns, sw, mpi.DefaultConfig())
-	prof := powerpack.NewProfiler()
-	for i := 0; i < n; i++ {
-		i := i
-		e.Spawn("rank", func(p *sim.Proc) {
-			ft.Run(Ctx{P: p, Rank: world.Rank(i), Node: ns[i], PP: powerpack.NewNodeCtx(ns[i], prof, nil)})
-		})
-	}
-	if _, err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
 	points := int64(256 * 256 * 128)
 	perPeer := points * 16 / int64(n*n)
 	wantAtLeast := perPeer * int64(n-1) // one transpose
@@ -231,11 +220,10 @@ func TestTransposeRedistConsistency(t *testing.T) {
 
 func TestTransposeRanksGuard(t *testing.T) {
 	tr := NewTranspose(1)
-	e := sim.NewEngine()
-	node := machine.NewNode(e, 0, machine.DefaultParams())
-	sw := netsim.New(e, 1, netsim.Default100Mb())
-	world := mpi.NewWorld(e, []*machine.Node{node}, sw, mpi.DefaultConfig())
-	e.Spawn("rank", func(p *sim.Proc) {
+	g, world := testWorld(1)
+	defer g.Close()
+	node := world.Rank(0).Node()
+	g.Engine(0).Spawn("rank", func(p *sim.Proc) {
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic with wrong world size")
@@ -243,31 +231,14 @@ func TestTransposeRanksGuard(t *testing.T) {
 		}()
 		tr.Run(Ctx{P: p, Rank: world.Rank(0), Node: node, PP: powerpack.NewNodeCtx(node, powerpack.NewProfiler(), nil)})
 	})
-	if _, err := e.Run(0); err != nil {
+	if _, err := g.Run(0); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestTransposeRootReceivesGather(t *testing.T) {
 	tr := &Transpose{N: 600, PRows: 5, PCols: 3, Iterations: 1}
-	e := sim.NewEngine()
-	n := tr.Ranks()
-	ns := make([]*machine.Node, n)
-	for i := range ns {
-		ns[i] = machine.NewNode(e, i, machine.DefaultParams())
-	}
-	sw := netsim.New(e, n, netsim.Default100Mb())
-	world := mpi.NewWorld(e, ns, sw, mpi.DefaultConfig())
-	prof := powerpack.NewProfiler()
-	for i := 0; i < n; i++ {
-		i := i
-		e.Spawn("rank", func(p *sim.Proc) {
-			tr.Run(Ctx{P: p, Rank: world.Rank(i), Node: ns[i], PP: powerpack.NewNodeCtx(ns[i], prof, nil)})
-		})
-	}
-	if _, err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
+	_, _, world, _ := harnessWorld(t, tr)
 	// Root received one block from each of the other 14 ranks in the
 	// gather, plus redistribution traffic.
 	blockBytes := int64(600/5) * int64(600/3) * 8

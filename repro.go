@@ -134,7 +134,8 @@ type (
 	Fabric = netsim.Fabric
 	// TreeConfig describes a two-tier (oversubscribed) interconnect.
 	TreeConfig = netsim.TreeConfig
-	// Tree is the two-tier fabric implementation.
+	// Tree is the fabric implementation: flat (one edge switch, the
+	// default) or two-tier.
 	Tree = netsim.Tree
 )
 
