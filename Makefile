@@ -95,7 +95,7 @@ bench-profile:
 # Profile-guided hot-root discovery: join the committed CPU profiles
 # against //lint:hotpath reachability. Reports functions the profiles
 # show hot that no annotated root guards, and annotated roots that are
-# cold in every profile. Thresholds: REPOLINT_PROFGATE_CUM/_FLAT/_COLD.
+# cold in every profile. Thresholds: profgate.Default*Percent.
 profgate: $(REPOLINT)
 	REPOLINT_PROFILES=$(PROFILES) $(REPOLINT) -only profgate ./...
 

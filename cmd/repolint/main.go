@@ -1,14 +1,14 @@
-// Command repolint runs the repository's analyzer suite (determinism,
-// floateq, unitsafety, panicfree, sharedstate, concsafety, erraudit,
-// detflow, hotalloc, profgate, shardown, typestate, rangecheck,
-// lookahead — see internal/lint) in two modes:
+// Command repolint runs the repository's analyzer suite (floateq,
+// unitsafety, panicfree, sharedstate, concsafety, erraudit, detflow,
+// hotalloc, profgate, shardown, typestate, rangecheck — see
+// internal/lint) in two modes:
 //
 // Standalone, against package patterns, loading and type-checking the
 // module itself:
 //
 //	go run ./cmd/repolint ./...
 //	repolint -list         # print every registered analyzer with its one-line doc
-//	repolint -only determinism,panicfree ./internal/...
+//	repolint -only detflow,panicfree ./internal/...
 //	repolint -json ./...   # one JSON object per line, suppressions and timing included
 //	repolint -timing ./... # per-analyzer wall-time table on stderr
 //

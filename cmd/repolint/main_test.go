@@ -20,12 +20,12 @@ func TestSelectAnalyzers(t *testing.T) {
 		t.Fatalf("selectAnalyzers(\"\") = %d analyzers, err %v; want the full suite (%d)",
 			len(all), err, len(repolint.All()))
 	}
-	subset, err := selectAnalyzers("determinism, profgate")
+	subset, err := selectAnalyzers("detflow, profgate")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(subset) != 2 || subset[0].Name != "determinism" || subset[1].Name != "profgate" {
-		t.Errorf("subset = %v, want [determinism profgate]", subset)
+	if len(subset) != 2 || subset[0].Name != "detflow" || subset[1].Name != "profgate" {
+		t.Errorf("subset = %v, want [detflow profgate]", subset)
 	}
 	if _, err := selectAnalyzers("nosuch"); err == nil {
 		t.Error("selectAnalyzers(\"nosuch\") succeeded, want unknown-analyzer error")
@@ -113,7 +113,7 @@ func TestRunStandaloneDiagnostics(t *testing.T) {
 		dir = t.TempDir()
 		writeFixtureModule(t, dir)
 	}
-	analyzers, err := selectAnalyzers("determinism")
+	analyzers, err := selectAnalyzers("detflow")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,17 +130,17 @@ func TestRunStandaloneDiagnostics(t *testing.T) {
 			t.Fatalf("-json output: %v", err)
 		}
 		// Timing records share the stream but carry no position.
-		if d.Analyzer == "determinism" && d.Pos != "" && !d.Suppressed {
+		if d.Analyzer == "detflow" && d.Pos != "" && !d.Suppressed {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("no unsuppressed determinism diagnostic in -json output:\n%s", stdout.String())
+		t.Errorf("no unsuppressed detflow diagnostic in -json output:\n%s", stdout.String())
 	}
 }
 
 // writeFixtureModule lays down a minimal module whose one package
-// violates the determinism gate.
+// reads the wall clock inside a simulator package, which detflow bans.
 func writeFixtureModule(t *testing.T, dir string) {
 	t.Helper()
 	files := map[string]string{

@@ -259,6 +259,24 @@ func UsedPackage(info *types.Info, sel *ast.SelectorExpr) (path string, ok bool)
 	return pn.Imported().Path(), true
 }
 
+// FuncDeclName renders a declaration's name for diagnostics: "Run",
+// "Runner.Run", or "(*Runner).Run".
+func FuncDeclName(fd *ast.FuncDecl) string {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return fd.Name.Name
+	}
+	t := fd.Recv.List[0].Type
+	if star, ok := t.(*ast.StarExpr); ok {
+		if id, ok := star.X.(*ast.Ident); ok {
+			return "(*" + id.Name + ")." + fd.Name.Name
+		}
+	}
+	if id, ok := t.(*ast.Ident); ok {
+		return id.Name + "." + fd.Name.Name
+	}
+	return fd.Name.Name
+}
+
 // IsPackageFunc reports whether call's callee is the package-level
 // function pkgPath.name (e.g. "time".Now).
 func IsPackageFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {

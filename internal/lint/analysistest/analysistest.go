@@ -29,7 +29,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -60,29 +59,63 @@ func TestData(t *testing.T) string {
 
 func runOne(t *testing.T, dir string, a *analysis.Analyzer, pkgPath string) {
 	t.Helper()
-	fset := token.NewFileSet()
-	ld := &fixtureLoader{root: filepath.Join(dir, "src"), fset: fset, loaded: make(map[string]*types.Package)}
-	files, tpkg, info, err := ld.loadDir(pkgPath)
+	pkg, err := Load(dir, pkgPath)
 	if err != nil {
 		t.Fatalf("%s: loading fixture %s: %v", a.Name, pkgPath, err)
 	}
 
-	pass := analysis.NewPass(a, fset, files, tpkg, info)
+	pass := analysis.NewPass(a, pkg.Fset, pkg.Files, pkg.Types, pkg.Info)
 	if err := a.Run(pass); err != nil {
 		t.Fatalf("%s: analyzer failed on %s: %v", a.Name, pkgPath, err)
 	}
 
-	wants := collectWants(t, fset, files)
+	matched := make([]bool, len(pkg.Wants))
 	for _, d := range pass.Diagnostics() {
-		p := fset.Position(d.Pos)
-		if !wants.match(p.Filename, p.Line, d.Message) {
+		p := pkg.Fset.Position(d.Pos)
+		found := false
+		for i, w := range pkg.Wants {
+			if !matched[i] && w.Matches(p, d.Message) {
+				matched[i], found = true, true
+				break
+			}
+		}
+		if !found {
 			t.Errorf("%s: unexpected diagnostic at %s:%d: %s", a.Name, p.Filename, p.Line, d.Message)
 		}
 	}
-	for _, w := range wants.unmatched() {
-		t.Errorf("%s: expected diagnostic matching %q at %s:%d, got none",
-			a.Name, w.re.String(), w.file, w.line)
+	for i, w := range pkg.Wants {
+		if !matched[i] {
+			t.Errorf("%s: expected diagnostic matching %q at %s:%d, got none",
+				a.Name, w.Re.String(), w.File, w.Line)
+		}
 	}
+}
+
+// A Package is one parsed and type-checked fixture package together
+// with the "// want" expectations of its files, in source order.
+type Package struct {
+	Fset  *token.FileSet
+	Files []*ast.File
+	Types *types.Package
+	Info  *types.Info
+	Wants []Want
+}
+
+// Load parses and type-checks the fixture package dir/src/<pkgPath>,
+// resolving imports first against the fixture tree and then the
+// standard library.
+func Load(dir, pkgPath string) (*Package, error) {
+	fset := token.NewFileSet()
+	ld := &fixtureLoader{root: filepath.Join(dir, "src"), fset: fset, loaded: make(map[string]*types.Package)}
+	files, tpkg, info, err := ld.loadDir(pkgPath)
+	if err != nil {
+		return nil, err
+	}
+	wants, err := collectWants(fset, files)
+	if err != nil {
+		return nil, err
+	}
+	return &Package{Fset: fset, Files: files, Types: tpkg, Info: info, Wants: wants}, nil
 }
 
 // fixtureLoader parses and type-checks fixture packages, resolving
@@ -138,25 +171,26 @@ func (ld *fixtureLoader) loadDir(pkgPath string) ([]*ast.File, *types.Package, *
 	return files, tpkg, info, nil
 }
 
-// want is one expectation: a regexp that must match a diagnostic on a
-// specific line.
-type want struct {
-	file    string
-	line    int
-	re      *regexp.Regexp
-	matched bool
+// A Want is one expectation: a regexp that a diagnostic on a specific
+// line must match.
+type Want struct {
+	File string
+	Line int
+	Re   *regexp.Regexp
 }
 
-type wantSet struct{ wants []*want }
+// Matches reports whether a diagnostic at p with message msg meets w.
+func (w Want) Matches(p token.Position, msg string) bool {
+	return w.File == p.Filename && w.Line == p.Line && w.Re.MatchString(msg)
+}
 
 var wantRE = regexp.MustCompile(`//\s*want\s+(.*)$`)
 
 // quotedRE matches one Go string literal, double-quoted or backquoted.
 var quotedRE = regexp.MustCompile("`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\"")
 
-func collectWants(t *testing.T, fset *token.FileSet, files []*ast.File) *wantSet {
-	t.Helper()
-	ws := &wantSet{}
+func collectWants(fset *token.FileSet, files []*ast.File) ([]Want, error) {
+	var wants []Want
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -168,42 +202,16 @@ func collectWants(t *testing.T, fset *token.FileSet, files []*ast.File) *wantSet
 				for _, q := range quotedRE.FindAllString(m[1], -1) {
 					pat, err := strconv.Unquote(q)
 					if err != nil {
-						t.Fatalf("%s:%d: bad want pattern %s: %v", pos.Filename, pos.Line, q, err)
+						return nil, fmt.Errorf("%s:%d: bad want pattern %s: %v", pos.Filename, pos.Line, q, err)
 					}
 					re, err := regexp.Compile(pat)
 					if err != nil {
-						t.Fatalf("%s:%d: bad want regexp %q: %v", pos.Filename, pos.Line, pat, err)
+						return nil, fmt.Errorf("%s:%d: bad want regexp %q: %v", pos.Filename, pos.Line, pat, err)
 					}
-					ws.wants = append(ws.wants, &want{file: pos.Filename, line: pos.Line, re: re})
+					wants = append(wants, Want{File: pos.Filename, Line: pos.Line, Re: re})
 				}
 			}
 		}
 	}
-	return ws
-}
-
-func (ws *wantSet) match(file string, line int, message string) bool {
-	for _, w := range ws.wants {
-		if !w.matched && w.file == file && w.line == line && w.re.MatchString(message) {
-			w.matched = true
-			return true
-		}
-	}
-	return false
-}
-
-func (ws *wantSet) unmatched() []*want {
-	var out []*want
-	for _, w := range ws.wants {
-		if !w.matched {
-			out = append(out, w)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].file != out[j].file {
-			return out[i].file < out[j].file
-		}
-		return out[i].line < out[j].line
-	})
-	return out
+	return wants, nil
 }

@@ -10,12 +10,50 @@ import (
 )
 
 // BenchmarkRepolintModule measures one full lint pass — module load,
-// parse, type-check, and all nine analyzers over every package — which
-// is what `make lint` and the clean-lint meta-test pay on every run.
-// `make bench` appends this to BENCH_sim.json so lint wall-time
+// parse, type-check, and every registered analyzer over every package —
+// which is what `make lint` and the clean-lint meta-test pay on every
+// run. `make bench` appends this to BENCH_sim.json so lint wall-time
 // regressions are tracked alongside simulator throughput.
 func BenchmarkRepolintModule(b *testing.B) {
+	benchModule(b)
+}
+
+// BenchmarkDetflowModule isolates the flow-sensitive layer: module load
+// plus only the detflow and hotalloc analyzers — the two passes built
+// on the internal/lint/dataflow value-flow engine and its per-function
+// summaries — over every package. Tracking this next to
+// BenchmarkRepolintModule in BENCH_sim.json shows how much of the
+// whole-suite cost the dataflow engine accounts for as it grows.
+func BenchmarkDetflowModule(b *testing.B) {
+	benchModule(b, "detflow", "hotalloc")
+}
+
+// BenchmarkNumericModule isolates the v6 numeric layer: module load
+// plus only rangecheck — both of its domains run on the
+// internal/lint/dataflow interval engine (RunIntervals) — over every
+// package. Tracked in BENCH_sim.json next to the whole-suite and
+// detflow figures, it shows what the interval engine costs as its
+// contract inventory grows.
+func BenchmarkNumericModule(b *testing.B) {
+	benchModule(b, "rangecheck")
+}
+
+// benchModule loads the module and runs the named analyzers (all of
+// them when none are named) over every package, b.N times; the tree
+// must stay lint-clean throughout.
+func benchModule(b *testing.B, names ...string) {
 	root := moduleRoot(b)
+	suite := repolint.All()
+	if len(names) > 0 {
+		suite = suite[:0]
+		for _, name := range names {
+			a := repolint.ByName(name)
+			if a == nil {
+				b.Fatalf("analyzer %s is not registered", name)
+			}
+			suite = append(suite, a)
+		}
+	}
 	for i := 0; i < b.N; i++ {
 		fset := token.NewFileSet()
 		pkgs, err := loader.Load(fset, root, "./...")
@@ -27,7 +65,7 @@ func BenchmarkRepolintModule(b *testing.B) {
 		}
 		diags := 0
 		for _, pkg := range pkgs {
-			for _, a := range repolint.All() {
+			for _, a := range suite {
 				pass := analysis.NewPass(a, fset, pkg.Files, pkg.Types, pkg.Info)
 				if err := a.Run(pass); err != nil {
 					b.Fatalf("%s: %s: %v", a.Name, pkg.ImportPath, err)
@@ -37,90 +75,6 @@ func BenchmarkRepolintModule(b *testing.B) {
 		}
 		if diags != 0 {
 			b.Fatalf("module not lint-clean during benchmark: %d diagnostics", diags)
-		}
-	}
-}
-
-// BenchmarkDetflowModule isolates the flow-sensitive layer: module
-// load plus only the detflow and hotalloc analyzers — the two passes
-// built on the internal/lint/dataflow value-flow engine and its
-// per-function summaries — over every package. Tracking this next to
-// BenchmarkRepolintModule in BENCH_sim.json shows how much of the
-// whole-suite cost the dataflow engine accounts for as it grows.
-func BenchmarkDetflowModule(b *testing.B) {
-	root := moduleRoot(b)
-	var flow []*analysis.Analyzer
-	for _, a := range repolint.All() {
-		if a.Name == "detflow" || a.Name == "hotalloc" {
-			flow = append(flow, a)
-		}
-	}
-	if len(flow) != 2 {
-		b.Fatalf("expected detflow and hotalloc in the registry, found %d", len(flow))
-	}
-	for i := 0; i < b.N; i++ {
-		fset := token.NewFileSet()
-		pkgs, err := loader.Load(fset, root, "./...")
-		if err != nil {
-			b.Fatalf("loading module packages: %v", err)
-		}
-		if len(pkgs) == 0 {
-			b.Fatal("loader returned no packages")
-		}
-		diags := 0
-		for _, pkg := range pkgs {
-			for _, a := range flow {
-				pass := analysis.NewPass(a, fset, pkg.Files, pkg.Types, pkg.Info)
-				if err := a.Run(pass); err != nil {
-					b.Fatalf("%s: %s: %v", a.Name, pkg.ImportPath, err)
-				}
-				diags += len(pass.Diagnostics())
-			}
-		}
-		if diags != 0 {
-			b.Fatalf("module not flow-clean during benchmark: %d diagnostics", diags)
-		}
-	}
-}
-
-// BenchmarkNumericModule isolates the v6 numeric layer: module load
-// plus only the rangecheck and lookahead analyzers — the two passes
-// built on the internal/lint/dataflow interval abstract domain
-// (RunIntervals) — over every package. Tracked in BENCH_sim.json next
-// to the whole-suite and detflow figures, it shows what the interval
-// engine costs as its contract inventory grows.
-func BenchmarkNumericModule(b *testing.B) {
-	root := moduleRoot(b)
-	var numeric []*analysis.Analyzer
-	for _, a := range repolint.All() {
-		if a.Name == "rangecheck" || a.Name == "lookahead" {
-			numeric = append(numeric, a)
-		}
-	}
-	if len(numeric) != 2 {
-		b.Fatalf("expected rangecheck and lookahead in the registry, found %d", len(numeric))
-	}
-	for i := 0; i < b.N; i++ {
-		fset := token.NewFileSet()
-		pkgs, err := loader.Load(fset, root, "./...")
-		if err != nil {
-			b.Fatalf("loading module packages: %v", err)
-		}
-		if len(pkgs) == 0 {
-			b.Fatal("loader returned no packages")
-		}
-		diags := 0
-		for _, pkg := range pkgs {
-			for _, a := range numeric {
-				pass := analysis.NewPass(a, fset, pkg.Files, pkg.Types, pkg.Info)
-				if err := a.Run(pass); err != nil {
-					b.Fatalf("%s: %s: %v", a.Name, pkg.ImportPath, err)
-				}
-				diags += len(pass.Diagnostics())
-			}
-		}
-		if diags != 0 {
-			b.Fatalf("module not range-clean during benchmark: %d diagnostics", diags)
 		}
 	}
 }

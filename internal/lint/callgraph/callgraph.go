@@ -395,6 +395,52 @@ func (g *Graph) Reachable(roots ...*Node) map[*Node]*Node {
 	return seen
 }
 
+// Summaries memoizes one interprocedural summary per declared function
+// of a graph — the shape detflow and both rangecheck domains compose
+// same-package calls with. Each summary is computed at most once; a
+// call that re-enters a function whose summary is still being computed
+// (recursion) gets the analyzer's conservative cycle value instead.
+type Summaries[S any] struct {
+	g       *Graph
+	cycle   S
+	compute func(fn *types.Func, n *Node) S
+	done    map[*types.Func]S
+	running map[*types.Func]bool
+}
+
+// NewSummaries returns an empty memo over g that computes a missing
+// summary with compute and answers recursive requests with cycle.
+func NewSummaries[S any](g *Graph, cycle S, compute func(fn *types.Func, n *Node) S) *Summaries[S] {
+	return &Summaries[S]{
+		g:       g,
+		cycle:   cycle,
+		compute: compute,
+		done:    make(map[*types.Func]S),
+		running: make(map[*types.Func]bool),
+	}
+}
+
+// Of returns fn's summary. ok is false when fn is not declared with a
+// body in the graph's package, so the caller falls back to its
+// cross-package default.
+func (s *Summaries[S]) Of(fn *types.Func) (sum S, ok bool) {
+	n := s.g.NodeOf(fn)
+	if n == nil || n.Decl == nil {
+		return sum, false
+	}
+	if sum, ok := s.done[fn]; ok {
+		return sum, true
+	}
+	if s.running[fn] {
+		return s.cycle, true
+	}
+	s.running[fn] = true
+	sum = s.compute(fn, n)
+	delete(s.running, fn)
+	s.done[fn] = sum
+	return sum, true
+}
+
 // declName renders a function declaration's display name, qualifying
 // methods with their receiver type: "(*Runner).Run" or "Table.At".
 func declName(fd *ast.FuncDecl) string {

@@ -16,7 +16,7 @@
 // analyzers re-interpret values: Call supplies per-call result
 // intervals (where callgraph-memoized function summaries plug in, the
 // way detflow's taint summaries do), Const re-homes typed constants
-// (lookahead places sim.Time constants in offset-from-now space), and
+// (rangecheck places sim.Time constants in offset-from-now space), and
 // Convert does the same for non-constant conversions.
 //
 // Soundness posture: an interval is an over-approximation of the
@@ -226,7 +226,7 @@ type IntervalAnalysis struct {
 	Call func(call *ast.CallExpr, recv Interval, args []Interval) (IntervalEffect, bool)
 
 	// Const, when non-nil, may re-home a folded constant expression
-	// (lookahead maps sim.Time constants into offset-from-now space).
+	// (rangecheck maps sim.Time constants into offset-from-now space).
 	// v is the exactly folded value.
 	Const func(x ast.Expr, v Interval) (Interval, bool)
 

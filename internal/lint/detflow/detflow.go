@@ -1,20 +1,30 @@
-// Package detflow defines the flow-sensitive determinism analyzer: it
-// proves that no nondeterministic value reaches a simulation result.
-// Where the older determinism analyzer bans calls syntactically
-// ("never mention time.Now"), detflow taints the VALUES such calls
+// Package detflow defines the determinism analyzer: simulation results
+// must be a pure function of (config, seed). One table of
+// nondeterminism sources drives two checks.
+//
+// The call-site ban: inside the deterministic packages (internal/sim,
+// machine, cluster, dvs, dvfs, workloads, campaign, report) any
+// reference to a banned source is reported where it is made, whether
+// or not its value flows anywhere. Simulated time comes from the sim
+// clock, randomness from a seeded *rand.Rand carried in config.
+//
+// The flow check: everywhere else, detflow taints the VALUES sources
 // produce and follows them along def-use chains (internal/lint/
 // dataflow), reporting only when a tainted value reaches a result
-// sink. Logging a wall-clock timestamp to stderr is therefore legal
-// without suppression, while returning one from an exported simulator
-// API is not.
+// sink. Logging a wall-clock timestamp to stderr from a command is
+// therefore legal without suppression, while printing one to stdout is
+// not. A banned call inside a deterministic package is already a
+// finding, so its value is not tracked further: one root cause, one
+// report.
 //
-// Sources (what taints a value):
-//   - the wall clock: time.Now / time.Since / time.Until
-//   - the process environment: os.Getenv, os.LookupEnv, os.Environ,
-//     os.Hostname, os.Getpid
-//   - the unseeded process-global math/rand generator (rand.Int and
-//     friends; rand.New(rand.NewSource(seed)) stays clean because the
-//     taint of a seeded generator is just the taint of its seed)
+// Sources (what taints a value; all but map order are also banned):
+//   - the wall clock and its timers: time.Now / Since / Until / Sleep /
+//     After / AfterFunc / Tick / NewTimer / NewTicker
+//   - the process environment and host identity: os.Getenv,
+//     os.LookupEnv, os.Environ, os.Hostname, os.Getpid
+//   - the globally-seeded math/rand functions (rand.Intn and friends;
+//     rand.New(rand.NewSource(seed)) stays clean because the taint of a
+//     seeded generator is just the taint of its seed)
 //   - map iteration order: the key/value variables of a range over a
 //     map, and maps.Keys / maps.Values
 //   - scheduling order: values bound by a multi-case select
@@ -28,29 +38,29 @@
 //
 // Sinks (where taint becomes a finding):
 //   - results of exported functions and methods in the deterministic
-//     result packages internal/sim, internal/cluster,
-//     internal/campaign, internal/report;
+//     packages;
 //   - values handed to JSON/CSV encoders anywhere in the module
 //     (json.Marshal, (*json.Encoder).Encode, (*csv.Writer).Write...);
-//   - in the result packages and in cmd/*, values emitted to a
+//   - in the deterministic packages and in cmd/*, values emitted to a
 //     non-local writer (fmt.Fprintf to a parameter or os.Stdout,
 //     os.WriteFile, Write/WriteString methods). os.Stderr and the log
 //     package are exempt: that is the logging-only allowance.
 //
 // Flow is composed interprocedurally inside each package by per-
-// function summaries over internal/lint/callgraph: for every
-// same-package callee the analyzer computes (a) the internal taint of
-// each result and (b) whether parameters flow to results, memoized,
-// with cycles resolved conservatively. Cross-package calls propagate
-// argument taint to results (and may store tainted arguments into
-// pointer arguments), which keeps each package's verdict sound without
-// whole-program analysis.
+// function summaries (callgraph.Summaries): for every same-package
+// callee the analyzer computes (a) the internal taint of each result
+// and (b) whether parameters flow to results, with cycles resolved
+// conservatively. Cross-package calls propagate argument taint to
+// results (and may store tainted arguments into pointer arguments),
+// which keeps each package's verdict sound without whole-program
+// analysis.
 package detflow
 
 import (
 	"go/ast"
 	"go/constant"
 	"go/types"
+	"strconv"
 	"strings"
 
 	"repro/internal/lint/analysis"
@@ -58,27 +68,35 @@ import (
 	"repro/internal/lint/dataflow"
 )
 
-// Analyzer reports nondeterministic values that flow into simulation
+// Analyzer bans nondeterminism sources in the deterministic packages
+// and reports nondeterministic values that flow into simulation
 // results, encoded output, or cmd/* emitted output.
 var Analyzer = &analysis.Analyzer{
 	Name: "detflow",
-	Doc: "forbid nondeterministic values (wall clock, environment, unseeded rand, " +
-		"map iteration order, select order, %p) from flowing into exported results, " +
+	Doc: "ban wall-clock time, timers, environment reads, and global math/rand in the " +
+		"deterministic packages, and forbid nondeterministic values (those sources, map " +
+		"iteration order, select order, %p) from flowing into exported results, " +
 		"JSON/CSV encodings, or cmd output; sort map keys before emission",
 	Run: run,
 }
 
-// resultPkgs are the packages whose exported APIs promise bit-identical
-// results for identical (config, seed); their return values are sinks.
-var resultPkgs = []string{
+// detPkgs are the packages whose behaviour must be bit-identical for
+// identical (config, seed): the simulation kernel, everything feeding
+// the paper's tables, and the result layers above them. Sources are
+// banned here, and exported return values are sinks.
+var detPkgs = []string{
 	"repro/internal/sim",
+	"repro/internal/machine",
 	"repro/internal/cluster",
+	"repro/internal/dvs",
+	"repro/internal/dvfs",
+	"repro/internal/workloads",
 	"repro/internal/campaign",
 	"repro/internal/report",
 }
 
-func isResultPkg(path string) bool {
-	for _, p := range resultPkgs {
+func isDetPkg(path string) bool {
+	for _, p := range detPkgs {
 		if path == p || strings.HasPrefix(path, p+"/") {
 			return true
 		}
@@ -93,19 +111,43 @@ func isCmdPkg(path string) bool {
 	return strings.HasPrefix(path, "repro/cmd/") || strings.Contains(path, "/cmd/")
 }
 
-// sourceFuncs maps package-level functions to the provenance of the
-// nondeterminism they introduce.
-var sourceFuncs = map[string]string{
-	"time.Now":     "wall clock via time.Now",
-	"time.Since":   "wall clock via time.Since",
-	"time.Until":   "wall clock via time.Until",
-	"os.Getenv":    "process environment via os.Getenv",
-	"os.LookupEnv": "process environment via os.LookupEnv",
-	"os.Environ":   "process environment via os.Environ",
-	"os.Hostname":  "host identity via os.Hostname",
-	"os.Getpid":    "process identity via os.Getpid",
-	"maps.Keys":    "map iteration order via maps.Keys",
-	"maps.Values":  "map iteration order via maps.Values",
+// source is one nondeterministic package-level function: the kind of
+// nondeterminism its value carries, and the replacement a deterministic
+// package must use instead. An entry without advice is flow-only:
+// maps.Keys is fine once its result is sorted.
+type source struct {
+	kind, advice string
+}
+
+const useConfig = "thread configuration through Params/Config structs"
+
+// sources is the one table of nondeterminism sources, keyed
+// "pkgpath.Name". The globally-seeded math/rand functions are a rule,
+// not entries (see globalRand).
+var sources = map[string]source{
+	"time.Now":       {"wall clock", "use the sim clock (sim.Engine.Now)"},
+	"time.Since":     {"wall clock", "use sim.Time.Sub on simulated instants"},
+	"time.Until":     {"wall clock", "use sim.Time.Sub on simulated instants"},
+	"time.Sleep":     {"wall clock", "use sim.Proc.Sleep"},
+	"time.After":     {"wall clock", "use sim.Engine.After"},
+	"time.AfterFunc": {"wall clock", "use sim.Engine.After"},
+	"time.Tick":      {"wall clock", "use a sim.Engine timer process"},
+	"time.NewTimer":  {"wall clock", "use a sim.Engine timer process"},
+	"time.NewTicker": {"wall clock", "use a sim.Engine timer process"},
+	"os.Getenv":      {"process environment", useConfig},
+	"os.LookupEnv":   {"process environment", useConfig},
+	"os.Environ":     {"process environment", useConfig},
+	"os.Hostname":    {"host identity", useConfig},
+	"os.Getpid":      {"process identity", useConfig},
+	"maps.Keys":      {"map iteration order", ""},
+	"maps.Values":    {"map iteration order", ""},
+}
+
+// globalRand reports whether path.name draws from the process-global
+// math/rand generator; only the New* constructors of explicitly seeded
+// generators are exempt.
+func globalRand(path, name string) bool {
+	return (path == "math/rand" || path == "math/rand/v2") && !strings.HasPrefix(name, "New")
 }
 
 // sortKills are the sort-package sanitizers that order their first
@@ -142,13 +184,13 @@ func run(pass *analysis.Pass) error {
 	if len(files) == 0 {
 		return nil
 	}
-	d := &checker{
-		pass:    pass,
-		g:       callgraph.Build(pass.Fset, files, pass.TypesInfo),
-		sums:    make(map[*types.Func]summary),
-		running: make(map[*types.Func]bool),
-	}
+	d := &checker{pass: pass, det: isDetPkg(pass.Pkg.Path())}
+	d.sums = callgraph.NewSummaries(callgraph.Build(pass.Fset, files, pass.TypesInfo),
+		summary{argFlow: true}, d.summarize)
 	for _, f := range files {
+		if d.det {
+			d.checkBanned(f)
+		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -163,10 +205,9 @@ func run(pass *analysis.Pass) error {
 }
 
 type checker struct {
-	pass    *analysis.Pass
-	g       *callgraph.Graph
-	sums    map[*types.Func]summary
-	running map[*types.Func]bool
+	pass *analysis.Pass
+	det  bool // the package is deterministic: sources are banned, results are sinks
+	sums *callgraph.Summaries[summary]
 }
 
 // summary is the interprocedural abstraction of one same-package
@@ -175,6 +216,30 @@ type checker struct {
 type summary struct {
 	results []dataflow.Taint
 	argFlow bool
+}
+
+// checkBanned reports every reference to a banned source in f, called
+// or not.
+func (d *checker) checkBanned(f *ast.File) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		path, ok := analysis.UsedPackage(d.pass.TypesInfo, sel)
+		if !ok {
+			return true
+		}
+		key := path + "." + sel.Sel.Name
+		if src := sources[key]; src.advice != "" {
+			d.pass.Reportf(sel.Pos(), "nondeterministic %s in deterministic package %s (%s via %s); %s",
+				key, d.pass.Pkg.Path(), src.kind, key, src.advice)
+		} else if _, isFunc := d.pass.TypesInfo.Uses[sel.Sel].(*types.Func); isFunc && globalRand(path, sel.Sel.Name) {
+			d.pass.Reportf(sel.Pos(), "globally-seeded %s in deterministic package %s; "+
+				"draw from a seeded *rand.Rand carried in the workload/cluster config", key, d.pass.Pkg.Path())
+		}
+		return true
+	})
 }
 
 func (d *checker) config(seed map[*types.Var]dataflow.Taint) *dataflow.Analysis {
@@ -202,16 +267,22 @@ func (d *checker) effect(call *ast.CallExpr, recv dataflow.Taint, args []dataflo
 	isMethod := sig != nil && sig.Recv() != nil
 
 	if !isMethod {
-		if desc, ok := sourceFuncs[path+"."+name]; ok {
-			return d.source(call, desc), true
+		key := path + "." + name
+		src, isSource := sources[key]
+		banned := src.advice != "" || globalRand(path, name)
+		switch {
+		case banned && d.det:
+			// Already reported at the call site by checkBanned.
+			return dataflow.Effect{NoMutation: true}, true
+		case isSource:
+			return d.source(call, src.kind+" via "+key), true
+		case globalRand(path, name):
+			return d.source(call, "unseeded "+key), true
 		}
 		switch path {
 		case "math/rand", "math/rand/v2":
-			if strings.HasPrefix(name, "New") {
-				// Seeded generators: as deterministic as their seed.
-				return dataflow.Effect{Propagate: true, NoMutation: true}, true
-			}
-			return d.source(call, "unseeded "+path+"."+name), true
+			// Seeded generators: as deterministic as their seed.
+			return dataflow.Effect{Propagate: true, NoMutation: true}, true
 		case "fmt":
 			if idx, ok := fmtFormatArg[name]; ok && formatHasPointerVerb(info, call, idx) {
 				return d.source(call, "pointer formatting (%p) via fmt."+name), true
@@ -230,16 +301,12 @@ func (d *checker) effect(call *ast.CallExpr, recv dataflow.Taint, args []dataflo
 		}
 	}
 
-	// Same-package callee: use its memoized summary.
-	if fn.Pkg() == d.pass.Pkg {
-		if n := d.g.NodeOf(fn); n != nil && n.Decl != nil {
-			s := d.summaryOf(fn, n)
-			return dataflow.Effect{
-				Result:    dataflow.JoinAll(s.results),
-				Results:   s.results,
-				Propagate: s.argFlow,
-			}, true
-		}
+	if s, ok := d.sums.Of(fn); ok {
+		return dataflow.Effect{
+			Result:    dataflow.JoinAll(s.results),
+			Results:   s.results,
+			Propagate: s.argFlow,
+		}, true
 	}
 	return dataflow.Effect{}, false
 }
@@ -253,23 +320,9 @@ func (d *checker) source(call *ast.CallExpr, desc string) dataflow.Effect {
 		file = file[i+1:]
 	}
 	return dataflow.Effect{
-		Result:     dataflow.Taint{Desc: desc + " (" + file + ":" + itoa(p.Line) + ")"},
+		Result:     dataflow.Taint{Desc: desc + " (" + file + ":" + strconv.Itoa(p.Line) + ")"},
 		NoMutation: true,
 	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [12]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
 }
 
 // formatHasPointerVerb reports whether the call's format argument is a
@@ -285,21 +338,11 @@ func formatHasPointerVerb(info *types.Info, call *ast.CallExpr, idx int) bool {
 	return strings.Contains(constant.StringVal(tv.Value), "%p")
 }
 
-// summaryOf computes (memoized) the summary of one same-package
-// function by running the engine twice over its body: once unseeded to
-// find internal sources reaching its results, once with every parameter
-// and the receiver seeded to detect parameter-to-result flow. Cycles
-// resolve to the conservative "parameters flow" summary.
-func (d *checker) summaryOf(fn *types.Func, n *callgraph.Node) summary {
-	if s, ok := d.sums[fn]; ok {
-		return s
-	}
-	if d.running[fn] {
-		return summary{argFlow: true}
-	}
-	d.running[fn] = true
-	defer delete(d.running, fn)
-
+// summarize computes the summary of one same-package function by
+// running the engine twice over its body: once unseeded to find
+// internal sources reaching its results, once with every parameter and
+// the receiver seeded to detect parameter-to-result flow.
+func (d *checker) summarize(fn *types.Func, n *callgraph.Node) summary {
 	sig := fn.Type().(*types.Signature)
 	arity := sig.Results().Len()
 
@@ -335,23 +378,20 @@ func (d *checker) summaryOf(fn *types.Func, n *callgraph.Node) summary {
 			}
 		}
 	}
-
-	s := summary{results: results, argFlow: argFlow}
-	d.sums[fn] = s
-	return s
+	return summary{results: results, argFlow: argFlow}
 }
 
 // checkReturnSink reports internal taint reaching the results of an
-// exported function or method in a deterministic result package.
+// exported function or method in a deterministic package.
 func (d *checker) checkReturnSink(fd *ast.FuncDecl, res *dataflow.Result) {
-	if !isResultPkg(d.pass.Pkg.Path()) || !fd.Name.IsExported() {
+	if !d.det || !fd.Name.IsExported() {
 		return
 	}
 	for _, ret := range res.Returns {
 		for _, t := range ret.Taints {
 			if t.Desc != "" {
 				d.pass.Reportf(ret.Pos, "nondeterministic value (%s) flows to the result of exported %s; "+
-					"simulation results must be a pure function of (config, seed)", t.Desc, funcDisplayName(fd))
+					"simulation results must be a pure function of (config, seed)", t.Desc, analysis.FuncDeclName(fd))
 				break
 			}
 		}
@@ -359,11 +399,10 @@ func (d *checker) checkReturnSink(fd *ast.FuncDecl, res *dataflow.Result) {
 }
 
 // checkCallSinks reports taint handed to encoders anywhere, and to
-// non-local writers in result packages and commands.
+// non-local writers in deterministic packages and commands.
 func (d *checker) checkCallSinks(fd *ast.FuncDecl, res *dataflow.Result) {
 	info := d.pass.TypesInfo
-	path := d.pass.Pkg.Path()
-	emissionPkg := isResultPkg(path) || isCmdPkg(path)
+	emissionPkg := d.det || isCmdPkg(d.pass.Pkg.Path())
 	params := paramObjs(info, fd)
 
 	ast.Inspect(fd.Body, func(node ast.Node) bool {
@@ -505,21 +544,4 @@ func paramObjs(info *types.Info, fd *ast.FuncDecl) map[types.Object]bool {
 	add(fd.Recv)
 	add(fd.Type.Params)
 	return out
-}
-
-// funcDisplayName renders "Run" or "(*Runner).Run".
-func funcDisplayName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return fd.Name.Name
-	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		if id, ok := star.X.(*ast.Ident); ok {
-			return "(*" + id.Name + ")." + fd.Name.Name
-		}
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name + "." + fd.Name.Name
-	}
-	return fd.Name.Name
 }

@@ -25,9 +25,8 @@
 // Profiles are supplied out of band so the analyzer is a no-op in
 // ordinary `make lint`/`go vet` runs: the REPOLINT_PROFILES environment
 // variable names a directory of .pprof files or a comma-separated file
-// list (see `make profgate`). Thresholds are percentages of the
-// profile's total samples, overridable with REPOLINT_PROFGATE_CUM,
-// REPOLINT_PROFGATE_FLAT, and REPOLINT_PROFGATE_COLD. Findings are
+// list (see `make profgate`). Thresholds are the Default*Percent
+// constants, percentages of the profile's total samples. Findings are
 // suppressed with the usual grammar:
 //
 //	//lint:allow profgate (reason)
@@ -58,7 +57,7 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// Default thresholds, as percentages of a profile's total samples.
+// Thresholds, as percentages of a profile's total samples.
 const (
 	// DefaultCumPercent is the cumulative share at or above which a
 	// function counts as hot.
@@ -103,10 +102,6 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 
-	cum := envPercent("REPOLINT_PROFGATE_CUM", DefaultCumPercent)
-	flat := envPercent("REPOLINT_PROFGATE_FLAT", DefaultFlatPercent)
-	cold := envPercent("REPOLINT_PROFGATE_COLD", DefaultColdPercent)
-
 	g := callgraph.Build(pass.Fset, files, pass.TypesInfo)
 	roots, _ := hotalloc.FindRoots(pass, files, g) // dangling markers are hotalloc's report
 	reached := g.Reachable(roots...)
@@ -144,7 +139,7 @@ func run(pass *analysis.Pass) error {
 			if cPct > hottest[name].cumPct {
 				hottest[name] = metrics{flatPct: fPct, cumPct: cPct}
 			}
-			if cPct >= cum && fPct >= flat && hotIn[name] == "" {
+			if cPct >= DefaultCumPercent && fPct >= DefaultFlatPercent && hotIn[name] == "" {
 				hotIn[name] = p.Name
 			}
 		}
@@ -190,7 +185,7 @@ func run(pass *analysis.Pass) error {
 				continue
 			}
 			for node := range subtree {
-				if perProfileCum[pi][canonName(topDecl(g, node).Name)] >= cold {
+				if perProfileCum[pi][canonName(topDecl(g, node).Name)] >= DefaultColdPercent {
 					stale = false
 					break
 				}
@@ -208,7 +203,7 @@ func run(pass *analysis.Pass) error {
 				"stale //lint:hotpath root: %s and everything it reaches stays below %.1f%% "+
 					"cumulative CPU in all %d profile(s) covering %s; retire the annotation or "+
 					"bench-profile the workload that exercises it",
-				root.Name, cold, covering, pkgPath)
+				root.Name, DefaultColdPercent, covering, pkgPath)
 		}
 	}
 	return nil
@@ -262,18 +257,6 @@ func loadProfiles(spec string) ([]*Profile, error) {
 	}
 	cache[spec] = profs
 	return profs, nil
-}
-
-func envPercent(name string, def float64) float64 {
-	s := os.Getenv(name)
-	if s == "" {
-		return def
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || v < 0 {
-		return def
-	}
-	return v
 }
 
 // attribute computes flat and cumulative sample totals per declared

@@ -1,8 +1,9 @@
 // Package rangecheck defines the numeric-contract analyzer: interval
 // abstract interpretation (internal/lint/dataflow.RunIntervals) proves
-// or refutes value-range obligations at API boundaries.
+// or refutes value-range obligations at API boundaries. Each function
+// is analyzed in two interval domains over one shared call graph.
 //
-// Obligations come from two places:
+// The absolute domain checks obligations from two places:
 //
 //   - Declared contracts: a `//lint:range <param|recv|result> [lo,hi]`
 //     line in a function's doc comment. Bounds are inclusive floats;
@@ -29,9 +30,19 @@
 // interval and the contract are disjoint, and "may" when a finite
 // interval endpoint crosses the bound (the finiteness requirement
 // keeps widening-to-infinity loops from flagging every loop-carried
-// value). Interprocedural precision inside a package comes from
-// memoized per-function result summaries over internal/lint/callgraph,
-// the same shape detflow uses for taint.
+// value).
+//
+// The offset domain (offset.go) tracks sim.Time values as offsets from
+// Now() and proves that event times reaching the sharded core's
+// scheduling sites respect the conservative-window contract: nothing
+// lands before Now(), and a window booking clears its group's known
+// lookahead. When both domains flag the same event-time argument, only
+// the offset finding is reported: a negative absolute time is a time
+// before Now().
+//
+// Interprocedural precision inside a package comes from per-function
+// result summaries (callgraph.Summaries), one memo per domain, the
+// same shape detflow uses for taint.
 package rangecheck
 
 import (
@@ -49,12 +60,14 @@ import (
 
 // Analyzer reports numeric values that provably (or possibly, with
 // finite evidence) violate declared //lint:range contracts, built-in
-// physics ranges, or nonzero-divisor obligations.
+// physics ranges, or nonzero-divisor obligations, and event times that
+// provably violate the lookahead window contract.
 var Analyzer = &analysis.Analyzer{
 	Name: "rangecheck",
 	Doc: "interval-check numeric contracts: declared //lint:range bounds, nonnegative " +
 		"physics values entering dvfs/power/machine/netsim/trace/sim APIs, in-bounds " +
-		"operating-point indices, and provably nonzero divisors",
+		"operating-point indices, provably nonzero divisors, and event times reaching " +
+		"cross-shard scheduling sites at or after now and one group lookahead past the horizon",
 	Run: run,
 }
 
@@ -157,13 +170,15 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 	c := &checker{
-		pass:    pass,
-		g:       callgraph.Build(pass.Fset, files, pass.TypesInfo),
-		sums:    make(map[*types.Func][]dataflow.Interval),
-		running: make(map[*types.Func]bool),
-		decls:   make(map[*types.Func]*declared),
-		byLine:  make(map[*ast.File]map[int]*rangeDirective),
+		pass:   pass,
+		decls:  make(map[*types.Func]*declared),
+		byLine: make(map[*ast.File]map[int]*rangeDirective),
 	}
+	g := callgraph.Build(pass.Fset, files, pass.TypesInfo)
+	c.absolute = callgraph.NewSummaries(g, nil, c.absoluteSummary)
+	c.offset = callgraph.NewSummaries(g, nil, func(fn *types.Func, n *callgraph.Node) []dataflow.Interval {
+		return joinReturns(fn, n, c.offsetConfig())
+	})
 	c.parseDirectives(files)
 	for _, f := range files {
 		for _, decl := range f.Decls {
@@ -192,22 +207,22 @@ func run(pass *analysis.Pass) error {
 			if fn == nil {
 				continue
 			}
-			res := dataflow.RunIntervals(fd.Type, fd.Body, c.config(c.seedFor(fn)))
-			c.checkReturns(fd, fn, res)
-			c.checkBody(fd, res)
+			abs := dataflow.RunIntervals(fd.Type, fd.Body, c.config(c.seedFor(fn)))
+			off := dataflow.RunIntervals(fd.Type, fd.Body, c.offsetConfig())
+			c.checkReturns(fd, fn, abs)
+			c.checkBody(fd, abs, off)
 		}
 	}
 	return nil
 }
 
 type checker struct {
-	pass    *analysis.Pass
-	g       *callgraph.Graph
-	sums    map[*types.Func][]dataflow.Interval
-	running map[*types.Func]bool
-	decls   map[*types.Func]*declared
-	dirs    []*rangeDirective
-	byLine  map[*ast.File]map[int]*rangeDirective
+	pass     *analysis.Pass
+	absolute *callgraph.Summaries[[]dataflow.Interval]
+	offset   *callgraph.Summaries[[]dataflow.Interval]
+	decls    map[*types.Func]*declared
+	dirs     []*rangeDirective
+	byLine   map[*ast.File]map[int]*rangeDirective
 }
 
 // declared aggregates the //lint:range contracts bound to one
@@ -385,7 +400,7 @@ func (c *checker) seedFor(fn *types.Func) map[*types.Var]dataflow.Interval {
 	return seed
 }
 
-// effect is the interval engine's call hook: built-in result ranges
+// effect is the absolute domain's call hook: built-in result ranges
 // first, then memoized same-package summaries; anything else falls to
 // the engine's conservative default.
 func (c *checker) effect(call *ast.CallExpr, recv dataflow.Interval, args []dataflow.Interval) (dataflow.IntervalEffect, bool) {
@@ -396,31 +411,34 @@ func (c *checker) effect(call *ast.CallExpr, recv dataflow.Interval, args []data
 	if rs, ok := builtinResults[dataflow.FuncKey(fn)]; ok {
 		return dataflow.IntervalEffect{Results: rs, NoMutation: true}, true
 	}
-	if fn.Pkg() == c.pass.Pkg {
-		if n := c.g.NodeOf(fn); n != nil && n.Decl != nil {
-			return dataflow.IntervalEffect{Results: c.summaryOf(fn, n)}, true
-		}
+	if rs, ok := c.absolute.Of(fn); ok {
+		return dataflow.IntervalEffect{Results: rs}, true
 	}
 	return dataflow.IntervalEffect{}, false
 }
 
-// summaryOf computes (memoized) the result intervals of a same-package
-// function: run the body under its declared param contracts, join the
-// per-result intervals across return sites, and strengthen the first
-// result with any declared result contract. Cycles resolve to Top.
-func (c *checker) summaryOf(fn *types.Func, n *callgraph.Node) []dataflow.Interval {
-	if s, ok := c.sums[fn]; ok {
-		return s
+// absoluteSummary is a same-package function's result intervals under
+// its declared param contracts, with the first result strengthened by
+// any declared result contract.
+func (c *checker) absoluteSummary(fn *types.Func, n *callgraph.Node) []dataflow.Interval {
+	out := joinReturns(fn, n, c.config(c.seedFor(fn)))
+	if dc := c.decls[fn]; dc != nil && dc.result != nil && len(out) > 0 {
+		if m, ok := out[0].Meet(dc.result.iv); ok {
+			out[0] = m
+		}
 	}
-	sig := fn.Type().(*types.Signature)
-	arity := sig.Results().Len()
-	if c.running[fn] || arity == 0 {
+	return out
+}
+
+// joinReturns runs fn's body under cfg and joins the per-result
+// intervals across its return sites: nil without results, Top when no
+// return site carries every result.
+func joinReturns(fn *types.Func, n *callgraph.Node, cfg *dataflow.IntervalAnalysis) []dataflow.Interval {
+	arity := fn.Type().(*types.Signature).Results().Len()
+	if arity == 0 {
 		return nil
 	}
-	c.running[fn] = true
-	defer delete(c.running, fn)
-
-	res := dataflow.RunIntervals(n.Decl.Type, n.Body, c.config(c.seedFor(fn)))
+	res := dataflow.RunIntervals(n.Decl.Type, n.Body, cfg)
 	var out []dataflow.Interval
 	for _, ret := range res.Returns {
 		if len(ret.Results) != arity {
@@ -440,12 +458,6 @@ func (c *checker) summaryOf(fn *types.Func, n *callgraph.Node) []dataflow.Interv
 			out[i] = dataflow.TopInterval()
 		}
 	}
-	if dc := c.decls[fn]; dc != nil && dc.result != nil {
-		if m, ok := out[0].Meet(dc.result.iv); ok {
-			out[0] = m
-		}
-	}
-	c.sums[fn] = out
 	return out
 }
 
@@ -461,23 +473,29 @@ func (c *checker) checkReturns(fd *ast.FuncDecl, fn *types.Func, res *dataflow.I
 			continue
 		}
 		c.checkOne(ret.Pos, ret.Results[0], dc.result.iv,
-			"result of "+funcDisplayLocal(fd), "declared //lint:range")
+			"result of "+analysis.FuncDeclName(fd), "declared //lint:range")
 	}
 }
 
-// checkBody walks fd for call-argument contracts and zero divisors.
-func (c *checker) checkBody(fd *ast.FuncDecl, res *dataflow.IntervalResult) {
+// checkBody walks fd for scheduling-site contracts (offset domain),
+// call-argument contracts, and zero divisors (absolute domain).
+func (c *checker) checkBody(fd *ast.FuncDecl, abs, off *dataflow.IntervalResult) {
+	looks := c.groupLookaheads(fd, off)
 	ast.Inspect(fd.Body, func(node ast.Node) bool {
 		switch n := node.(type) {
 		case *ast.CallExpr:
-			c.checkCall(n, res)
+			fn := dataflow.Callee(c.pass.TypesInfo, n)
+			if fn == nil || fn.Pkg() == nil {
+				return true
+			}
+			c.checkCall(n, fn, abs, c.checkSite(n, fn, off, looks))
 		case *ast.BinaryExpr:
 			if n.Op == token.QUO || n.Op == token.REM {
-				c.checkDivisor(n.Y, res)
+				c.checkDivisor(n.Y, abs)
 			}
 		case *ast.AssignStmt:
 			if (n.Tok == token.QUO_ASSIGN || n.Tok == token.REM_ASSIGN) && len(n.Rhs) == 1 {
-				c.checkDivisor(n.Rhs[0], res)
+				c.checkDivisor(n.Rhs[0], abs)
 			}
 		}
 		return true
@@ -486,12 +504,9 @@ func (c *checker) checkBody(fd *ast.FuncDecl, res *dataflow.IntervalResult) {
 
 // checkCall checks call arguments against built-in physics contracts
 // and (same-package) declared //lint:range contracts, and the
-// receiver expression against a declared recv contract.
-func (c *checker) checkCall(call *ast.CallExpr, res *dataflow.IntervalResult) {
-	fn := dataflow.Callee(c.pass.TypesInfo, call)
-	if fn == nil || fn.Pkg() == nil {
-		return
-	}
+// receiver expression against a declared recv contract. Argument
+// index skip was already reported by the offset domain.
+func (c *checker) checkCall(call *ast.CallExpr, fn *types.Func, res *dataflow.IntervalResult, skip int) {
 	want := builtinArgs[dataflow.FuncKey(fn)]
 	var dc *declared
 	if fn.Pkg() == c.pass.Pkg {
@@ -502,7 +517,7 @@ func (c *checker) checkCall(call *ast.CallExpr, res *dataflow.IntervalResult) {
 	}
 	display := funcDisplay(fn)
 	check := func(idx int, ct contract, why string) {
-		if idx >= len(call.Args) {
+		if idx >= len(call.Args) || idx == skip {
 			return
 		}
 		if iv, ok := res.Expr[call.Args[idx]]; ok {
@@ -594,21 +609,4 @@ func funcDisplay(fn *types.Func) string {
 		}
 	}
 	return pkg + "." + fn.Name()
-}
-
-// funcDisplayLocal renders "Run" or "(*Runner).Run" from the decl.
-func funcDisplayLocal(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return fd.Name.Name
-	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		if id, ok := star.X.(*ast.Ident); ok {
-			return "(*" + id.Name + ")." + fd.Name.Name
-		}
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name + "." + fd.Name.Name
-	}
-	return fd.Name.Name
 }

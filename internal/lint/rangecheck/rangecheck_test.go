@@ -13,11 +13,19 @@ import (
 // sentinels, degenerate subdivision/shard counts), declared
 // //lint:range params and results, provably/possibly zero divisors,
 // and directive hygiene — each beside the clean guarded shape that
-// must stay quiet, plus one //lint:allow suppression.
+// must stay quiet, plus one //lint:allow suppression. The offset
+// fixture seeds the scheduling-site contracts: variants of the engine
+// past-event panic (PostArrival/Schedule before Now()), window bookings
+// at or before Now(), a booking provably below a known group lookahead,
+// past fabric bookings, and a helper-composed offset, beside the clean
+// forward-looking shapes.
 func TestRangecheck(t *testing.T) {
 	dir, err := filepath.Abs(filepath.Join("..", "testdata"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	analysistest.Run(t, dir, rangecheck.Analyzer, "fixtures/rangecheck")
+	analysistest.Run(t, dir, rangecheck.Analyzer,
+		"fixtures/rangecheck",
+		"fixtures/rangecheck/offset",
+	)
 }

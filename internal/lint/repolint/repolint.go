@@ -10,12 +10,10 @@ package repolint
 import (
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/concsafety"
-	"repro/internal/lint/determinism"
 	"repro/internal/lint/detflow"
 	"repro/internal/lint/erraudit"
 	"repro/internal/lint/floateq"
 	"repro/internal/lint/hotalloc"
-	"repro/internal/lint/lookahead"
 	"repro/internal/lint/panicfree"
 	"repro/internal/lint/profgate"
 	"repro/internal/lint/rangecheck"
@@ -25,16 +23,15 @@ import (
 	"repro/internal/lint/unitsafety"
 )
 
-// registry is the full repolint suite, in reporting order: the four
+// registry is the full repolint suite, in reporting order: the three
 // intra-function gates from v1, the v2 interprocedural gates built on
 // internal/lint/callgraph, the v3 flow-sensitive gates built on
 // internal/lint/dataflow, the v4 profile-guided gate (a no-op unless
 // REPOLINT_PROFILES points at benchmark CPU profiles; see `make
 // profgate`), the v5 shard-ownership and API-protocol gates for the
-// parallel core, and the v6 numeric range gates built on the interval
+// parallel core, and the v6 numeric range gate built on the interval
 // abstract domain (dataflow.RunIntervals).
 var registry = []*analysis.Analyzer{
-	determinism.Analyzer,
 	floateq.Analyzer,
 	unitsafety.Analyzer,
 	panicfree.Analyzer,
@@ -47,7 +44,6 @@ var registry = []*analysis.Analyzer{
 	shardown.Analyzer,
 	typestate.Analyzer,
 	rangecheck.Analyzer,
-	lookahead.Analyzer,
 }
 
 // All returns the registered analyzers in reporting order. The slice

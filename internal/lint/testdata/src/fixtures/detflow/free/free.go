@@ -1,14 +1,23 @@
 // Package free shows detflow's allowances outside the deterministic
-// result packages: wall-clock use for operator feedback and exported
-// returns are legal here, while encoders stay sinks module-wide.
+// packages: no source is banned, and wall-clock use for operator
+// feedback and exported returns are legal here, while encoders stay
+// sinks module-wide.
 package free
 
 import (
 	"encoding/json"
 	"log"
+	"math/rand"
+	"os"
 	"sort"
 	"time"
 )
+
+// WallClock returns every banned source from an exported function —
+// fine here: front-ends may time themselves and read their environment.
+func WallClock() (time.Time, int, string) {
+	return time.Now(), rand.Intn(10), os.Getenv("HOME")
+}
 
 // Elapsed returns a wall-clock duration from an exported function —
 // fine here, because this package makes no determinism promise.

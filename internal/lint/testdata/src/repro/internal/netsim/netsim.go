@@ -1,5 +1,5 @@
 // Package netsim is a fixture stub of the real switched-fabric model:
-// the rangecheck and lookahead analyzers key their built-in port/size
+// both rangecheck domains key their built-in port/size
 // contracts and forward-only booking summaries on this import path,
 // so fixtures exercise them exactly as production code does. Bodies
 // are inert — only the signatures matter to the analyses.

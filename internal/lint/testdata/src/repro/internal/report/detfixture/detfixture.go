@@ -33,15 +33,16 @@ func SortedKeys(m map[string]int) []string {
 	return out
 }
 
-// Timestamp lets the wall clock reach an exported result.
+// Timestamp reads the wall clock, which a deterministic package may
+// not do at all: the call itself is the finding.
 func Timestamp() string {
 	return time.Now().String() // want `wall clock via time\.Now`
 }
 
-// LogDuration uses the wall clock for stderr logging only, which is
+// LogKeys writes map-ordered keys for stderr logging only, which is
 // legal without any suppression: stderr is not a result sink.
-func LogDuration(start time.Time) {
-	fmt.Fprintf(os.Stderr, "elapsed %v\n", time.Since(start))
+func LogKeys(m map[string]int) {
+	fmt.Fprintf(os.Stderr, "keys %v\n", keys(m))
 }
 
 // keys is an unexported helper; its return is not itself a sink, but

@@ -1,7 +1,8 @@
-// Package fixture exercises the determinism analyzer inside a
-// restricted package path (repro/internal/sim/...): wall-clock reads,
-// global math/rand, and environment lookups must all be flagged, while
-// seeded generators and suppressed lines must not.
+// Package fixture exercises detflow's call-site ban inside a
+// deterministic package path (repro/internal/sim/...): wall-clock
+// reads, global math/rand, and environment lookups must all be flagged
+// where they are made, while seeded generators and suppressed lines
+// must not.
 package fixture
 
 import (
@@ -28,7 +29,7 @@ func Good(seed int64) int {
 
 // Suppressed shows the escape hatch; the analyzer must stay silent.
 func Suppressed() time.Time {
-	return time.Now() //lint:allow determinism (measuring the host, not the simulation)
+	return time.Now() //lint:allow detflow (measuring the host, not the simulation)
 }
 
 // TypeRefsAreFine proves that mentioning rand types (not the global
