@@ -29,6 +29,12 @@ func (e *Engine) After(d Duration, fn func())                               {}
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc                 { return &Proc{} }
 func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc       { return &Proc{} }
 func (e *Engine) Run(limit Time) (Time, error)                              { return limit, nil }
+func (e *Engine) NewTimer(fn func()) *Timer                                 { return &Timer{} }
+
+// Timer mirrors the engine's re-armable timer.
+type Timer struct{}
+
+func (tm *Timer) Reset(t Time) {}
 
 // Group mirrors the sharded engine group.
 type Group struct {

@@ -604,3 +604,26 @@ func TestProbeRendezvousEnvelope(t *testing.T) {
 		t.Fatalf("probed size %d", sizeSeen)
 	}
 }
+
+// TestWaitQueueBound pins that waits leave no dead spin fallbacks in the
+// event queue: each rank's fallback is one re-armable timer, so after
+// three 64-rank Alltoalls (none of whose waits reaches the default 4 s
+// threshold) rank 0 finds at most a few live entries per rank pending.
+// A fallback closure per wait left over 12,000 behind.
+func TestWaitQueueBound(t *testing.T) {
+	const n = 64
+	g, w := testWorld(n, nil)
+	pending := -1
+	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
+		for i := 0; i < 3; i++ {
+			r.Alltoall(p, 2<<10)
+		}
+		if r.ID() == 0 {
+			pending = p.Engine().Pending()
+		}
+	})
+	mustRun(t, g)
+	if pending < 0 || pending > 4*n {
+		t.Fatalf("%d events pending after the Alltoalls, want at most %d", pending, 4*n)
+	}
+}

@@ -128,12 +128,44 @@ func BenchmarkHeapChurn(b *testing.B) {
 	seq := uint64(0)
 	for i := 0; i < pop; i++ {
 		seq++
-		h.push(event{t: Time(rnd() % 1_000_000), seq: seq})
+		h.push(&event{t: Time(rnd() % 1_000_000), seq: seq})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ev := h.pop()
 		seq++
-		h.push(event{t: ev.t + Time(rnd()%1024), seq: seq})
+		h.push(&event{t: ev.t + Time(rnd()%1024), seq: seq})
+	}
+}
+
+// BenchmarkTimerReset measures the re-armable timer on both of its
+// re-arm paths, once each per iteration: a tick re-arms the timer
+// while its entry is still queued (the entry is re-filed when it
+// reaches the front, as when an MPI wait opens a new spin epoch), and
+// the timer, once fired, re-arms itself from its callback. Re-arming
+// reuses the queue's capacity, so the gate is zero allocations.
+func BenchmarkTimerReset(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	defer e.Close()
+	n := 0
+	var tm *Timer
+	tm = e.NewTimer(func() {
+		if n < b.N {
+			tm.Reset(e.Now().Add(6))
+		}
+	})
+	var tick func()
+	tick = func() {
+		n++
+		tm.Reset(e.Now().Add(7))
+		if n < b.N {
+			e.After(10, tick)
+		}
+	}
+	b.ResetTimer()
+	e.Schedule(0, tick)
+	if _, err := e.Run(0); err != nil {
+		b.Fatal(err)
 	}
 }

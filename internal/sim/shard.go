@@ -138,7 +138,8 @@ func (g *Group) ScheduleGlobal(t Time, pri uint64, fn func()) {
 		panic(fmt.Sprintf("sim: ScheduleGlobal at %v before horizon %v (lookahead %v)", t, g.horizon, g.look)) //lint:allow panicfree (simulation-kernel invariant; a broken event loop cannot continue)
 	}
 	g.gseq++
-	g.globals.push(event{t: t, pri: pri, seq: g.gseq, kind: evCall, fn: fn})
+	ev := event{t: t, pri: pri, seq: g.gseq, kind: evCall, fn: fn}
+	g.globals.push(&ev)
 	g.gmu.Unlock()
 }
 
