@@ -84,13 +84,18 @@ benchdiff: bench $(REPOLINT)
 # delivery paths hot). Committed under profiles/ so hot-root
 # discovery runs on every `make ci`, not only on machines that just
 # benched. Refresh whenever hot paths move: make bench-profile && make profgate
+# The figure, sharded-FT and trace profiles run for several seconds
+# each (about 1,000 samples at the default 100 Hz): with the 2-second
+# profiles they used to record, profgate's 0.5% and 1% thresholds were
+# one or two samples, and consecutive refreshes flagged different
+# functions.
 bench-profile:
 	@mkdir -p $(PROFILES) $(BIN)
 	$(GO) test -run '^$$' -bench . -benchtime $(GATED_BENCHTIME) -cpuprofile $(CURDIR)/$(PROFILES)/sim.pprof -o $(BIN)/sim.test $(GATED_PKG)
 	$(GO) test -run '^$$' -bench 'Campaign8' -cpuprofile $(CURDIR)/$(PROFILES)/campaign.pprof -o $(BIN)/campaign.test ./internal/campaign
-	$(GO) test -run '^$$' -bench 'Fig3FTClassB' -cpuprofile $(CURDIR)/$(PROFILES)/figure.pprof -o $(BIN)/figure.test .
-	$(GO) test -run '^$$' -bench 'ShardedFT' -benchtime 1x -cpuprofile $(CURDIR)/$(PROFILES)/sharded.pprof -o $(BIN)/sharded.test .
-	$(GO) test -run '^$$' -bench 'TraceStream' -benchtime $(GATED_BENCHTIME) -cpuprofile $(CURDIR)/$(PROFILES)/trace.pprof -o $(BIN)/trace.test ./internal/trace
+	$(GO) test -run '^$$' -bench 'Fig3FTClassB' -benchtime 5s -cpuprofile $(CURDIR)/$(PROFILES)/figure.pprof -o $(BIN)/figure.test .
+	$(GO) test -run '^$$' -bench 'ShardedFT' -benchtime 5x -cpuprofile $(CURDIR)/$(PROFILES)/sharded.pprof -o $(BIN)/sharded.test .
+	$(GO) test -run '^$$' -bench 'TraceStream' -benchtime 2s -cpuprofile $(CURDIR)/$(PROFILES)/trace.pprof -o $(BIN)/trace.test ./internal/trace
 
 # Profile-guided hot-root discovery: join the committed CPU profiles
 # against //lint:hotpath reachability. Reports functions the profiles

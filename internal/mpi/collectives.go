@@ -77,6 +77,8 @@ func (r *Rank) worldView(p *sim.Proc) view {
 }
 
 // recvColl is Recv for the reserved tag space.
+//
+//lint:hotpath every collective receive runs here
 func (r *Rank) recvColl(p *sim.Proc, src, tag int) *Message {
 	r.overhead(p, r.w.cfg.RecvOverheadCycles)
 	m := r.matchOrWait(p, src, tag)
