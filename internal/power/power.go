@@ -146,6 +146,7 @@ type Integrator struct {
 // corrupt the integral silently.
 //
 //lint:range w [0,inf]
+//lint:hotpath every node power change integrates through here, five components per change
 func (in *Integrator) SetPower(t sim.Time, w Watts) {
 	in.advance(t)
 	in.power = w
@@ -171,11 +172,17 @@ func (in *Integrator) Power() Watts { return in.power }
 // advance folds the elapsed interval into the running total.
 func (in *Integrator) advance(t sim.Time) {
 	if in.started && t < in.last {
-		panic(fmt.Sprintf("power: SetPower time regressed: %v < %v", t, in.last)) //lint:allow panicfree (time-regression breaks the integrator; kernel invariant)
+		in.regressPanic(t)
 	}
 	if in.started && t > in.last {
 		in.total += Joules(float64(in.power) * t.Sub(in.last).Seconds())
 	}
 	in.last = t
 	in.started = true
+}
+
+// regressPanic reports a time regression. Kept out of advance so the
+// integration path stays allocation-free.
+func (in *Integrator) regressPanic(t sim.Time) {
+	panic(fmt.Sprintf("power: SetPower time regressed: %v < %v", t, in.last)) //lint:allow panicfree (time-regression breaks the integrator; kernel invariant)
 }

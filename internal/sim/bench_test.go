@@ -30,7 +30,7 @@ func BenchmarkSchedule(b *testing.B) {
 }
 
 // BenchmarkSleepWake measures the full block/wake round trip of one
-// process sleeping b.N times: two channel handoffs plus an
+// process sleeping b.N times: two coroutine switches plus an
 // allocation-free evWake event each iteration.
 func BenchmarkSleepWake(b *testing.B) {
 	b.ReportAllocs()
@@ -102,6 +102,27 @@ func BenchmarkMailbox(b *testing.B) {
 	e.Spawn("consumer", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			mb.Recv(p)
+		}
+	})
+	b.ResetTimer()
+	if _, err := e.Run(0); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkSpawn measures a process's whole life: each iteration a
+// parent spawns a child that sleeps once and finishes. The child runs
+// on the coroutine the previous child left idle, so the one allocation
+// per iteration is the Proc itself.
+func BenchmarkSpawn(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	defer e.Close()
+	child := func(p *Proc) { p.Sleep(Microsecond) }
+	e.Spawn("parent", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			e.Spawn("child", child)
+			p.Sleep(2 * Microsecond)
 		}
 	})
 	b.ResetTimer()

@@ -14,11 +14,14 @@ var ErrDeadlock = errors.New("sim: deadlock: no pending events but processes rem
 // simulated processes. It is not safe for concurrent use from multiple
 // goroutines: all interaction must happen either before Run, from inside
 // process bodies, or from event callbacks.
+// Started processes run on coroutines from the engine's idle list (see
+// Proc, Run and Close).
 type Engine struct {
 	now     Time
 	seq     uint64
 	queue   eventHeap
 	procs   map[*Proc]struct{} // all live (not yet terminated) processes
+	idle    []*coro            // coroutines whose last body ended, reused LIFO
 	blocked int                // live processes currently parked on a primitive
 	running bool
 	closed  bool
@@ -29,10 +32,6 @@ type Engine struct {
 	// the panic helpers stay allocation-free on the hot path.
 	shardTag string
 
-	// park is signalled by a process goroutine whenever it hands control
-	// back to the engine (by blocking, terminating, or dying).
-	park chan struct{}
-
 	// Trace, if non-nil, receives a line for every process state change.
 	// Intended for debugging simulations, not for measurement.
 	Trace func(t Time, format string, args ...any)
@@ -40,10 +39,7 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at the simulation epoch.
 func NewEngine() *Engine {
-	return &Engine{
-		procs: make(map[*Proc]struct{}),
-		park:  make(chan struct{}),
-	}
+	return &Engine{procs: make(map[*Proc]struct{})}
 }
 
 // Now returns the current virtual time.
@@ -123,7 +119,10 @@ func (e *Engine) tracef(format string, args ...any) {
 // (limit <= 0 means run to exhaustion). It returns the time of the last
 // executed event. If the queue drains while processes remain blocked, Run
 // returns ErrDeadlock; the blocked processes can be inspected with
-// Blocked and reaped with Close.
+// Blocked and reaped with Close. On return Run ends the idle coroutines,
+// so a run whose processes all finished leaves no goroutine behind; only
+// parked processes keep theirs. A process body that calls runtime.Goexit
+// (t.FailNow in a test) unwinds the goroutine that called Run.
 //
 //lint:hotpath the dispatch loop runs once per event
 func (e *Engine) Run(limit Time) (Time, error) {
@@ -134,7 +133,7 @@ func (e *Engine) Run(limit Time) (Time, error) {
 		return e.now, errors.New("sim: Run called reentrantly")
 	}
 	e.running = true
-	defer func() { e.running = false }() //lint:allow hotalloc (one closure per Run call, not per event)
+	defer e.endRun()
 
 	for e.queue.Len() > 0 {
 		ev := e.queue.next()
@@ -151,6 +150,22 @@ func (e *Engine) Run(limit Time) (Time, error) {
 		return e.now, fmt.Errorf("%w (%d blocked)", ErrDeadlock, e.blocked) //lint:allow hotalloc (deadlock exit path, runs at most once per Run)
 	}
 	return e.now, nil
+}
+
+// endRun, deferred by Run, clears the reentrancy guard and releases the
+// idle coroutines.
+func (e *Engine) endRun() {
+	e.running = false
+	e.releaseIdle()
+}
+
+// releaseIdle ends every idle coroutine.
+func (e *Engine) releaseIdle() {
+	for _, c := range e.idle {
+		c.stop()
+	}
+	clear(e.idle)
+	e.idle = e.idle[:0]
 }
 
 // RunUntil executes every event strictly before horizon h and returns.
@@ -229,7 +244,9 @@ func (e *Engine) AdvanceTo(t Time) {
 // process reaped, or a start raced a kill) is dropped, mirroring the
 // guards the closure-based events used to carry. Delivered values are
 // already sitting in p.wakeVal (deliverAt stores them when the wake is
-// scheduled), so no payload crosses the event queue.
+// scheduled), so no payload crosses the event queue. The engine then
+// switches to the process's coroutine and gets control back when the
+// body blocks or ends.
 func (e *Engine) resumeProc(kind eventKind, p *Proc) {
 	var want procState
 	switch kind {
@@ -254,8 +271,11 @@ func (e *Engine) resumeProc(kind eventKind, p *Proc) {
 		}
 	}
 	p.state = procRunning
-	p.resume <- resumeGo
-	<-e.park
+	if kind == evStart {
+		p.start()
+		return
+	}
+	p.co.next()
 }
 
 // Pending reports the number of events waiting in the queue.
@@ -270,25 +290,28 @@ func (e *Engine) Blocked() int { return e.blocked }
 // not yet terminated.
 func (e *Engine) Live() int { return len(e.procs) }
 
-// Close terminates every live process by unwinding its goroutine, then
-// marks the engine unusable. It must be called once a simulation is
-// finished if any process may still be blocked (for example after a
-// deadlock or a truncated run); otherwise those goroutines would leak for
-// the lifetime of the host program. Close is idempotent.
+// Close terminates every live process, ends the idle coroutines and
+// marks the engine unusable. A process that never started is dropped; a
+// parked or waking one is unwound on its coroutine, running its
+// deferred calls. Close must be called once a simulation is finished if
+// any process may still be blocked (for example after a deadlock or a
+// truncated run); otherwise their coroutines would leak for the lifetime
+// of the host program. Close is idempotent.
 func (e *Engine) Close() {
 	if e.closed {
 		return
 	}
 	e.closed = true
-	// Created, parked, and waking processes are all blocked on their
-	// resume channel (initial start wait, primitive wait, or scheduled
-	// wake that will now never fire); a kill signal unwinds each.
 	for p := range e.procs {
 		switch p.state {
-		case procCreated, procParked, procWaking:
-			p.resume <- resumeKill
-			<-e.park
+		case procCreated:
+			p.state = procDone
+		case procParked, procWaking:
+			// stop makes the pending yield return false; the body
+			// unwinds with errKilled and its coroutine ends.
+			p.co.stop()
 		}
 	}
+	e.releaseIdle()
 	e.procs = nil
 }

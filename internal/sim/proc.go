@@ -1,22 +1,18 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 )
 
-// errKilled unwinds a process goroutine when the engine is closed. It is
+// errKilled unwinds a process body when the engine is closed. It is
 // recovered by the process wrapper and never escapes to user code.
 var errKilled = errors.New("sim: process killed")
 
-type resumeSignal int
-
-const (
-	resumeGo resumeSignal = iota
-	resumeKill
-)
-
-type procState int
+type procState uint8
 
 const (
 	procCreated procState = iota // spawned, start event not yet fired
@@ -26,19 +22,35 @@ const (
 	procDone                     // body returned or unwound
 )
 
-// Proc is a simulated process: a goroutine whose execution is interleaved
-// with other processes under the engine's control so that exactly one
-// process (or the engine itself) runs at any moment. A Proc handle is
-// only valid inside the process's own body function; passing it to
-// another process and calling its blocking methods there corrupts the
-// scheduler.
+// coro is one pooled coroutine (iter.Pull). It runs the body of one
+// process at a time: it is taken from the engine's idle list at a
+// process's start event and goes back there when that body ends, so a
+// Spawn reuses a finished process's coroutine instead of starting a
+// goroutine. Control passes between the engine and the body by a
+// direct goroutine switch, without the Go scheduler: next resumes the
+// body, yield hands control back to the engine, and stop unwinds a
+// parked body (yield returns false) or ends an idle coroutine.
+type coro struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	p     *Proc // process whose body the coroutine runs, nil while idle
+}
+
+// Proc is a simulated process: a body function run on a coroutine and
+// interleaved with other processes under the engine's control, so that
+// exactly one process (or the engine itself) runs at any moment. A Proc
+// handle is only valid inside the process's own body function; passing
+// it to another process and calling its blocking methods there corrupts
+// the scheduler.
 type Proc struct {
 	eng     *Engine
 	name    string
-	resume  chan resumeSignal
+	fn      func(p *Proc)
+	co      *coro // from the start event until the body ends
+	wakeVal any   // value handed over by the waker (mailbox messages etc.)
 	state   procState
 	counted bool // contributes to eng.blocked
-	wakeVal any  // value handed over by the waker (mailbox messages etc.)
 }
 
 // Spawn creates a process named name whose body fn starts executing at
@@ -49,49 +61,81 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 }
 
 // SpawnAt is Spawn with an explicit start time, which must not be in the
-// past.
+// past. It allocates only the Proc: the coroutine is bound at the start
+// event.
 func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		resume: make(chan resumeSignal),
-		state:  procCreated,
-	}
+	p := &Proc{eng: e, name: name, fn: fn, state: procCreated}
 	e.procs[p] = struct{}{}
-	go p.run(fn)
 	e.scheduleEvent(event{t: t, kind: evStart, p: p})
 	return p
 }
 
-// run is the goroutine wrapper around the process body.
-func (p *Proc) run(fn func(p *Proc)) {
-	if <-p.resume == resumeKill {
-		p.finish()
-		return
+// start binds p to an idle coroutine, or to a new one when none is
+// idle, and runs its body until it first blocks or ends.
+func (p *Proc) start() {
+	e := p.eng
+	var c *coro
+	if n := len(e.idle); n > 0 {
+		c, e.idle = e.idle[n-1], e.idle[:n-1]
+	} else {
+		c = p.newCoro()
 	}
-	defer func() {
-		if r := recover(); r != nil && r != errKilled { //nolint:errorlint // sentinel identity
-			// Record user panics on the engine so Run reports them as an
-			// error on the caller's goroutine instead of crashing this
-			// detached one.
-			if p.eng.failure == nil {
-				p.eng.failure = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
-			}
-		}
-		p.finish()
-	}()
-	fn(p)
+	c.p = p
+	p.co = c
+	c.next()
 }
 
-// finish marks the process terminated and returns control to the engine.
-func (p *Proc) finish() {
+// newCoro creates a coroutine for p's engine. It is kept out of start
+// so that the variable its loop captures is allocated only here, not
+// on every start, and it is a Proc method, like start, so that profiles
+// fold the coroutine's own frames into the process layer.
+func (p *Proc) newCoro() *coro {
+	e := p.eng
+	c := new(coro) //lint:allow hotalloc (one per coroutine, not per spawn: 560 coroutines serve 65,792 spawns per 256-rank FT run)
+	// The loop first runs at c.next, once start has set c.p.
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) { //lint:allow hotalloc (one closure per coroutine, as above)
+		c.yield = yield
+		for {
+			c.p.run()
+			c.p = nil
+			// A closing engine is unwinding its processes; their
+			// coroutines end with them.
+			if e.closed {
+				return
+			}
+			e.idle = append(e.idle, c) //lint:allow hotalloc (grows to the peak number of coroutines, then reused)
+			if !yield(struct{}{}) {
+				return
+			}
+		}
+	})
+	return c
+}
+
+// run executes the body on the process's coroutine. A body that calls
+// runtime.Goexit never returns here: iter.Pull re-raises the Goexit in
+// the goroutine that resumed it, the one that called Run.
+func (p *Proc) run() {
+	defer p.exit()
+	p.fn(p)
+}
+
+// exit, deferred by run, marks the process terminated and records a
+// body panic on the engine, so Run returns it as an error instead of
+// iter.Pull re-raising it in Run's caller.
+func (p *Proc) exit() {
+	if r := recover(); r != nil && r != errKilled { //nolint:errorlint // sentinel identity
+		if p.eng.failure == nil {
+			p.eng.failure = fmt.Errorf("sim: process %q panicked: %v", p.name, r) //lint:allow hotalloc (panic path, runs at most once per Run)
+		}
+	}
 	p.state = procDone
+	p.co = nil
 	if p.counted {
 		p.counted = false
 		p.eng.blocked--
 	}
 	delete(p.eng.procs, p)
-	p.eng.park <- struct{}{}
 }
 
 // yield parks the calling process until a wake is delivered, then returns
@@ -108,8 +152,7 @@ func (p *Proc) yield(counted bool) any {
 	if counted {
 		p.eng.blocked++
 	}
-	p.eng.park <- struct{}{}
-	if <-p.resume == resumeKill {
+	if !p.co.yield(struct{}{}) {
 		panic(errKilled) //lint:allow panicfree (simulation-kernel invariant; a broken event loop cannot continue)
 	}
 	v := p.wakeVal

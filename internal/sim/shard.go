@@ -246,13 +246,16 @@ func (g *Group) runGlobals(t Time) {
 // queue drain, or until limit is reached (limit <= 0 means run to
 // exhaustion): events at t <= limit execute, and the clocks stop at
 // limit. It returns the final horizon. If the queues drain while
-// processes remain blocked, Run returns ErrDeadlock.
+// processes remain blocked, Run returns ErrDeadlock. Like Engine.Run it
+// ends every shard's idle coroutines when it returns; shards keep them
+// across windows.
 //
 //lint:hotpath the coordinator loop runs once per lookahead window
 func (g *Group) Run(limit Time) (Time, error) {
 	if g.closed {
 		return g.horizon, errors.New("sim: group is closed")
 	}
+	defer g.releaseIdle()
 	for {
 		g.drain()
 		m, any := g.minNextEvent()
@@ -301,6 +304,13 @@ func (g *Group) Run(limit Time) (Time, error) {
 		if runG {
 			g.runGlobals(h)
 		}
+	}
+}
+
+// releaseIdle ends every shard's idle coroutines.
+func (g *Group) releaseIdle() {
+	for _, e := range g.engines {
+		e.releaseIdle()
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -406,7 +407,10 @@ func TestResourceMisuse(t *testing.T) {
 	}
 }
 
+// A body panic is reported by Run, and the panicking body's coroutine
+// is ended with the other idle ones.
 func TestProcPanicReportedByRun(t *testing.T) {
+	before := runtime.NumGoroutine()
 	e := NewEngine()
 	e.Spawn("bad", func(p *Proc) {
 		p.Sleep(Microsecond)
@@ -415,6 +419,9 @@ func TestProcPanicReportedByRun(t *testing.T) {
 	_, err := e.Run(0)
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v", err)
+	}
+	if n := goroutinesAtMost(before); n > before {
+		t.Fatalf("%d goroutines after the panic, %d before", n, before)
 	}
 }
 
@@ -563,9 +570,9 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkProcessSwitch measures the coroutine handoff cost (park +
-// resume through channels), the per-blocking-call overhead of every
-// simulated process.
+// BenchmarkProcessSwitch measures the coroutine handoff cost (a park
+// and a resume, each a direct coroutine switch), the per-blocking-call
+// overhead of every simulated process.
 func BenchmarkProcessSwitch(b *testing.B) {
 	e := NewEngine()
 	e.Spawn("p", func(p *Proc) {

@@ -1,8 +1,16 @@
 // Package sim implements a deterministic process-oriented discrete-event
 // simulation kernel. It provides a virtual clock, an event queue, and
-// lightweight simulated processes (implemented as goroutines that run one
-// at a time under the engine's control), plus the usual coordination
+// lightweight simulated processes, plus the usual coordination
 // primitives: sleeping, conditions, mailboxes, and counted resources.
+//
+// Each process body runs on an iter.Pull coroutine, one at a time under
+// the engine's control: the engine resumes a body and the body hands
+// control back when it blocks or ends, each a direct goroutine switch
+// that bypasses the Go scheduler. Coroutines are pooled per engine, so
+// a process started after another one finished reuses its coroutine.
+// Run ends the idle coroutines when it returns; Close unwinds the
+// processes still parked. A body that calls runtime.Goexit (t.FailNow
+// in a test) unwinds the goroutine that called Run.
 //
 // The kernel is the substrate for the cluster, network, MPI, and power
 // models in this repository. All of those express behaviour as processes
