@@ -44,10 +44,8 @@ func analyze(t *testing.T, src string) (*dataflow.Result, *types.Info) {
 		t.Fatal("no function F in source")
 	}
 	a := &dataflow.Analysis{
-		Info:          info,
-		Fset:          fset,
-		TaintMapRange: true,
-		TaintSelect:   true,
+		Info: info,
+		Fset: fset,
 		Call: func(call *ast.CallExpr, recv dataflow.Taint, args []dataflow.Taint) (dataflow.Effect, bool) {
 			id, ok := ast.Unparen(call.Fun).(*ast.Ident)
 			if !ok {

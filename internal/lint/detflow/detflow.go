@@ -244,12 +244,10 @@ func (d *checker) checkBanned(f *ast.File) {
 
 func (d *checker) config(seed map[*types.Var]dataflow.Taint) *dataflow.Analysis {
 	return &dataflow.Analysis{
-		Info:          d.pass.TypesInfo,
-		Fset:          d.pass.Fset,
-		Call:          d.effect,
-		TaintMapRange: true,
-		TaintSelect:   true,
-		Seed:          seed,
+		Info: d.pass.TypesInfo,
+		Fset: d.pass.Fset,
+		Call: d.effect,
+		Seed: seed,
 	}
 }
 
