@@ -3,8 +3,8 @@ package sim
 // Cond is a condition-style wait queue. Processes block on Wait in FIFO
 // order; any code running under the engine (another process or an event
 // callback) releases them with Signal or Broadcast. A value can be handed
-// to the woken process, which is how mailboxes and the MPI matching layer
-// transfer messages without an extra queue hop.
+// to the woken process, which is how the MPI matching layer transfers
+// messages without an extra queue hop.
 type Cond struct {
 	eng     *Engine
 	waiters []*Proc

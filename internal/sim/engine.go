@@ -6,8 +6,8 @@ import (
 )
 
 // ErrDeadlock is returned by Run when the event queue drains while
-// simulated processes are still blocked on conditions, mailboxes, or
-// resources that nothing will ever signal.
+// simulated processes are still blocked on conditions that nothing will
+// ever signal.
 var ErrDeadlock = errors.New("sim: deadlock: no pending events but processes remain blocked")
 
 // Engine owns the virtual clock and the event queue, and schedules

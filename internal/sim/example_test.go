@@ -6,20 +6,21 @@ import (
 	"repro/internal/sim"
 )
 
-// Two processes coordinate through a mailbox on the virtual clock.
+// Two processes coordinate on the virtual clock: the producer hands
+// each value to the consumer waiting on a Cond.
 func Example() {
 	e := sim.NewEngine()
-	box := sim.NewMailbox(e)
+	ready := sim.NewCond(e)
 
 	e.Spawn("producer", func(p *sim.Proc) {
 		for i := 1; i <= 3; i++ {
 			p.Sleep(10 * sim.Millisecond)
-			box.Put(i)
+			ready.Signal(i)
 		}
 	})
 	e.Spawn("consumer", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
-			v := box.Recv(p)
+			v := ready.Wait(p)
 			fmt.Printf("got %v at %v\n", v, p.Now())
 		}
 	})
@@ -35,26 +36,4 @@ func Example() {
 	// got 2 at 0.020000s
 	// got 3 at 0.030000s
 	// done at 0.030000s
-}
-
-// A counted resource serializes contending processes in FIFO order.
-func ExampleResource() {
-	e := sim.NewEngine()
-	link := sim.NewResource(e, 1)
-	for i := 0; i < 3; i++ {
-		i := i
-		e.Spawn(fmt.Sprintf("sender%d", i), func(p *sim.Proc) {
-			link.Acquire(p, 1)
-			fmt.Printf("sender%d on the wire at %v\n", i, p.Now())
-			p.Sleep(5 * sim.Millisecond)
-			link.Release(1)
-		})
-	}
-	if _, err := e.Run(0); err != nil {
-		fmt.Println(err)
-	}
-	// Output:
-	// sender0 on the wire at 0.000000s
-	// sender1 on the wire at 0.005000s
-	// sender2 on the wire at 0.010000s
 }

@@ -48,7 +48,7 @@ type Proc struct {
 	name    string
 	fn      func(p *Proc)
 	co      *coro // from the start event until the body ends
-	wakeVal any   // value handed over by the waker (mailbox messages etc.)
+	wakeVal any   // value handed over by the waker (Cond.Signal)
 	state   procState
 	counted bool // contributes to eng.blocked
 }
@@ -141,8 +141,8 @@ func (p *Proc) exit() {
 // yield parks the calling process until a wake is delivered, then returns
 // the value the waker attached. counted reports whether the process
 // should be considered "blocked with no scheduled wake" for deadlock
-// accounting (true for conditions/mailboxes/resources, false for Sleep,
-// whose wake event is already queued).
+// accounting (true for conditions, false for Sleep, whose wake event is
+// already queued).
 func (p *Proc) yield(counted bool) any {
 	if p.state != procRunning {
 		panic("sim: blocking call from outside the process body") //lint:allow panicfree (simulation-kernel invariant; a broken event loop cannot continue)

@@ -255,158 +255,6 @@ func TestCondBroadcastAndRemove(t *testing.T) {
 	}
 }
 
-func TestMailboxFIFO(t *testing.T) {
-	e := NewEngine()
-	m := NewMailbox(e)
-	var got []int
-	e.Spawn("recv", func(p *Proc) {
-		for i := 0; i < 4; i++ {
-			got = append(got, m.Recv(p).(int))
-		}
-	})
-	e.Schedule(Time(1), func() { m.Put(1); m.Put(2) })
-	e.Schedule(Time(2), func() { m.Put(3); m.Put(4) })
-	if _, err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(got) != "[1 2 3 4]" {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestMailboxTryRecvAndLen(t *testing.T) {
-	e := NewEngine()
-	m := NewMailbox(e)
-	if _, ok := m.TryRecv(); ok {
-		t.Fatal("TryRecv on empty mailbox succeeded")
-	}
-	m.Put("x")
-	m.Put("y")
-	if m.Len() != 2 {
-		t.Fatalf("Len = %d", m.Len())
-	}
-	if v, ok := m.TryRecv(); !ok || v != "x" {
-		t.Fatalf("TryRecv = %v, %v", v, ok)
-	}
-	if m.Len() != 1 {
-		t.Fatalf("Len after TryRecv = %d", m.Len())
-	}
-}
-
-func TestMailboxHandoffBeforeQueue(t *testing.T) {
-	// A waiting receiver gets the message directly; it never appears in
-	// the queue.
-	e := NewEngine()
-	m := NewMailbox(e)
-	var got any
-	e.Spawn("recv", func(p *Proc) { got = m.Recv(p) })
-	e.Schedule(Time(10), func() {
-		m.Put(99)
-		if m.Len() != 0 {
-			t.Errorf("message queued despite waiting receiver (len=%d)", m.Len())
-		}
-	})
-	if _, err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if got != 99 {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestResourceContention(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, 1)
-	var order []string
-	worker := func(name string, start Time, hold Duration) {
-		e.SpawnAt(start, name, func(p *Proc) {
-			r.Acquire(p, 1)
-			order = append(order, name+":in@"+p.Now().String())
-			p.Sleep(hold)
-			r.Release(1)
-		})
-	}
-	worker("a", Time(0), 10*Microsecond)
-	worker("b", Time(1), 10*Microsecond)
-	worker("c", Time(2), 10*Microsecond)
-	if _, err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"a:in@0.000000s", "b:in@0.000010s", "c:in@0.000020s"}
-	if fmt.Sprint(order) != fmt.Sprint(want) {
-		t.Fatalf("order: got %v want %v", order, want)
-	}
-	if r.InUse() != 0 || r.Queued() != 0 {
-		t.Fatalf("resource not drained: inUse=%d queued=%d", r.InUse(), r.Queued())
-	}
-}
-
-func TestResourceFIFOBlocksSmallBehindLarge(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, 4)
-	var order []string
-	e.Spawn("hog", func(p *Proc) {
-		r.Acquire(p, 3)
-		p.Sleep(100 * Microsecond)
-		r.Release(3)
-	})
-	e.SpawnAt(Time(1), "big", func(p *Proc) {
-		r.Acquire(p, 4)
-		order = append(order, "big@"+p.Now().String())
-		r.Release(4)
-	})
-	e.SpawnAt(Time(2), "small", func(p *Proc) {
-		// Only 1 unit free, but FIFO means small must wait behind big.
-		r.Acquire(p, 1)
-		order = append(order, "small@"+p.Now().String())
-		r.Release(1)
-	})
-	if _, err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 2 || !strings.HasPrefix(order[0], "big@") {
-		t.Fatalf("FIFO violated: %v", order)
-	}
-}
-
-func TestResourceUse(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, 2)
-	var done Time
-	e.Spawn("u", func(p *Proc) {
-		r.Use(p, 2, 7*Microsecond)
-		done = p.Now()
-	})
-	if _, err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if done != Time(7*Microsecond) {
-		t.Fatalf("done at %v", done)
-	}
-}
-
-func TestResourceMisuse(t *testing.T) {
-	e := NewEngine()
-	mustPanic := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("zero capacity", func() { NewResource(e, 0) })
-	r := NewResource(e, 2)
-	mustPanic("over-release", func() { r.Release(1) })
-	e.Spawn("p", func(p *Proc) {
-		mustPanic("acquire too much", func() { r.Acquire(p, 3) })
-		mustPanic("acquire zero", func() { r.Acquire(p, 0) })
-	})
-	if _, err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // A body panic is reported by Run, and the panicking body's coroutine
 // is ended with the other idle ones.
 func TestProcPanicReportedByRun(t *testing.T) {
@@ -516,37 +364,6 @@ func TestSleepWakeOrderProperty(t *testing.T) {
 		return sort.SliceIsSorted(wakes, func(i, j int) bool { return wakes[i] < wakes[j] })
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: resource accounting never exceeds capacity and always drains.
-func TestResourceInvariantProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		e := NewEngine()
-		cap := 1 + rng.Intn(4)
-		r := NewResource(e, cap)
-		ok := true
-		for i := 0; i < 20; i++ {
-			n := 1 + rng.Intn(cap)
-			start := Time(rng.Intn(100)) * Time(Microsecond)
-			hold := Duration(1+rng.Intn(100)) * Microsecond
-			e.SpawnAt(start, fmt.Sprintf("p%d", i), func(p *Proc) {
-				r.Acquire(p, n)
-				if r.InUse() > r.Capacity() {
-					ok = false
-				}
-				p.Sleep(hold)
-				r.Release(n)
-			})
-		}
-		if _, err := e.Run(0); err != nil {
-			return false
-		}
-		return ok && r.InUse() == 0 && r.Queued() == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
 }
