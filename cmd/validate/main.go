@@ -8,7 +8,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -40,40 +42,50 @@ func (s *suite) addDivergence(name, paper string, measured float64, note string)
 	s.checks = append(s.checks, check{name: name, paper: paper, measured: measured, diverges: true, note: note})
 }
 
-func (s *suite) sweep(w workloads.Workload) core.Crescendo {
+func (s *suite) sweep(w workloads.Workload) (core.Crescendo, error) {
 	c, err := s.runner.Sweep(w, dvs.Static{})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "validate: %v\n", err)
-		os.Exit(1)
-	}
-	return c.Normalized(0)
+	return c.Normalized(0), err
 }
 
-func (s *suite) run(w workloads.Workload, strat dvs.Strategy, idx int) *cluster.Aggregate {
-	a, err := s.runner.Run(w, strat, idx)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "validate: %v\n", err)
-		os.Exit(1)
+// verdict is the check's table verdict: PASS, FAIL, or a documented
+// divergence.
+func (c check) verdict() string {
+	switch {
+	case c.diverges:
+		return "DIVERGES (documented)"
+	case c.measured < c.lo || c.measured > c.hi:
+		return "FAIL"
 	}
-	return a
+	return "PASS"
 }
 
 func main() {
 	full := flag.Bool("full", false, "full workload sizes (slower)")
 	flag.Parse()
+	cs, err := checks(*full)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "validate:", err)
+		os.Exit(1)
+	}
+	if report(os.Stdout, cs) > 0 {
+		os.Exit(1)
+	}
+}
 
+// checks runs the reproduction, at quick workload sizes unless full,
+// and returns every band check in report order.
+func checks(full bool) ([]check, error) {
 	cfg := cluster.DefaultConfig()
 	cfg.Reps = 1
 	cfg.Settle = 30 * sim.Second
 	cfg.UseTrueEnergy = true
 	runner, err := cluster.NewRunner(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "validate:", err)
-		os.Exit(1)
+		return nil, err
 	}
 	s := &suite{runner: runner}
 	size := func(quick, fullN int) int {
-		if *full {
+		if full {
 			return fullN
 		}
 		return quick
@@ -86,12 +98,18 @@ func main() {
 		(1-core.RequiredEnergyFraction(0.4, 1.1))*100, 30, 40)
 
 	// Fig 6: memory microbenchmark.
-	mem := s.sweep(workloads.NewMemBench(size(40, 400)))
+	mem, err := s.sweep(workloads.NewMemBench(size(40, 400)))
+	if err != nil {
+		return nil, err
+	}
 	s.add("Fig6 memory E(600)", "0.593", mem.Points[4].Energy, 0.55, 0.65)
 	s.add("Fig6 memory D(600)", "1.054", mem.Points[4].Delay, 1.03, 1.08)
 
 	// Fig 7: CPU-bound microbenchmarks.
-	l2 := s.sweep(workloads.NewCacheBench(size(100000, 1000000)))
+	l2, err := s.sweep(workloads.NewCacheBench(size(100000, 1000000)))
+	if err != nil {
+		return nil, err
+	}
 	s.add("Fig7 L2 D(600)", "2.34", l2.Points[4].Delay, 2.28, 2.45)
 	eBest := l2.Best(core.DeltaEnergy)
 	s.add("Fig7 L2 energy-best frequency (MHz)", "800",
@@ -100,16 +118,28 @@ func main() {
 		l2.Points[4].Energy-l2.Points[eBest].Energy, 0.001, 0.2)
 
 	// Fig 8: communication microbenchmarks.
-	rt := s.sweep(workloads.NewCommBench256K(size(300, 2000)))
+	rt, err := s.sweep(workloads.NewCommBench256K(size(300, 2000)))
+	if err != nil {
+		return nil, err
+	}
 	s.add("Fig8a 256KB E(600)", "0.699", rt.Points[4].Energy, 0.63, 0.75)
 	s.add("Fig8a 256KB D(600)", "1.06", rt.Points[4].Delay, 1.03, 1.09)
-	small := s.sweep(workloads.NewCommBench4K(size(3000, 20000)))
+	small, err := s.sweep(workloads.NewCommBench4K(size(3000, 20000)))
+	if err != nil {
+		return nil, err
+	}
 	s.add("Fig8b 4KB E(600)", "0.64", small.Points[4].Energy, 0.62, 0.75)
 	s.add("Fig8b 4KB D(600)", "1.04", small.Points[4].Delay, 1.02, 1.09)
 
 	// Fig 1 / Table 1.
-	swim := s.sweep(workloads.NewSwim(size(50, 300)))
-	mgrid := s.sweep(workloads.NewMgrid(size(50, 300)))
+	swim, err := s.sweep(workloads.NewSwim(size(50, 300)))
+	if err != nil {
+		return nil, err
+	}
+	mgrid, err := s.sweep(workloads.NewMgrid(size(50, 300)))
+	if err != nil {
+		return nil, err
+	}
 	s.add("Table1 swim HPC best (MHz)", "1000",
 		float64(swim.Points[swim.Best(core.DeltaHPC)].Freq.MHz()), 1000, 1000)
 	s.add("Table1 mgrid HPC best (MHz)", "1400",
@@ -120,14 +150,19 @@ func main() {
 	// Fig 3 / Table 3: FT class B.
 	ftB := workloads.NewFT('B', 8)
 	ftB.IterOverride = size(2, 20)
-	fb := s.sweep(ftB)
+	fb, err := s.sweep(ftB)
+	if err != nil {
+		return nil, err
+	}
 	s.add("Fig3 FT.B E(600)", "0.655", fb.Points[4].Energy, 0.62, 0.72)
 	s.add("Fig3 FT.B D(600)", "1.068", fb.Points[4].Delay, 1.05, 1.12)
-	topB := s.run(ftB, dvs.Static{}, 0)
+	topB, err := s.runner.Run(ftB, dvs.Static{}, 0)
+	if err != nil {
+		return nil, err
+	}
 	cpB, err := s.runner.RunCpuspeed(ftB, dvs.NewCpuspeed())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return nil, err
 	}
 	s.add("Fig3 FT.B cpuspeed E (≈ static 1.4GHz)", "0.966",
 		cpB.Energy/float64(topB.EnergyTrue), 0.90, 1.03)
@@ -138,13 +173,21 @@ func main() {
 	// Fig 4: FT class C strategies.
 	ftC := workloads.NewFT('C', 8)
 	ftC.IterOverride = size(1, 8)
-	topC := s.run(ftC, dvs.Static{}, 0)
-	lowC := s.run(ftC, dvs.Static{}, 4)
-	dynC := s.run(ftC, dvs.NewDynamic(workloads.RegionFFT), 0)
+	topC, err := s.runner.Run(ftC, dvs.Static{}, 0)
+	if err != nil {
+		return nil, err
+	}
+	lowC, err := s.runner.Run(ftC, dvs.Static{}, 4)
+	if err != nil {
+		return nil, err
+	}
+	dynC, err := s.runner.Run(ftC, dvs.NewDynamic(workloads.RegionFFT), 0)
+	if err != nil {
+		return nil, err
+	}
 	cpC, err := s.runner.RunCpuspeed(ftC, dvs.NewCpuspeed())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return nil, err
 	}
 	s.add("Fig4 FT.C static600 E", "0.663",
 		float64(lowC.EnergyTrue)/float64(topC.EnergyTrue), 0.62, 0.72)
@@ -158,42 +201,46 @@ func main() {
 
 	// Fig 5: transpose.
 	tr := workloads.NewTranspose(size(1, 2))
-	tc := s.sweep(tr)
+	tc, err := s.sweep(tr)
+	if err != nil {
+		return nil, err
+	}
 	s.add("Fig5 transpose E(800)", "0.838", tc.Points[3].Energy, 0.79, 0.88)
 	s.add("Fig5 transpose E(600)", "0.803", tc.Points[4].Energy, 0.74, 0.84)
 	s.add("Fig5 transpose D(600)", "1.024", tc.Points[4].Delay, 1.01, 1.06)
-	topT := s.run(tr, dvs.Static{}, 0)
+	topT, err := s.runner.Run(tr, dvs.Static{}, 0)
+	if err != nil {
+		return nil, err
+	}
 	cpT, err := s.runner.RunCpuspeed(tr, dvs.NewCpuspeed())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return nil, err
 	}
 	s.addDivergence("Fig5 transpose cpuspeed E", "0.981 (paper flags it anomalous)",
 		cpT.Energy/float64(topT.EnergyTrue),
 		"our daemon sees the gather's blocked waits; the paper's row is its own flagged anomaly")
 
-	// Report.
-	fail := 0
-	fmt.Printf("%-55s %-28s %-10s %s\n", "check", "paper", "measured", "verdict")
-	fmt.Println(stringsRepeat("-", 110))
-	for _, c := range s.checks {
-		verdict := "PASS"
-		if c.diverges {
-			verdict = "DIVERGES (documented)"
-		} else if c.measured < c.lo || c.measured > c.hi {
-			verdict = "FAIL"
+	return s.checks, nil
+}
+
+// report prints the check table to w and returns the number of failed
+// checks.
+func report(w io.Writer, cs []check) (fail int) {
+	fmt.Fprintf(w, "%-55s %-28s %-10s %s\n", "check", "paper", "measured", "verdict")
+	fmt.Fprintln(w, strings.Repeat("-", 110))
+	for _, c := range cs {
+		v := c.verdict()
+		if v == "FAIL" {
 			fail++
 		}
-		fmt.Printf("%-55s %-28s %-10.4f %s\n", c.name, c.paper, c.measured, verdict)
+		fmt.Fprintf(w, "%-55s %-28s %-10.4f %s\n", c.name, c.paper, c.measured, v)
 		if c.note != "" {
-			fmt.Printf("%55s   ↳ %s\n", "", c.note)
+			fmt.Fprintf(w, "%55s   ↳ %s\n", "", c.note)
 		}
 	}
-	fmt.Printf("\n%d checks, %d failed, %d documented divergences\n",
-		len(s.checks), fail, countDivergences(s.checks))
-	if fail > 0 {
-		os.Exit(1)
-	}
+	fmt.Fprintf(w, "\n%d checks, %d failed, %d documented divergences\n",
+		len(cs), fail, countDivergences(cs))
+	return fail
 }
 
 func countDivergences(cs []check) int {
@@ -204,12 +251,4 @@ func countDivergences(cs []check) int {
 		}
 	}
 	return n
-}
-
-func stringsRepeat(s string, n int) string {
-	out := make([]byte, 0, n*len(s))
-	for i := 0; i < n; i++ {
-		out = append(out, s...)
-	}
-	return string(out)
 }
