@@ -3,7 +3,7 @@
 GO      ?= go
 BIN     := bin
 REPOLINT := $(BIN)/repolint
-BENCHOUT := BENCH_sim.json
+BENCHOUT := $(BIN)/BENCH_sim.json
 BASELINE := BENCH_baseline.json
 PROFILES := profiles
 
@@ -48,19 +48,17 @@ race:
 # flow-sensitive detflow/hotalloc pass alone) so lint wall-time
 # regressions are tracked alongside sim throughput.
 #
-# The sharded-FT run also captures a heap profile, committed under
-# profiles/ to feed the ROADMAP 4096-rank memory question. It uses the
-# .mprof extension (not .pprof) deliberately: profgate's loader treats
-# every profiles/*.pprof sample as CPU time, so a heap profile must
-# stay out of that glob.
+# The archive and the sharded-FT run's heap profile (for the ROADMAP
+# 4096-rank memory question) are written under bin/: every run rewrites
+# them, so neither is committed. CI uploads the archive.
 bench:
+	@mkdir -p $(BIN)
 	: > $(BENCHOUT)
 	$(GO) test -json -run '^$$' -bench . -benchmem -benchtime $(GATED_BENCHTIME) -count $(GATED_COUNT) $(GATED_PKG) >> $(BENCHOUT)
 	$(GO) test -json -run '^$$' -bench 'TraceStream' -benchmem -benchtime $(GATED_BENCHTIME) -count $(GATED_COUNT) ./internal/trace >> $(BENCHOUT)
 	$(GO) test -json -run '^$$' -bench 'Campaign8' -benchmem ./internal/campaign >> $(BENCHOUT)
 	$(GO) test -json -run '^$$' -bench 'Fig3FTClassB' -benchmem . >> $(BENCHOUT)
-	@mkdir -p $(PROFILES)
-	$(GO) test -json -run '^$$' -bench 'ShardedFT' -benchtime 1x -benchmem -memprofile $(CURDIR)/$(PROFILES)/shardedft_heap.mprof >> $(BENCHOUT)
+	$(GO) test -json -run '^$$' -bench 'ShardedFT' -benchtime 1x -benchmem -memprofile $(CURDIR)/$(BIN)/shardedft_heap.mprof >> $(BENCHOUT)
 	$(GO) test -json -run '^$$' -bench 'RepolintModule|DetflowModule|NumericModule' -benchtime 1x -benchmem ./internal/lint >> $(BENCHOUT)
 	@grep 'ns/op' $(BENCHOUT) | sed 's/.*"Output":"//;s/\\n.*//;s/\\t/  /g' || true
 

@@ -25,14 +25,14 @@ func benchdiffMain(args []string, stdout, stderr io.Writer) int {
 	update := fs.Bool("update", false, "rewrite the baseline from the stream (normalized: sorted, timestamps stripped) instead of comparing")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: repolint benchdiff [-baseline file] [-band pct] [-update] [stream.json]\n\n"+
-			"Gates the `go test -json` benchmark stream (default BENCH_sim.json) against\n"+
+			"Gates the `go test -json` benchmark stream (default bin/BENCH_sim.json) against\n"+
 			"the committed baseline. Exit 0 clean, 1 error, 2 regression.\n\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
-	streamPath := "BENCH_sim.json"
+	streamPath := "bin/BENCH_sim.json"
 	switch fs.NArg() {
 	case 0:
 	case 1:

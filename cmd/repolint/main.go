@@ -23,9 +23,9 @@
 // It also hosts the benchmark-regression gate as a subcommand (see
 // internal/lint/benchdiff):
 //
-//	repolint benchdiff BENCH_sim.json             # compare against BENCH_baseline.json
-//	repolint benchdiff -band 10 BENCH_sim.json    # tighter ns/op band
-//	repolint benchdiff -update BENCH_sim.json     # refresh the baseline
+//	repolint benchdiff bin/BENCH_sim.json             # compare against BENCH_baseline.json
+//	repolint benchdiff -band 10 bin/BENCH_sim.json    # tighter ns/op band
+//	repolint benchdiff -update bin/BENCH_sim.json     # refresh the baseline
 //
 // Exit status: 0 clean, 1 operational error, 2 diagnostics/regressions
 // reported.

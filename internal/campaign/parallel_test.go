@@ -129,7 +129,7 @@ func TestSettleParsedOnce(t *testing.T) {
 }
 
 // benchSpec is an 8-cell matrix (2 workloads × static × 4 points) used
-// by the campaign throughput benchmarks; BENCH_sim.json records the
+// by the campaign throughput benchmarks; bin/BENCH_sim.json records the
 // sequential-vs-parallel pair so the fan-out speedup is tracked on
 // multi-core runners.
 const benchSpec = `{

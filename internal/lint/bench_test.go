@@ -12,27 +12,28 @@ import (
 // BenchmarkRepolintModule measures one full lint pass — module load,
 // parse, type-check, and every registered analyzer over every package —
 // which is what `make lint` and the clean-lint meta-test pay on every
-// run. `make bench` appends this to BENCH_sim.json so lint wall-time
+// run. `make bench` appends this to bin/BENCH_sim.json so lint wall-time
 // regressions are tracked alongside simulator throughput.
 func BenchmarkRepolintModule(b *testing.B) {
 	benchModule(b)
 }
 
-// BenchmarkDetflowModule isolates the flow-sensitive layer: module load
-// plus only the detflow and hotalloc analyzers — the two passes built
-// on the internal/lint/dataflow value-flow engine and its per-function
-// summaries — over every package. Tracking this next to
-// BenchmarkRepolintModule in BENCH_sim.json shows how much of the
-// whole-suite cost the dataflow engine accounts for as it grows.
+// BenchmarkDetflowModule isolates the interprocedural layer: module load
+// plus only the detflow and hotalloc analyzers over every package.
+// detflow runs the taint domain of internal/lint/dataflow with
+// per-function summaries; hotalloc walks the internal/lint/callgraph
+// reachability from //lint:hotpath roots. Tracking this next to
+// BenchmarkRepolintModule in bin/BENCH_sim.json shows how much of the
+// whole-suite cost the two account for as they grow.
 func BenchmarkDetflowModule(b *testing.B) {
 	benchModule(b, "detflow", "hotalloc")
 }
 
 // BenchmarkNumericModule isolates the v6 numeric layer: module load
 // plus only rangecheck — both of its domains run on the
-// internal/lint/dataflow interval engine (RunIntervals) — over every
-// package. Tracked in BENCH_sim.json next to the whole-suite and
-// detflow figures, it shows what the interval engine costs as its
+// internal/lint/dataflow interval domain (RunIntervals) — over every
+// package. Tracked in bin/BENCH_sim.json next to the whole-suite and
+// detflow figures, it shows what the interval domain costs as its
 // contract inventory grows.
 func BenchmarkNumericModule(b *testing.B) {
 	benchModule(b, "rangecheck")

@@ -1,5 +1,5 @@
-// Package benchdiff turns BENCH_sim.json from a write-only archive into
-// a merge gate. `make bench` records the benchmark suite as the NDJSON
+// Package benchdiff turns bin/BENCH_sim.json from a write-only archive
+// into a merge gate. `make bench` records the benchmark suite as the NDJSON
 // `go test -json` event stream; benchdiff parses that stream back into
 // per-benchmark metrics (ns/op, B/op, allocs/op — taking the minimum
 // across `-count` repetitions, which is the noise-robust statistic for

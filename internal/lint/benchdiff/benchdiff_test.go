@@ -2,6 +2,8 @@ package benchdiff
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -196,14 +198,14 @@ func TestCompareMemoryStatsDisappearing(t *testing.T) {
 	}
 }
 
-// TestParseStreamRealArchive parses the repository's own committed
-// BENCH_sim.json if present, which keeps the parser honest against the
-// real `go test -json` framing (split output lines, interleaved
-// packages, the lint benches' -benchtime 1x).
+// TestParseStreamRealArchive parses a verbatim archive that `make
+// bench` wrote, which keeps the parser honest against the real `go test
+// -json` framing (split output lines, interleaved packages, the lint
+// benches' -benchtime 1x).
 func TestParseStreamRealArchive(t *testing.T) {
-	data, err := readRepoFile("BENCH_sim.json")
+	data, err := os.ReadFile(filepath.Join("testdata", "BENCH_sim.json"))
 	if err != nil {
-		t.Skipf("no BENCH_sim.json: %v", err)
+		t.Fatal(err)
 	}
 	rs, err := ParseStream(bytes.NewReader(data))
 	if err != nil {
