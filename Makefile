@@ -7,17 +7,19 @@ BENCHOUT := $(BIN)/BENCH_sim.json
 BASELINE := BENCH_baseline.json
 PROFILES := profiles
 
-# Gated benchmarks: the sim-kernel microbenches whose ns/op, B/op, and
-# allocs/op are compared against $(BASELINE) by `make benchdiff`.
+# Gated benchmarks: the sim-kernel microbenches and the MPI message-path
+# benches, whose ns/op, B/op, and allocs/op are compared against
+# $(BASELINE) by `make benchdiff`.
 # -benchtime is pinned and -count >= 3 (benchdiff takes the per-metric
 # minimum) so the ns/op band is not defeated by runner noise; the band
 # itself is configurable for noisier machines (hosted runners).
 GATED_PKG       := ./internal/sim
+MPI_PKG         := ./internal/mpi
 GATED_BENCHTIME := 500ms
 GATED_COUNT     := 3
 BENCHDIFF_BAND  ?= 40
 
-.PHONY: all build test race lint vet vuln fuzz bench bench-baseline benchdiff bench-profile profgate ci clean
+.PHONY: all build test bench-test race lint vet vuln fuzz bench bench-baseline benchdiff bench-profile profgate ci clean
 
 all: build
 
@@ -26,6 +28,14 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The benchmark module's own suite (bench/ is a separate module, so
+# `go test ./...` above never enters it): the committed per-workload
+# digests, untraced and traced, the ft256 vs ft256-shards2 equality and
+# the benchmark's lint check. It pins the reproduction's fixed point
+# from outside the simulator.
+bench-test:
+	cd bench && $(GO) test ./...
 
 # The plain -race sweep already covers everything; the second pass
 # re-runs the parallel drivers, the sharded-core equality tests and the
@@ -37,13 +47,15 @@ race:
 	$(GO) test -race -count=2 -run 'Parallel|Map|Shard' ./internal/exec ./internal/cluster ./internal/campaign ./internal/sim ./internal/mpi ./internal/netsim
 
 # Simulator throughput benchmarks, archived as NDJSON (one go test
-# -json event per line): the sim-kernel microbenches (gated — pinned
-# -benchtime, -count 3), the streaming trace pipeline at 1×/4×/16×
+# -json event per line): the sim-kernel microbenches and the MPI
+# message-path benches (gated — pinned -benchtime, -count 3), the
+# streaming trace pipeline at 1×/4×/16×
 # duration (gated — allocs/op must stay flat as the trace grows), the
 # 8-cell campaign matrix at parallelism 1 vs 8 (their ratio is the
 # fan-out speedup on this machine), one end-to-end paper figure, the
-# 256-rank sharded-FT run at 1 vs 4 event-core shards (its speedup
-# metric is the within-run parallelism gain), and the repolint
+# 256-rank sharded-FT run at 1 vs 2 event-core shards (its speedup
+# metric is the within-run parallelism gain, reported beside
+# GOMAXPROCS), and the repolint
 # self-benchmarks (full module load + all analyzers, plus the
 # flow-sensitive detflow/hotalloc pass alone) so lint wall-time
 # regressions are tracked alongside sim throughput.
@@ -55,6 +67,7 @@ bench:
 	@mkdir -p $(BIN)
 	: > $(BENCHOUT)
 	$(GO) test -json -run '^$$' -bench . -benchmem -benchtime $(GATED_BENCHTIME) -count $(GATED_COUNT) $(GATED_PKG) >> $(BENCHOUT)
+	$(GO) test -json -run '^$$' -bench . -benchmem -benchtime $(GATED_BENCHTIME) -count $(GATED_COUNT) $(MPI_PKG) >> $(BENCHOUT)
 	$(GO) test -json -run '^$$' -bench 'TraceStream' -benchmem -benchtime $(GATED_BENCHTIME) -count $(GATED_COUNT) ./internal/trace >> $(BENCHOUT)
 	$(GO) test -json -run '^$$' -bench 'Campaign8' -benchmem ./internal/campaign >> $(BENCHOUT)
 	$(GO) test -json -run '^$$' -bench 'Fig3FTClassB' -benchmem . >> $(BENCHOUT)
@@ -138,7 +151,7 @@ vuln:
 		echo "govulncheck not installed; skipping"; \
 	fi
 
-ci: build test lint race profgate benchdiff fuzz vuln
+ci: build test bench-test lint race profgate benchdiff fuzz vuln
 
 clean:
 	rm -rf $(BIN)
