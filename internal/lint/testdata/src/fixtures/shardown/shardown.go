@@ -89,13 +89,14 @@ func CapturedReadClean(g *sim.Group, limit sim.Time) {
 	})
 }
 
-// EngineAliasClean mirrors the mpi nicOn shape: ownership resolves
-// through range variables, method calls, and field selections.
+// EngineAliasClean schedules a node's own method on the node's own
+// engine: ownership resolves through range variables, method calls,
+// and field selections.
 func EngineAliasClean(nodes []*machine.Node) {
 	for i, n := range nodes {
 		eng := n.Engine()
 		eng.Schedule(sim.Time(i), func() {
-			n.SetNICActive(true)
+			n.NICBusy(sim.Time(i), sim.Time(i+1))
 		})
 	}
 }

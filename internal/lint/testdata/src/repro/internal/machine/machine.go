@@ -12,5 +12,5 @@ type Node struct{ eng *sim.Engine }
 
 func NewNode(eng *sim.Engine) *Node { return &Node{eng: eng} }
 
-func (n *Node) Engine() *sim.Engine  { return n.eng }
-func (n *Node) SetNICActive(on bool) {}
+func (n *Node) Engine() *sim.Engine       { return n.eng }
+func (n *Node) NICBusy(from, to sim.Time) {}

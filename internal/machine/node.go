@@ -79,6 +79,13 @@ type FreqChange struct {
 	To   dvfs.OperatingPoint
 }
 
+// nicEdge is one end of a NIC busy window: at t the count of open
+// windows rises (on) or falls.
+type nicEdge struct {
+	t  sim.Time
+	on bool
+}
+
 // Node is one cluster node: a DVS-capable CPU plus memory, disk, NIC and
 // board power sinks, with exact per-component energy integration and
 // utilization accounting.
@@ -93,7 +100,14 @@ type Node struct {
 	stateSeq  uint64 // bumped on every state change; guards async restores
 	lastFlush sim.Time
 
-	nicActive bool // NIC transferring: adds NICActive watts
+	// NIC busy windows (see NICBusy). nicOpen counts the windows open as
+	// of the last applied edge; while it is positive the NIC draws
+	// NICActive on top of NICIdle. nicEdges[nicHead:] are the edges not
+	// yet applied, ordered by time and, at equal times, by booking
+	// order.
+	nicOpen  int
+	nicEdges []nicEdge
+	nicHead  int
 
 	integ [power.NumComponents]power.Integrator // indexed by power.Component
 
@@ -114,7 +128,7 @@ func NewNode(eng *sim.Engine, id int, par Params) *Node {
 		cpu: par.CPUModel(),
 	}
 	n.lastFlush = eng.Now()
-	n.applyPower()
+	n.applyPower(n.lastFlush)
 	return n
 }
 
@@ -155,9 +169,8 @@ func (n *Node) activity() float64 {
 	}
 }
 
-// applyPower refreshes every component integrator at the current time.
-func (n *Node) applyPower() {
-	now := n.eng.Now()
+// applyPower refreshes every component integrator at time now.
+func (n *Node) applyPower(now sim.Time) {
 	op := n.par.Table.At(n.opIdx)
 	n.integ[power.CPU].SetPower(now, n.cpu.Power(op, n.activity()))
 	memW := n.par.MemoryIdle
@@ -167,17 +180,16 @@ func (n *Node) applyPower() {
 	n.integ[power.Memory].SetPower(now, memW)
 	n.integ[power.Disk].SetPower(now, n.par.DiskIdle)
 	nicW := n.par.NICIdle
-	if n.nicActive {
+	if n.nicOpen > 0 {
 		nicW += n.par.NICActive
 	}
 	n.integ[power.NIC].SetPower(now, nicW)
 	n.integ[power.Board].SetPower(now, n.par.BoardIdle)
 }
 
-// flushTime books the elapsed interval into the utilization and
+// flushTime books the interval up to now into the utilization and
 // per-state counters.
-func (n *Node) flushTime() {
-	now := n.eng.Now()
+func (n *Node) flushTime(now sim.Time) {
 	d := now.Sub(n.lastFlush)
 	if d > 0 {
 		n.stateTime[n.state] += d
@@ -197,10 +209,12 @@ func (n *Node) SetState(s State) {
 	if s == n.state {
 		return
 	}
-	n.flushTime()
+	n.settleNIC()
+	now := n.eng.Now()
+	n.flushTime(now)
 	n.state = s
 	n.stateSeq++
-	n.applyPower()
+	n.applyPower(now)
 }
 
 // StateToken captures the current state-change sequence number. Paired
@@ -219,15 +233,68 @@ func (n *Node) RestoreState(token uint64, s State) bool {
 	return false
 }
 
-// SetNICActive marks the NIC as transferring (or not), adjusting its
-// power draw.
-func (n *Node) SetNICActive(active bool) {
-	if n.nicActive == active {
+// NICBusy marks the NIC as transferring over [from, to]: its draw rises
+// by NICActive at from and falls back at to, unless another window is
+// still open then. Windows may overlap or touch; a zero-length window
+// does nothing. It must be called from the node's own shard, with from
+// no earlier than the engine's clock.
+//
+// The window is node data, not events. Before every power change and
+// every read, the node applies each pending edge strictly before the
+// engine's current time, at the edge's own time: a change of the
+// open-window count between zero and one splits the utilization
+// counters and every component's integral there, as a state change at
+// that instant would. Edges at equal times apply in booking order. A
+// read at an edge's own instant therefore sees the power from before
+// the edge, like an observer that runs before the events at its time.
+func (n *Node) NICBusy(from, to sim.Time) {
+	if to <= from {
 		return
 	}
-	n.flushTime() // keep counters aligned with power segments
-	n.nicActive = active
-	n.applyPower()
+	n.bookNICEdge(nicEdge{t: from, on: true})
+	n.bookNICEdge(nicEdge{t: to})
+}
+
+// bookNICEdge inserts e after every pending edge at or before its time.
+// Bookings arrive nearly in time order, so the scan from the back is
+// short. Applied edges are reclaimed before the list would grow.
+func (n *Node) bookNICEdge(e nicEdge) {
+	if n.nicHead > 0 && len(n.nicEdges) == cap(n.nicEdges) {
+		n.nicEdges = n.nicEdges[:copy(n.nicEdges, n.nicEdges[n.nicHead:])]
+		n.nicHead = 0
+	}
+	n.nicEdges = append(n.nicEdges, e)
+	i := len(n.nicEdges) - 1
+	for ; i > n.nicHead && n.nicEdges[i-1].t > e.t; i-- {
+		n.nicEdges[i] = n.nicEdges[i-1]
+	}
+	n.nicEdges[i] = e
+}
+
+// settleNIC applies, in order, every pending NIC edge strictly before
+// the engine's current time (see NICBusy).
+func (n *Node) settleNIC() {
+	now := n.eng.Now()
+	for n.nicHead < len(n.nicEdges) && n.nicEdges[n.nicHead].t < now {
+		e := n.nicEdges[n.nicHead]
+		n.nicHead++
+		var flips bool
+		if e.on {
+			n.nicOpen++
+			flips = n.nicOpen == 1
+		} else {
+			n.nicOpen--
+			flips = n.nicOpen == 0
+		}
+		if flips {
+			n.flushTime(e.t)
+			n.applyPower(e.t)
+		}
+	}
+	if n.nicHead == len(n.nicEdges) {
+		n.nicEdges = n.nicEdges[:0]
+		n.nicHead = 0
+	}
 }
 
 // coreDuration converts core-clocked cycles at the current operating
@@ -393,13 +460,15 @@ func (n *Node) checkIdx(idx int) error {
 }
 
 func (n *Node) commitOP(idx int) {
+	n.settleNIC()
+	now := n.eng.Now()
 	from := n.par.Table.At(n.opIdx)
 	to := n.par.Table.At(idx)
 	n.opIdx = idx
 	n.transitions++
-	n.freqLog = append(n.freqLog, FreqChange{At: n.eng.Now(), From: from, To: to})
+	n.freqLog = append(n.freqLog, FreqChange{At: now, From: from, To: to})
 	n.integ[power.CPU].AddEnergy(power.Joules(n.par.Transition.Energy))
-	n.applyPower()
+	n.applyPower(now)
 }
 
 // SetFrequency moves to the table point closest to freq (blocking form).
@@ -416,6 +485,7 @@ func (n *Node) FreqLog() []FreqChange { return n.freqLog }
 // Utilization returns the cumulative busy and idle time as the OS would
 // report them in /proc/stat, up to the current instant.
 func (n *Node) Utilization() (busy, idle sim.Duration) {
+	n.settleNIC()
 	d := n.eng.Now().Sub(n.lastFlush)
 	busy, idle = n.busy, n.idle
 	if d > 0 {
@@ -430,6 +500,7 @@ func (n *Node) Utilization() (busy, idle sim.Duration) {
 
 // StateTime reports the cumulative time spent in state s.
 func (n *Node) StateTime(s State) sim.Duration {
+	n.settleNIC()
 	t := n.stateTime[s]
 	if n.state == s {
 		t += n.eng.Now().Sub(n.lastFlush)
@@ -440,10 +511,12 @@ func (n *Node) StateTime(s State) sim.Duration {
 // UtilizationAt is Utilization evaluated at a (recent) past instant t:
 // the counters are extrapolated through t instead of the engine clock.
 // Like power.Integrator.EnergyAt, the answer clamps at the last state
-// change, so it is exact whenever the node's state has not changed
-// since t — the case that matters for back-dated end-of-run snapshots
-// taken a lookahead window after the fact.
+// change or NIC window edge before the engine clock, so it is exact
+// whenever neither happened since t — the case that matters for
+// back-dated end-of-run snapshots taken a lookahead window after the
+// fact.
 func (n *Node) UtilizationAt(t sim.Time) (busy, idle sim.Duration) {
+	n.settleNIC()
 	d := t.Sub(n.lastFlush)
 	busy, idle = n.busy, n.idle
 	if d > 0 {
@@ -459,6 +532,7 @@ func (n *Node) UtilizationAt(t sim.Time) (busy, idle sim.Duration) {
 // StateTimeAt is StateTime evaluated at a (recent) past instant t,
 // with the same clamping rule as UtilizationAt.
 func (n *Node) StateTimeAt(s State, t sim.Time) sim.Duration {
+	n.settleNIC()
 	d := n.stateTime[s]
 	if n.state == s {
 		if extra := t.Sub(n.lastFlush); extra > 0 {
@@ -481,6 +555,7 @@ func (n *Node) TransitionsAt(t sim.Time) int {
 // EnergyAt returns the node's total energy consumed through time t,
 // summed over all components.
 func (n *Node) EnergyAt(t sim.Time) power.Joules {
+	n.settleNIC()
 	var sum power.Joules
 	for _, c := range power.Components() {
 		sum += n.integ[c].EnergyAt(t)
@@ -491,11 +566,13 @@ func (n *Node) EnergyAt(t sim.Time) power.Joules {
 // ComponentEnergyAt returns the energy consumed by one component
 // through time t.
 func (n *Node) ComponentEnergyAt(c power.Component, t sim.Time) power.Joules {
+	n.settleNIC()
 	return n.integ[c].EnergyAt(t)
 }
 
 // Power returns the node's instantaneous total draw.
 func (n *Node) Power() power.Watts {
+	n.settleNIC()
 	var sum power.Watts
 	for _, c := range power.Components() {
 		sum += n.integ[c].Power()
@@ -505,5 +582,6 @@ func (n *Node) Power() power.Watts {
 
 // ComponentPower returns one component's instantaneous draw.
 func (n *Node) ComponentPower(c power.Component) power.Watts {
+	n.settleNIC()
 	return n.integ[c].Power()
 }

@@ -163,23 +163,109 @@ func TestMemoryStateActivatesDRAMPower(t *testing.T) {
 	run(t, e)
 }
 
-func TestNICActivePower(t *testing.T) {
-	e, n := newTestNode(t)
-	e.Spawn("w", func(p *sim.Proc) {
-		idleP := n.Power()
-		n.SetNICActive(true)
-		activeP := n.Power()
-		want := float64(DefaultParams().NICActive)
-		if math.Abs(float64(activeP-idleP)-want) > 1e-9 {
-			t.Errorf("NIC delta = %v want %v", activeP-idleP, want)
-		}
-		n.SetNICActive(true) // idempotent
-		n.SetNICActive(false)
-		if n.Power() != idleP {
-			t.Error("NIC power not restored")
-		}
-	})
-	run(t, e)
+// nicStep is one step of a NICBusy scenario, at time at (in ns): book
+// the window [from, to], or, when to is zero, read the NIC and expect
+// it busy or idle.
+type nicStep struct {
+	at, from, to sim.Time
+	busy         bool
+}
+
+func TestNICBusy(t *testing.T) {
+	book := func(at, from, to sim.Time) nicStep { return nicStep{at: at, from: from, to: to} }
+	read := func(at sim.Time, busy bool) nicStep { return nicStep{at: at, busy: busy} }
+	cases := []struct {
+		name  string
+		steps []nicStep
+		// splits are the instants at which the NIC's open-window count
+		// goes between zero and one: every component's integral must be
+		// split there, and nowhere else.
+		splits []sim.Time
+	}{
+		{"single window", []nicStep{
+			book(0, 1_013, 2_029), read(500, false),
+			read(1_013, false), // an edge's own instant: power from before it
+			read(1_500, true), read(2_029, true), read(2_500, false),
+		}, []sim.Time{1_013, 2_029}},
+		{"zero-length window", []nicStep{
+			book(0, 1_013, 1_013), read(1_013, false), read(1_500, false),
+		}, nil},
+		{"overlapping windows", []nicStep{
+			book(0, 1_013, 3_041), book(0, 2_029, 4_057),
+			read(2_500, true), read(3_500, true), read(4_057, true), read(4_500, false),
+		}, []sim.Time{1_013, 4_057}},
+		{"touching windows", []nicStep{
+			book(0, 1_013, 2_029), book(0, 2_029, 3_041),
+			read(2_029, true), read(2_500, true), read(3_500, false),
+		}, []sim.Time{1_013, 2_029, 2_029, 3_041}},
+		{"window booked before pending ones", []nicStep{
+			book(0, 1_013, 2_029), book(0, 3_041, 4_057),
+			book(500, 601, 709), // lands ahead of the two still pending
+			read(650, true), read(800, false), read(1_500, true),
+			read(2_500, false), read(3_500, true), read(4_500, false),
+		}, []sim.Time{601, 709, 1_013, 2_029, 3_041, 4_057}},
+		{"equal times in booking order", []nicStep{
+			// A split at 1611 would change the board energy's last bit.
+			book(0, 1_611, 2_029),
+			book(500, 601, 1_611), // its end follows the first window's start
+			read(800, true), read(1_611, true), read(1_800, true), read(2_500, false),
+		}, []sim.Time{601, 2_029}},
+	}
+	par := DefaultParams()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e, n := newTestNode(t)
+			end := sim.Time(5_003)
+			e.Spawn("w", func(p *sim.Proc) {
+				idleTotal := n.Power()
+				for _, st := range tc.steps {
+					p.Sleep(st.at.Sub(p.Now()))
+					if st.to != 0 {
+						n.NICBusy(st.from, st.to)
+						continue
+					}
+					want := par.NICIdle
+					if st.busy {
+						want += par.NICActive
+					}
+					if got := n.ComponentPower(power.NIC); got != want {
+						t.Errorf("NIC draw at %dns = %v, want %v", st.at, got, want)
+					}
+					if d := float64(n.Power() - idleTotal - (want - par.NICIdle)); math.Abs(d) > 1e-9 {
+						t.Errorf("node draw at %dns is %v off the NIC delta", st.at, d)
+					}
+				}
+				p.Sleep(end.Sub(p.Now()))
+			})
+			run(t, e)
+
+			// Replay the expected splits on bare integrators: the node's
+			// energies must match bit for bit.
+			var board, nic power.Integrator
+			board.SetPower(0, par.BoardIdle)
+			nic.SetPower(0, par.NICIdle)
+			busy := false
+			for _, at := range tc.splits {
+				busy = !busy
+				w := par.NICIdle
+				if busy {
+					w += par.NICActive
+				}
+				board.SetPower(at, par.BoardIdle)
+				nic.SetPower(at, w)
+			}
+			if got, want := n.ComponentEnergyAt(power.Board, end), board.EnergyAt(end); got != want {
+				t.Errorf("board energy %v (%#x), want %v (%#x) from splits %d",
+					got, math.Float64bits(float64(got)), want, math.Float64bits(float64(want)), tc.splits)
+			}
+			if got, want := n.ComponentEnergyAt(power.NIC, end), nic.EnergyAt(end); got != want {
+				t.Errorf("NIC energy %v, want %v from splits %d", got, want, tc.splits)
+			}
+			if len(n.nicEdges) != 0 || n.nicOpen != 0 {
+				t.Errorf("after the run: %d edges pending, %d windows open", len(n.nicEdges), n.nicOpen)
+			}
+		})
+	}
 }
 
 func TestUtilizationAccounting(t *testing.T) {

@@ -87,7 +87,6 @@ type World struct {
 	sw    netsim.Fabric
 	cfg   Config
 	ranks []*Rank
-	nic   []int    // active-transfer refcount per node
 	xseq  []uint64 // per-source-rank arrival sequence (claimed on the source shard)
 	shard []int    // rank -> shard index
 
@@ -117,7 +116,6 @@ func NewWorld(g *sim.Group, nodes []*machine.Node, sw netsim.Fabric, cfg Config)
 		group:        g,
 		sw:           sw,
 		cfg:          cfg,
-		nic:          make([]int, len(nodes)),
 		xseq:         make([]uint64, len(nodes)),
 		shard:        make([]int, len(nodes)),
 		nextCommSlot: 1,
@@ -194,28 +192,17 @@ func (w *World) post(src, dst int, t sim.Time, fn func()) {
 	w.ranks[dst].eng().PostArrival(t, src, w.xseq[src], fn)
 }
 
-// nicOn marks node's NIC active over [from, to] (refcounted, since
-// transfer windows from different messages overlap). It must be called
-// from the node's own shard: the sender marks its side at Send time,
-// the receiver marks its side when the arrival fires.
+// nicOn marks node's NIC busy over [from, to]. One direction's windows
+// never overlap, because its link serializes them, but they touch when
+// messages queue back to back; a transmit window and a receive window
+// can overlap. The node keeps the windows as data and applies their
+// edges lazily, so no event is scheduled. It must be called from the
+// node's own shard: the sender marks its side at Send time, the
+// receiver marks its side when the arrival fires.
 //
 //lint:hotpath runs on both ends of every simulated message
 func (w *World) nicOn(node int, from, to sim.Time) {
-	if to <= from {
-		return
-	}
-	n := w.ranks[node].node
-	eng := n.Engine()
-	eng.Schedule(from, func() { //lint:allow hotalloc (one closure per NIC window start; a per-message mpi allocation still to be pooled)
-		w.nic[node]++
-		n.SetNICActive(true)
-	})
-	eng.Schedule(to, func() { //lint:allow hotalloc (one closure per NIC window end; a per-message mpi allocation still to be pooled)
-		w.nic[node]--
-		if w.nic[node] == 0 {
-			n.SetNICActive(false)
-		}
-	})
+	w.ranks[node].node.NICBusy(from, to)
 }
 
 // Message is a delivered MPI message.

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/netsim"
+	"repro/internal/power"
 	"repro/internal/sim"
 )
 
@@ -464,10 +465,11 @@ func TestCommunicationEnergyAccrues(t *testing.T) {
 			t.Fatalf("rank %d energy %v", i, eJ)
 		}
 	}
-	// NIC refcounts must be balanced at the end.
-	for i, c := range w.nic {
-		if c != 0 {
-			t.Fatalf("node %d NIC refcount %d", i, c)
+	// Every NIC window must have closed by the end.
+	for i := 0; i < 2; i++ {
+		n := w.Rank(i).Node()
+		if got, want := n.ComponentPower(power.NIC), n.Params().NICIdle; got != want {
+			t.Fatalf("node %d NIC draws %v after the run, want its idle %v", i, got, want)
 		}
 	}
 }
