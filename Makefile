@@ -19,7 +19,7 @@ GATED_BENCHTIME := 500ms
 GATED_COUNT     := 3
 BENCHDIFF_BAND  ?= 40
 
-.PHONY: all build test bench-test race lint vet vuln fuzz bench bench-baseline benchdiff bench-profile profgate ci clean
+.PHONY: all build test bench-test race lint vuln fuzz bench bench-baseline benchdiff bench-profile profgate ci clean
 
 all: build
 
@@ -119,19 +119,18 @@ $(REPOLINT): $(shell find internal/lint cmd/repolint -name '*.go' -not -path '*/
 	@mkdir -p $(BIN)
 	$(GO) build -o $(REPOLINT) ./cmd/repolint
 
-# Run the repolint analyzers over the whole module via go vet's vettool
-# protocol (type-checks against export data, caches per package), then
-# one standalone pass against the per-analyzer wall-time ceilings in
+# Run go vet's own analyzers first (copylocks among them: a -vettool
+# run replaces them, and go test runs only a subset), then the repolint
+# analyzers over the whole module via go vet's vettool protocol
+# (type-checks against export data, caches per package), then one
+# standalone pass against the per-analyzer wall-time ceilings in
 # LINT_BUDGET.json: an analyzer whose cost regresses past its ceiling
 # (say, going quadratic on the module) fails lint even when its
 # diagnostics stay clean.
 lint: $(REPOLINT)
+	$(GO) vet ./...
 	$(GO) vet -vettool=$(CURDIR)/$(REPOLINT) ./...
 	$(REPOLINT) -budget LINT_BUDGET.json ./...
-
-# Standard go vet, without the custom analyzers.
-vet:
-	$(GO) vet ./...
 
 # Ten-second native-fuzzing smoke over the PWTR binary trace decoder:
 # arbitrary bytes must never panic the reader, and any stream it

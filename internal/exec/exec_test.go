@@ -84,10 +84,13 @@ func TestMapConcurrencyBound(t *testing.T) {
 	}
 }
 
-// TestMapEdgeSemantics pins the contract the sharedstate analyzer
-// assumes: a panicking fn propagates to the caller without deadlocking
-// the pool, n=0 never calls fn, and width > n degrades to n workers —
-// all at both the sequential and parallel widths.
+// TestMapEdgeSemantics pins the pool's contract: a panicking fn
+// propagates to the caller without deadlocking the pool, n=0 never
+// calls fn, and width > n degrades to n workers — all at both the
+// sequential and parallel widths. It also guards the WaitGroup
+// discipline: a wg.Add moved into the worker goroutine lets Wait
+// return before the workers are counted, and the width-greater-than-n
+// case fails.
 func TestMapEdgeSemantics(t *testing.T) {
 	cases := []struct {
 		name      string

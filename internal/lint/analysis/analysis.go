@@ -243,6 +243,43 @@ func IsTestFile(fset *token.FileSet, pos token.Pos) bool {
 	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
 }
 
+// simulatorPkgs are the packages a simulation cell executes or derives
+// its results in: their results must be a pure function of (config,
+// seed), and any of their exported functions may run inside a
+// concurrently running cell.
+var simulatorPkgs = []string{
+	"repro/internal/analysis",
+	"repro/internal/campaign",
+	"repro/internal/cluster",
+	"repro/internal/core",
+	"repro/internal/dvfs",
+	"repro/internal/dvs",
+	"repro/internal/machine",
+	"repro/internal/meter",
+	"repro/internal/mpi",
+	"repro/internal/netsim",
+	"repro/internal/power",
+	"repro/internal/powerpack",
+	"repro/internal/report",
+	"repro/internal/sim",
+	"repro/internal/stats",
+	"repro/internal/trace",
+	"repro/internal/workloads",
+}
+
+// IsSimulatorPackage reports whether path is a simulator package or
+// one of its subpackages. detflow bans nondeterminism sources in them
+// and treats their exported results as sinks; shardown roots its
+// package-level-write check at their exported functions.
+func IsSimulatorPackage(path string) bool {
+	for _, p := range simulatorPkgs {
+		if path == p || strings.HasPrefix(path, p+"/") {
+			return true
+		}
+	}
+	return false
+}
+
 // UsedPackage resolves a selector expression like time.Now to the
 // import path of the package qualifier ("time") if the expression's X
 // really is a package name (not a shadowing variable). ok is false for

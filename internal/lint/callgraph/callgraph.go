@@ -1,25 +1,21 @@
-// Package callgraph builds a package-local call graph with per-function
-// facts for the interprocedural repolint analyzers. Each function
-// declaration and each function literal in the package is a node; edges
-// record same-package static calls plus lexical containment (a function
-// "may execute" every literal it creates — conservatively true for the
+// Package callgraph builds a package-local call graph for the
+// interprocedural repolint analyzers. Each function declaration and
+// each function literal in the package is a node; edges record
+// same-package static calls plus lexical containment (a function "may
+// execute" every literal it creates — conservatively true for the
 // closures this repository schedules on the sim engine or hands to
-// exec.Map). Per-node facts summarize what the sharedstate and
-// concsafety analyzers need:
-//
-//   - which package-level variables the function writes (and whether a
-//     mutex Lock lexically precedes the write),
-//   - whether the function performs any synchronization (channel
-//     operations, sync.* or sync/atomic calls, select), and
-//   - whether it calls anything whose body this package cannot see.
+// exec.Map). Each node records which package-level variables it writes
+// and whether a mutex Lock lexically precedes each write; shardown
+// reads that fact.
 //
 // Facts propagate by graph reachability: an analyzer picks root nodes
-// (an exec.Map worker closure, an exported hot-path entry point) and
-// folds the facts of everything reachable from them. Cross-package
-// calls are not followed — instead every intra-module package is
-// analyzed with its own roots, which closes the module-wide argument
-// package by package without needing whole-program loading under the
-// "go vet -vettool" driver.
+// (an exec.Map worker closure, an exported simulator function, a
+// //lint:hotpath root) and folds the facts of everything reachable
+// from them; Summaries memoizes per-function results for the value
+// analyzers. Cross-package calls are not followed — instead every
+// intra-module package is analyzed with its own roots, which closes
+// the module-wide argument package by package without needing
+// whole-program loading under the "go vet -vettool" driver.
 package callgraph
 
 import (
@@ -64,14 +60,6 @@ type Node struct {
 	// Calls holds same-package static callees plus lexically contained
 	// literals, in source order, deduplicated.
 	Calls []*Node
-	// Syncs reports any synchronization in the body: channel send,
-	// receive, or close, select, or a call into sync or sync/atomic.
-	Syncs bool
-	// UnknownCalls reports calls whose target body this package cannot
-	// see (cross-package functions, function-typed values, interface
-	// methods). Analyzers that must avoid false positives treat an
-	// unknown call as "could do anything", including synchronize.
-	UnknownCalls bool
 
 	// locks holds positions of Lock/RLock calls on sync mutexes within
 	// this body, for the lexical guard check.
@@ -202,14 +190,6 @@ func (g *Graph) analyze(node *Node, body ast.Node, info *types.Info) {
 			}
 		case *ast.IncDecStmt:
 			g.recordWrite(node, n.X, info)
-		case *ast.SendStmt:
-			node.Syncs = true
-		case *ast.SelectStmt:
-			node.Syncs = true
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				node.Syncs = true
-			}
 		case *ast.CallExpr:
 			g.recordCall(node, n, info)
 		}
@@ -300,8 +280,10 @@ func identObj(id *ast.Ident, info *types.Info) types.Object {
 }
 
 // recordCall classifies one call: a same-package static call becomes an
-// edge; sync/atomic and mutex calls set the synchronization facts;
-// anything unresolvable marks UnknownCalls.
+// edge, and a sync mutex Lock/RLock is recorded for the guard check.
+// Immediately-invoked literals are covered by the containment edge
+// addLiterals adds; other calls (function values, interface methods,
+// other packages) add nothing.
 func (g *Graph) recordCall(node *Node, call *ast.CallExpr, info *types.Info) {
 	fun := ast.Unparen(call.Fun)
 	// Generic instantiations: exec.Map[int](...) arrives as an index
@@ -315,51 +297,27 @@ func (g *Graph) recordCall(node *Node, call *ast.CallExpr, info *types.Info) {
 
 	switch fn := fun.(type) {
 	case *ast.Ident:
-		switch obj := identObj(fn, info).(type) {
-		case *types.Func:
+		if obj, ok := identObj(fn, info).(*types.Func); ok {
 			g.edge(node, obj)
-		case *types.Builtin:
-			if obj.Name() == "close" {
-				node.Syncs = true
-			}
-		case *types.TypeName:
-			// conversion: no call
-		default:
-			node.UnknownCalls = true // function-typed value
 		}
 	case *ast.SelectorExpr:
 		obj, ok := identObj(fn.Sel, info).(*types.Func)
 		if !ok {
-			if _, isType := identObj(fn.Sel, info).(*types.TypeName); !isType {
-				node.UnknownCalls = true
-			}
 			return
 		}
-		if pkg := obj.Pkg(); pkg != nil {
-			switch pkg.Path() {
-			case "sync", "sync/atomic":
-				node.Syncs = true
-				if obj.Name() == "Lock" || obj.Name() == "RLock" {
-					node.locks = append(node.locks, call.Pos())
-				}
-				return
-			}
+		if pkg := obj.Pkg(); pkg != nil && pkg.Path() == "sync" && (obj.Name() == "Lock" || obj.Name() == "RLock") {
+			node.locks = append(node.locks, call.Pos())
+			return
 		}
 		g.edge(node, obj)
-	case *ast.FuncLit:
-		// Immediately-invoked literal: the containment edge added in
-		// addLiterals already covers it.
-	default:
-		node.UnknownCalls = true
 	}
 }
 
 // edge links node to the callee when the callee is declared in this
-// package; otherwise it records an unknown (cross-package) call.
+// package.
 func (g *Graph) edge(node *Node, callee *types.Func) {
 	target, ok := g.byFn[callee]
 	if !ok {
-		node.UnknownCalls = true
 		return
 	}
 	for _, c := range node.Calls {

@@ -2,11 +2,12 @@
 // must be a pure function of (config, seed). One table of
 // nondeterminism sources drives two checks.
 //
-// The call-site ban: inside the deterministic packages (internal/sim,
-// machine, cluster, dvs, dvfs, workloads, campaign, report) any
-// reference to a banned source is reported where it is made, whether
-// or not its value flows anywhere. Simulated time comes from the sim
-// clock, randomness from a seeded *rand.Rand carried in config.
+// The call-site ban: inside the deterministic packages (the simulator
+// packages of analysis.IsSimulatorPackage: internal/sim and everything
+// a running cell executes or derives its results in) any reference to
+// a banned source is reported where it is made, whether or not its
+// value flows anywhere. Simulated time comes from the sim clock,
+// randomness from a seeded *rand.Rand carried in config.
 //
 // The flow check: everywhere else, detflow taints the VALUES sources
 // produce and follows them along def-use chains (internal/lint/
@@ -78,30 +79,6 @@ var Analyzer = &analysis.Analyzer{
 		"iteration order, select order, %p) from flowing into exported results, " +
 		"JSON/CSV encodings, or cmd output; sort map keys before emission",
 	Run: run,
-}
-
-// detPkgs are the packages whose behaviour must be bit-identical for
-// identical (config, seed): the simulation kernel, everything feeding
-// the paper's tables, and the result layers above them. Sources are
-// banned here, and exported return values are sinks.
-var detPkgs = []string{
-	"repro/internal/sim",
-	"repro/internal/machine",
-	"repro/internal/cluster",
-	"repro/internal/dvs",
-	"repro/internal/dvfs",
-	"repro/internal/workloads",
-	"repro/internal/campaign",
-	"repro/internal/report",
-}
-
-func isDetPkg(path string) bool {
-	for _, p := range detPkgs {
-		if path == p || strings.HasPrefix(path, p+"/") {
-			return true
-		}
-	}
-	return false
 }
 
 // isCmdPkg reports whether path is a command: everything a command
@@ -184,7 +161,7 @@ func run(pass *analysis.Pass) error {
 	if len(files) == 0 {
 		return nil
 	}
-	d := &checker{pass: pass, det: isDetPkg(pass.Pkg.Path())}
+	d := &checker{pass: pass, det: analysis.IsSimulatorPackage(pass.Pkg.Path())}
 	d.sums = callgraph.NewSummaries(callgraph.Build(pass.Fset, files, pass.TypesInfo),
 		summary{argFlow: true}, d.summarize)
 	for _, f := range files {

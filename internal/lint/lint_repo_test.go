@@ -1,9 +1,9 @@
 // Package lint holds the repo-wide clean-lint meta-tests: every
 // repolint analyzer runs over every package in the module, and any
-// diagnostic — a regression against the determinism, float-equality,
-// unit-safety, panic-discipline, shared-state, concurrency-safety, or
-// error-audit gates — fails the build's test tier, not just the lint
-// tier. A second meta-test holds the suppression inventory to the
+// diagnostic — a regression against the determinism, shard-ownership,
+// float-equality, unit-safety, panic-discipline, allocation, protocol,
+// range, or error-audit gates — fails the build's test tier, not just
+// the lint tier. A second meta-test holds the suppression inventory to the
 // directive grammar: every "//lint:allow" must be well-formed, name
 // registered analyzers, and still silence at least one diagnostic.
 package lint

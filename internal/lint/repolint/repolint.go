@@ -9,7 +9,6 @@ package repolint
 
 import (
 	"repro/internal/lint/analysis"
-	"repro/internal/lint/concsafety"
 	"repro/internal/lint/detflow"
 	"repro/internal/lint/erraudit"
 	"repro/internal/lint/floateq"
@@ -18,25 +17,23 @@ import (
 	"repro/internal/lint/profgate"
 	"repro/internal/lint/rangecheck"
 	"repro/internal/lint/shardown"
-	"repro/internal/lint/sharedstate"
 	"repro/internal/lint/typestate"
 	"repro/internal/lint/unitsafety"
 )
 
 // registry is the full repolint suite, in reporting order: the three
-// intra-function gates from v1, the v2 interprocedural gates built on
-// internal/lint/callgraph, the v3 flow-sensitive gates built on
-// internal/lint/dataflow, the v4 profile-guided gate (a no-op unless
-// REPOLINT_PROFILES points at benchmark CPU profiles; see `make
-// profgate`), the v5 shard-ownership and API-protocol gates for the
-// parallel core, and the v6 numeric range gate built on the interval
-// abstract domain (dataflow.RunIntervals).
+// intra-function gates from v1, the v2 error audit, the v3
+// flow-sensitive gates built on internal/lint/dataflow, the v4
+// profile-guided gate (a no-op unless REPOLINT_PROFILES points at
+// benchmark CPU profiles; see `make profgate`), the v5 shard-ownership
+// gate (which also polices exec.Map workers and, over
+// internal/lint/callgraph, package-level writes) and API-protocol gate
+// for the parallel core, and the v6 numeric range gate built on the
+// interval abstract domain (dataflow.RunIntervals).
 var registry = []*analysis.Analyzer{
 	floateq.Analyzer,
 	unitsafety.Analyzer,
 	panicfree.Analyzer,
-	sharedstate.Analyzer,
-	concsafety.Analyzer,
 	erraudit.Analyzer,
 	detflow.Analyzer,
 	hotalloc.Analyzer,

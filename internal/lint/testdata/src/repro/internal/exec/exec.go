@@ -1,5 +1,5 @@
-// Package exec is a fixture stub of the real worker pool: the
-// sharedstate analyzer identifies worker closures by this import path
+// Package exec is a fixture stub of the real worker pool: the shardown
+// and typestate analyzers identify exec.Map calls by this import path
 // and the Map name, so fixtures import it exactly as production code
 // does. The sequential body is irrelevant to the analysis.
 package exec

@@ -1,7 +1,8 @@
-// Package statefixture exercises the hot-path rooting rule: it lives
-// under repro/internal/sim/, so every exported function is treated as
-// reachable from a concurrently running simulation cell and must not
-// touch package-level state unsynchronized — no exec.Map call in sight.
+// Package statefixture exercises shardown's simulator-package rooting
+// rule: it lives under repro/internal/sim/, so every exported function
+// is treated as reachable from a concurrently running simulation cell
+// and must not touch package-level state unsynchronized — no exec.Map
+// call in sight.
 package statefixture
 
 import "sync"
@@ -36,7 +37,7 @@ func Guarded() {
 
 // Suppressed documents a deliberate exception.
 func Suppressed() {
-	local = 1 //lint:allow sharedstate (single-threaded init path, set before any cell starts)
+	local = 1 //lint:allow shardown (single-threaded init path, set before any cell starts)
 }
 
 // unexportedScratch is not a root and nothing exported reaches it, so
