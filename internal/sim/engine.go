@@ -23,6 +23,7 @@ type Engine struct {
 	procs   map[*Proc]struct{} // all live (not yet terminated) processes
 	idle    []*coro            // coroutines whose last body ended, reused LIFO
 	blocked int                // live processes currently parked on a primitive
+	fired   uint64             // events fired so far (see Fired)
 	running bool
 	closed  bool
 	failure error // first process panic, reported by Run
@@ -208,6 +209,7 @@ func (e *Engine) fire(ev *event) {
 	if ev.t > e.now {
 		e.now = ev.t
 	}
+	e.fired++
 	kind, fn, p, tm := ev.kind, ev.fn, ev.p, ev.tm
 	e.queue.drop()
 	switch kind {
@@ -277,6 +279,11 @@ func (e *Engine) resumeProc(kind eventKind, p *Proc) {
 	}
 	p.co.next()
 }
+
+// Fired reports how many events the engine has fired since it was
+// created, stale process wakes included. A Group's total is the sum
+// over its shard engines, and it does not depend on the shard count.
+func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports the number of events waiting in the queue.
 func (e *Engine) Pending() int { return e.queue.Len() }

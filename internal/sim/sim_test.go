@@ -438,3 +438,25 @@ func TestEnginePending(t *testing.T) {
 		t.Fatal("queue not drained")
 	}
 }
+
+func TestFiredCountsEveryEventKind(t *testing.T) {
+	e := NewEngine()
+	e.Schedule(Time(10), func() {})
+	c := NewCond(e)
+	e.Spawn("sleeper", func(p *Proc) { // start
+		p.Sleep(5) // wake
+		c.Wait(p)  // deliver
+	})
+	e.Spawn("waker", func(p *Proc) { // start
+		p.Sleep(20) // wake
+		c.Signal(nil)
+	})
+	tm := e.NewTimer(func() {})
+	tm.Reset(Time(30)) // timer
+	if _, err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Fired(); got != 7 {
+		t.Fatalf("Fired() = %d, want 7", got)
+	}
+}

@@ -1,0 +1,68 @@
+package workloads
+
+import (
+	"testing"
+
+	"repro/internal/machine"
+	"repro/internal/mpi"
+	"repro/internal/netsim"
+	"repro/internal/powerpack"
+	"repro/internal/sim"
+)
+
+// firedEvents runs body on every rank of an n-rank world split over
+// the given number of event-core shards and returns the events fired,
+// summed over the shards.
+func firedEvents(t *testing.T, shards, n int, body func(ctx Ctx)) uint64 {
+	t.Helper()
+	g := sim.NewGroup(shards, netsim.Default100Mb().Latency)
+	defer g.Close()
+	nodes := make([]*machine.Node, n)
+	for i := range nodes {
+		nodes[i] = machine.NewNode(g.Engine(i*shards/n), i, machine.DefaultParams())
+	}
+	world := mpi.NewWorld(g, nodes, netsim.New(g.Engine(0), n, netsim.Default100Mb()), mpi.DefaultConfig())
+	// The node contexts share one profiler, so they are made here, not
+	// on the shards.
+	prof := powerpack.NewProfiler()
+	ctxs := make([]*powerpack.NodeCtx, n)
+	for i := range ctxs {
+		ctxs[i] = powerpack.NewNodeCtx(nodes[i], prof, nil)
+	}
+	world.SpawnRanks(func(p *sim.Proc, r *mpi.Rank) {
+		body(Ctx{P: p, Rank: r, Node: nodes[r.ID()], PP: ctxs[r.ID()]})
+	})
+	if _, err := g.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	var fired uint64
+	for i := 0; i < g.Size(); i++ {
+		fired += g.Engine(i).Fired()
+	}
+	return fired
+}
+
+// TestFiredEventCounts pins the number of events the event core fires
+// for an eager all-to-all and for one FT iteration, whose transpose is
+// rendezvous-sized. A change to the message path that keeps every event
+// key keeps these totals; a change that adds or drops events moves
+// them. The totals must not depend on the shard count.
+func TestFiredEventCounts(t *testing.T) {
+	ft := NewFT('A', 16)
+	ft.IterOverride = 1
+	cases := []struct {
+		name string
+		body func(ctx Ctx)
+		want uint64
+	}{
+		{"alltoall16", func(ctx Ctx) { ctx.Rank.Alltoall(ctx.P, 2048) }, 1952},
+		{"ftA16", ft.Run, 3889},
+	}
+	for _, c := range cases {
+		for _, shards := range []int{1, 2} {
+			if got := firedEvents(t, shards, 16, c.body); got != c.want {
+				t.Errorf("%s on %d shards: %d events fired, want %d", c.name, shards, got, c.want)
+			}
+		}
+	}
+}
