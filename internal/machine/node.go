@@ -297,9 +297,13 @@ func (n *Node) settleNIC() {
 	}
 }
 
-// coreDuration converts core-clocked cycles at the current operating
-// point into time, including the small bus-ratio stall penalty.
-func (n *Node) coreDuration(cycles float64) sim.Duration {
+// CoreDuration converts core-clocked cycles at the current operating
+// point into time, including the small bus-ratio stall penalty. Code
+// that charges work from event context rather than from a process (the
+// MPI library's eager Isend) converts with it when the charge starts
+// and brackets the charge with SetState and RestoreState, as the work
+// primitives do.
+func (n *Node) CoreDuration(cycles float64) sim.Duration {
 	if cycles <= 0 {
 		return 0
 	}
@@ -320,7 +324,7 @@ func (n *Node) coreDuration(cycles float64) sim.Duration {
 //lint:hotpath
 //lint:range cycles [0,inf]
 func (n *Node) Compute(p *sim.Proc, cycles float64) {
-	n.inState(p, Compute, n.coreDuration(cycles))
+	n.inState(p, Compute, n.CoreDuration(cycles))
 }
 
 // ComputeFlops is Compute with work expressed in floating-point
@@ -343,7 +347,7 @@ func (n *Node) MemoryRounds(p *sim.Proc, accesses int64) {
 	if accesses <= 0 {
 		return
 	}
-	core := n.coreDuration(float64(accesses) * n.par.MemCyclesPerAccess)
+	core := n.CoreDuration(float64(accesses) * n.par.MemCyclesPerAccess)
 	total := core + sim.Duration(accesses)*n.par.MemLatency
 	n.inState(p, MemoryStall, total)
 }
@@ -354,7 +358,7 @@ func (n *Node) L2Rounds(p *sim.Proc, accesses int64) {
 	if accesses <= 0 {
 		return
 	}
-	n.inState(p, Compute, n.coreDuration(float64(accesses)*n.par.L2CyclesPerAccess))
+	n.inState(p, Compute, n.CoreDuration(float64(accesses)*n.par.L2CyclesPerAccess))
 }
 
 // CopyBytes models an MPI buffer copy of size bytes: memory-bound
@@ -367,7 +371,7 @@ func (n *Node) CopyBytes(p *sim.Proc, bytes int64) {
 	lines := (bytes + lineBytes - 1) / lineBytes
 	// Copies stream through caches with hardware prefetch: cheaper per
 	// line than dependent-load MemoryRounds by roughly 4x.
-	core := n.coreDuration(float64(lines) * n.par.MemCyclesPerAccess)
+	core := n.CoreDuration(float64(lines) * n.par.MemCyclesPerAccess)
 	total := core + sim.Duration(lines)*n.par.MemLatency/4
 	n.inState(p, Copy, total)
 }
@@ -380,7 +384,7 @@ func (n *Node) CopyBytes(p *sim.Proc, bytes int64) {
 //
 //lint:hotpath
 func (n *Node) CopyCycles(p *sim.Proc, cycles float64) {
-	n.inState(p, Copy, n.coreDuration(cycles))
+	n.inState(p, Copy, n.CoreDuration(cycles))
 }
 
 // IdleFor parks the node idle for d.

@@ -61,15 +61,17 @@ func (v view) send(pos, tag int, size int64, payload any) {
 	v.r.send(v.p, v.world(pos), tag, size, payload)
 }
 
+// isend starts a send whose request comes from the rank's free list;
+// wait hands it back.
 func (v view) isend(pos, tag int, size int64, payload any) *Request {
-	return v.r.isend(v.p, v.world(pos), tag, size, payload)
+	return v.r.isendPooled(v.p, v.world(pos), tag, size, payload)
 }
 
 func (v view) recv(pos, tag int) *Message {
 	return v.r.recvColl(v.p, v.world(pos), tag)
 }
 
-func (v view) wait(q *Request) { v.r.Wait(v.p, q) }
+func (v view) wait(q *Request) { v.r.waitPooled(v.p, q) }
 
 // worldView is the whole-world group for this rank.
 func (r *Rank) worldView(p *sim.Proc) view {

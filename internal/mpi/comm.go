@@ -194,7 +194,9 @@ func (c *Comm) Recv(p *sim.Proc, src, tag int) *Message {
 
 // Isend is Send in the background.
 func (c *Comm) Isend(p *sim.Proc, dst, tag int, size int64, payload any) *Request {
-	return c.r.isend(p, c.WorldRank(dst), c.ctag(tag), size, payload)
+	q := c.r.newRequest()
+	c.r.isend(p, q, c.WorldRank(dst), c.ctag(tag), size, payload)
+	return q
 }
 
 // Wait blocks until the request completes.
@@ -202,9 +204,9 @@ func (c *Comm) Wait(p *sim.Proc, q *Request) *Message { return c.r.Wait(p, q) }
 
 // Sendrecv exchanges within the communicator.
 func (c *Comm) Sendrecv(p *sim.Proc, dst, sendTag int, size int64, payload any, src, recvTag int) *Message {
-	sq := c.Isend(p, dst, sendTag, size, payload)
+	sq := c.r.isendPooled(p, c.WorldRank(dst), c.ctag(sendTag), size, payload)
 	m := c.Recv(p, src, recvTag)
-	c.r.Wait(p, sq)
+	c.r.waitPooled(p, sq)
 	return m
 }
 

@@ -137,9 +137,8 @@ func NewWorld(g *sim.Group, nodes []*machine.Node, sw netsim.Fabric, cfg Config)
 			node:       n,
 			rendezvous: make(map[int64]*sim.Cond),
 			dataWait:   make(map[rdKey]*sim.Cond),
-			sendSeq:    make(map[int]int64),
-			expectSeq:  make(map[int]int64),
-			stashed:    make(map[int]map[int64]*Message),
+			sendSeq:    make([]int64, len(nodes)),
+			expectSeq:  make([]int64, len(nodes)),
 			isendName:  fmt.Sprintf("rank%d.isend", i),
 			irecvName:  fmt.Sprintf("rank%d.irecv", i),
 		}
@@ -260,10 +259,25 @@ type Rank struct {
 	// one sender carry a sequence number; a receiver only admits them
 	// to matching in order, stashing early arrivals. Without this, a
 	// latency-only RTS could overtake an eager message still
-	// serializing on the wire.
-	sendSeq   map[int]int64
-	expectSeq map[int]int64
+	// serializing on the wire. The counters are dense, indexed by world
+	// rank; the stash is made on the first early arrival and consulted
+	// only while nstashed is nonzero.
+	sendSeq   []int64 // next sequence number toward each destination
+	expectSeq []int64 // next sequence number admitted from each source
 	stashed   map[int]map[int64]*Message
+	nstashed  int
+
+	// Free lists of the records a message path needs, each touched only
+	// on this rank's shard. A list grows to the peak number of its
+	// records in use at once and then recycles them. flights holds
+	// in-flight records: transmit takes one here and the delivery
+	// returns it to the receiving rank's list. sends holds eager Isend
+	// records, reqs the requests of the library's own Isends
+	// (collectives and Sendrecv), and recvs posted receives.
+	flights []*flight
+	sends   []*sendRec
+	reqs    []*Request
+	recvs   []*postedRecv
 
 	collSeq int // per-rank collective sequence (SPMD-aligned)
 
@@ -280,8 +294,12 @@ type Rank struct {
 	stats Stats
 }
 
+// postedRecv is a receive waiting for its envelope. admit stores the
+// match in msg before it signals cond, so a match that lands before
+// anyone waits (Irecv posts before its helper runs) is kept.
 type postedRecv struct {
 	src, tag int
+	msg      *Message
 	cond     *sim.Cond
 }
 
@@ -326,24 +344,13 @@ func (r *Rank) deliver(m *Message) {
 		// Enforce per-sender envelope order: admit in sequence,
 		// stashing early arrivals until their predecessors land.
 		if m.seq != r.expectSeq[m.Src] {
-			st := r.stashed[m.Src]
-			if st == nil {
-				st = make(map[int64]*Message) //lint:allow hotalloc (once per sender, on its first out-of-order arrival)
-				r.stashed[m.Src] = st
-			}
-			st[m.seq] = m
+			r.stash(m)
 			return
 		}
 		r.admit(m)
 		r.expectSeq[m.Src]++
-		for {
-			next, ok := r.stashed[m.Src][r.expectSeq[m.Src]]
-			if !ok {
-				break
-			}
-			delete(r.stashed[m.Src], r.expectSeq[m.Src])
-			r.admit(next)
-			r.expectSeq[m.Src]++
+		if r.nstashed > 0 {
+			r.admitStashed(m.Src)
 		}
 	case kindCTS:
 		c, ok := r.rendezvous[m.handle]
@@ -363,27 +370,124 @@ func (r *Rank) deliver(m *Message) {
 	}
 }
 
+// stash holds an envelope that arrived ahead of its predecessors from
+// the same sender.
+func (r *Rank) stash(m *Message) {
+	if r.stashed == nil {
+		r.stashed = make(map[int]map[int64]*Message) //lint:allow hotalloc (once per rank, on its first out-of-order arrival)
+	}
+	st := r.stashed[m.Src]
+	if st == nil {
+		st = make(map[int64]*Message) //lint:allow hotalloc (once per sender, on its first out-of-order arrival)
+		r.stashed[m.Src] = st
+	}
+	st[m.seq] = m
+	r.nstashed++
+}
+
+// admitStashed admits the stashed envelopes from src that are now in
+// sequence.
+func (r *Rank) admitStashed(src int) {
+	st := r.stashed[src]
+	for {
+		next, ok := st[r.expectSeq[src]]
+		if !ok {
+			return
+		}
+		delete(st, r.expectSeq[src])
+		r.nstashed--
+		r.admit(next)
+		r.expectSeq[src]++
+	}
+}
+
 // admit runs envelope matching for an in-order envelope.
 func (r *Rank) admit(m *Message) {
 	for i, pr := range r.posted {
 		if matches(pr.src, pr.tag, m) {
 			r.posted = append(r.posted[:i], r.posted[i+1:]...) //lint:allow hotalloc (removes in place; never grows)
-			pr.cond.Signal(m)
+			pr.msg = m
+			pr.cond.Signal(nil)
 			return
 		}
 	}
 	r.unexpected = append(r.unexpected, m) //lint:allow hotalloc (amortized growth; the queue's capacity is reused as it drains)
 }
 
+// flight is one message between its transmit and its delivery. Its
+// arrival and delivery handlers are method values bound once, when the
+// record is made, so posting them allocates nothing. A record comes
+// from the sending rank's free list and goes back onto the receiving
+// rank's at delivery: each list is touched only by its own rank's
+// shard, and the Group inbox orders the handoff between shards.
+type flight struct {
+	w       *World
+	m       *Message
+	wire    int64
+	arrive  sim.Time
+	ser     sim.Duration
+	markNIC bool
+
+	onArrival, onDelivery func()
+}
+
+// pop takes the last record off a free list, or returns nil when the
+// list is empty.
+func pop[T any](list *[]*T) *T {
+	n := len(*list)
+	if n == 0 {
+		return nil
+	}
+	x := (*list)[n-1]
+	*list = (*list)[:n-1]
+	return x
+}
+
+// takeFlight returns a free in-flight record of this rank.
+func (r *Rank) takeFlight() *flight {
+	f := pop(&r.flights)
+	if f == nil {
+		f = &flight{w: r.w} //lint:allow hotalloc (pool miss: the free lists grow to the peak number of messages in flight)
+		f.onArrival = f.arrival
+		f.onDelivery = f.delivery
+	}
+	return f
+}
+
+// arrival runs on the receiving rank's shard when the message's first
+// byte reaches it: it books the receive side (fan-in contention
+// resolves in deterministic arrival order) and schedules delivery.
+//
+//lint:hotpath runs once per data message
+func (f *flight) arrival() {
+	w, m := f.w, f.m
+	deliver := w.sw.Accept(m.Src, m.Dst, f.wire, f.arrive)
+	if f.markNIC {
+		w.nicOn(m.Dst, deliver-sim.Time(f.ser), deliver)
+	}
+	w.ranks[m.Dst].eng().Schedule(deliver, f.onDelivery)
+}
+
+// delivery hands the message to the receiving rank and returns the
+// record to that rank's free list.
+//
+//lint:hotpath runs once per message
+func (f *flight) delivery() {
+	m := f.m
+	f.m = nil
+	dst := f.w.ranks[m.Dst]
+	dst.flights = append(dst.flights, f) //lint:allow hotalloc (amortized growth to the peak number of messages in flight, then reused)
+	dst.deliver(m)
+}
+
 // transmit books the transmit side of m on the network from sender
-// context and posts its arrival to the receiving rank's shard; the
-// arrival handler books the receive side (fan-in contention resolves in
-// deterministic arrival order) and schedules delivery. It returns when
-// the last byte leaves the sender — the only instant the sender can
-// know without reading receiver state across the shard boundary. wire
-// differs from m.Size for rendezvous control messages, whose envelope
-// describes a large payload but whose own footprint is a small header.
-// Control messages are too small to bother marking NIC activity.
+// context and posts its arrival to the receiving rank's shard. It
+// returns when the last byte leaves the sender — the only instant the
+// sender can know without reading receiver state across the shard
+// boundary. wire differs from m.Size for rendezvous control messages,
+// whose envelope describes a large payload but whose own footprint is a
+// small header. Control messages are too small to bother marking NIC
+// activity.
 func (r *Rank) transmit(m *Message, wire int64, markNIC bool) sim.Time {
 	w := r.w
 	start, arrive := w.sw.Send(m.Src, m.Dst, wire, r.eng().Now())
@@ -391,14 +495,9 @@ func (r *Rank) transmit(m *Message, wire int64, markNIC bool) sim.Time {
 	if markNIC {
 		w.nicOn(m.Src, start, start.Add(ser))
 	}
-	dst := w.ranks[m.Dst]
-	w.post(m.Src, m.Dst, arrive, func() { //lint:allow hotalloc (one arrival closure per message; a per-message mpi allocation still to be pooled)
-		deliver := w.sw.Accept(m.Src, m.Dst, wire, arrive)
-		if markNIC {
-			w.nicOn(m.Dst, deliver-sim.Time(ser), deliver)
-		}
-		dst.eng().Schedule(deliver, func() { dst.deliver(m) }) //lint:allow hotalloc (one delivery closure per message; a per-message mpi allocation still to be pooled)
-	})
+	f := r.takeFlight()
+	f.m, f.wire, f.arrive, f.ser, f.markNIC = m, wire, arrive, ser, markNIC
+	w.post(m.Src, m.Dst, arrive, f.onArrival)
 	return start.Add(ser)
 }
 
@@ -407,8 +506,9 @@ func (r *Rank) transmit(m *Message, wire int64, markNIC bool) sim.Time {
 func (r *Rank) transmitControl(m *Message) sim.Time {
 	w := r.w
 	deliverAt := w.sw.Control(m.Src, m.Dst, w.cfg.ControlBytes, r.eng().Now())
-	dst := w.ranks[m.Dst]
-	w.post(m.Src, m.Dst, deliverAt, func() { dst.deliver(m) }) //lint:allow hotalloc (one delivery closure per control message; a per-message mpi allocation still to be pooled)
+	f := r.takeFlight()
+	f.m = m
+	w.post(m.Src, m.Dst, deliverAt, f.onDelivery)
 	return deliverAt
 }
 
@@ -437,17 +537,23 @@ func (r *Rank) waitOn(p *sim.Proc, c *sim.Cond) any {
 }
 
 // byteWork charges the per-byte software cost (copies + checksums) for
-// a message of the given size, in the Copy activity state. Messages at
-// or below the eager threshold use the cheaper cache-resident rate.
+// a message of the given size, in the Copy activity state.
 func (r *Rank) byteWork(p *sim.Proc, size int64) {
 	if size <= 0 {
 		return
 	}
+	r.node.CopyCycles(p, r.byteCycles(size))
+}
+
+// byteCycles is the per-byte software cost of a message of the given
+// size. Messages at or below the eager threshold use the cheaper
+// cache-resident rate.
+func (r *Rank) byteCycles(size int64) float64 {
 	rate := r.w.cfg.PerByteCycles
 	if size <= r.w.cfg.EagerThreshold {
 		rate = r.w.cfg.PerByteCyclesEager
 	}
-	r.node.CopyCycles(p, float64(size)*rate)
+	return float64(size) * rate
 }
 
 // overhead charges fixed per-message software cost.

@@ -629,3 +629,42 @@ func TestWaitQueueBound(t *testing.T) {
 		t.Fatalf("%d events pending after the Alltoalls, want at most %d", pending, 4*n)
 	}
 }
+
+// TestIrecvPostsAtCallTime pins that Irecv posts its receive when it is
+// called, not when its helper process gets to run: a Recv with the same
+// pattern right after it matches the second message, the Irecv the
+// first. A match that lands before the helper has charged its overhead
+// must be kept: with a self-send, the envelope is admitted while the
+// helper is still in its overhead charge, so nothing waits on the
+// posted receive yet.
+func TestIrecvPostsAtCallTime(t *testing.T) {
+	g, w := testWorld(2, nil)
+	var early, late any
+	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
+		switch r.ID() {
+		case 0:
+			r.Send(p, 1, 1, 64, "first")
+			r.Send(p, 1, 1, 64, "second")
+		case 1:
+			q := r.Irecv(p, 0, 1)
+			late = r.Recv(p, 0, 1).Payload
+			early = r.Wait(p, q).Payload
+		}
+	})
+	mustRun(t, g)
+	if early != "first" || late != "second" {
+		t.Fatalf("Irecv got %v and the later Recv %v, want first and second", early, late)
+	}
+
+	g, w = testWorld(1, nil)
+	var self any
+	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
+		q := r.Irecv(p, 0, 3)
+		r.Send(p, 0, 3, 0, "self")
+		self = r.Wait(p, q).Payload
+	})
+	mustRun(t, g)
+	if self != "self" {
+		t.Fatalf("self Irecv got %v", self)
+	}
+}

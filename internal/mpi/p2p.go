@@ -31,7 +31,7 @@ func checkUserTag(tag int) {
 // (which use the reserved tag space). The envelope sequence number is
 // claimed on entry so posting order defines matching order.
 func (r *Rank) send(p *sim.Proc, dst, tag int, size int64, payload any) {
-	r.sendSeqed(p, r.claimSeq(dst), dst, tag, size, payload)
+	r.sendSeqed(p, r.claimSeq(dst), dst, tag, size, payload, nil)
 }
 
 // claimSeq reserves the next envelope sequence number toward dst.
@@ -42,35 +42,58 @@ func (r *Rank) claimSeq(dst int) int64 {
 }
 
 // sendSeqed is the send body with a pre-claimed sequence number
-// (Isend claims at call time, before its helper process runs).
-func (r *Rank) sendSeqed(p *sim.Proc, seq int64, dst, tag int, size int64, payload any) {
+// (Isend claims at call time, before its helper process runs): the
+// overhead and byte charges, then sendCharged. A blocking send passes a
+// nil q.
+func (r *Rank) sendSeqed(p *sim.Proc, seq int64, dst, tag int, size int64, payload any, q *Request) {
 	r.overhead(p, r.w.cfg.SendOverheadCycles)
 	r.byteWork(p, size)
+	r.sendCharged(p, seq, dst, tag, size, payload, q)
+}
+
+// eagerOrSelf reports whether a send of size bytes to dst completes
+// without waiting for the receiver: a self-send or an eager message.
+func (r *Rank) eagerOrSelf(dst int, size int64) bool {
+	return dst == r.id || size <= r.w.cfg.EagerThreshold
+}
+
+// sendCharged runs what follows a send's two charges, for blocking
+// sends, Isend helpers and eager Isend records alike: the traffic
+// counters, then self-delivery, the eager transmit or the rendezvous
+// exchange, then the completion of q unless it is nil. Only the
+// rendezvous exchange waits, so an eager or self send may pass a nil p.
+func (r *Rank) sendCharged(p *sim.Proc, seq int64, dst, tag int, size int64, payload any, q *Request) {
 	r.stats.MsgsSent++
 	r.stats.BytesSent += size
-
-	if dst == r.id {
-		// Self-send: local copy only, delivered immediately.
-		r.deliverLocal(&Message{Src: r.id, Dst: dst, Tag: tag, Size: size, Payload: payload, kind: kindEager, seq: seq}) //lint:allow hotalloc (one envelope per message; still to be pooled)
-		return
+	if r.eagerOrSelf(dst, size) {
+		m := &Message{Src: r.id, Dst: dst, Tag: tag, Size: size, Payload: payload, kind: kindEager, seq: seq} //lint:allow hotalloc (the one allocation per message: the envelope Recv hands to its caller)
+		if dst == r.id {
+			// Self-send: local copy only, delivered immediately.
+			r.deliver(m)
+		} else {
+			r.transmit(m, size, size >= 1024)
+		}
+	} else {
+		r.sendRendezvous(p, seq, dst, tag, size, payload)
 	}
-
-	if size <= r.w.cfg.EagerThreshold {
-		m := &Message{Src: r.id, Dst: dst, Tag: tag, Size: size, Payload: payload, kind: kindEager, seq: seq} //lint:allow hotalloc (one envelope per message; still to be pooled)
-		r.transmit(m, size, size >= 1024)
-		return
+	if q != nil {
+		q.done = true
+		q.cond.Broadcast()
 	}
+}
 
-	// Rendezvous: RTS → wait for CTS → stream payload → wait for drain.
+// sendRendezvous runs the rendezvous exchange: RTS → wait for CTS →
+// stream payload → wait for drain.
+func (r *Rank) sendRendezvous(p *sim.Proc, seq int64, dst, tag int, size int64, payload any) {
 	r.nextHandle++
 	h := r.nextHandle
 	cts := sim.NewCond(r.eng())
 	r.rendezvous[h] = cts
-	rts := &Message{Src: r.id, Dst: dst, Tag: tag, Size: size, kind: kindRTS, handle: h, seq: seq} //lint:allow hotalloc (one envelope per message; still to be pooled)
+	rts := &Message{Src: r.id, Dst: dst, Tag: tag, Size: size, kind: kindRTS, handle: h, seq: seq} //lint:allow hotalloc (rendezvous request-to-send: one per message above EagerThreshold)
 	r.transmitControl(rts)
 	r.waitOn(p, cts)
 
-	data := &Message{Src: r.id, Dst: dst, Tag: tag, Size: size, Payload: payload, kind: kindRData, handle: h} //lint:allow hotalloc (one envelope per message; still to be pooled)
+	data := &Message{Src: r.id, Dst: dst, Tag: tag, Size: size, Payload: payload, kind: kindRData, handle: h} //lint:allow hotalloc (rendezvous payload: the message Recv hands to its caller)
 	txDone := r.transmit(data, size, true)
 	// The sender's progress engine actively pushes the payload through
 	// the socket until the last byte leaves its transmit link; it polls
@@ -105,11 +128,6 @@ func (r *Rank) spinUntil(p *sim.Proc, t sim.Time) {
 	n.RestoreState(tokenBlocked, machine.Idle)
 }
 
-// deliverLocal routes a self-send through matching at the current time.
-func (r *Rank) deliverLocal(m *Message) {
-	r.deliver(m)
-}
-
 // Recv blocks until a message matching (src, tag) arrives and returns
 // it. src may be AnySource and tag may be AnyTag.
 func (r *Rank) Recv(p *sim.Proc, src, tag int) *Message {
@@ -125,15 +143,39 @@ func (r *Rank) Recv(p *sim.Proc, src, tag int) *Message {
 // matchOrWait finds a matching envelope in the unexpected queue or
 // parks until one is delivered.
 func (r *Rank) matchOrWait(p *sim.Proc, src, tag int) *Message {
+	return r.awaitRecv(p, r.postRecv(src, tag))
+}
+
+// postRecv takes a posted-receive record from the rank's free list and
+// either claims the first matching envelope from the unexpected queue
+// or appends the record to the posted receives.
+func (r *Rank) postRecv(src, tag int) *postedRecv {
+	pr := pop(&r.recvs)
+	if pr == nil {
+		pr = &postedRecv{cond: sim.NewCond(r.eng())} //lint:allow hotalloc (pool miss: the free list grows to the peak number of receives in flight)
+	}
+	pr.src, pr.tag = src, tag
 	for i, m := range r.unexpected {
 		if matches(src, tag, m) {
 			r.unexpected = append(r.unexpected[:i], r.unexpected[i+1:]...) //lint:allow hotalloc (removes in place; never grows)
-			return m
+			pr.msg = m
+			return pr
 		}
 	}
-	pr := &postedRecv{src: src, tag: tag, cond: sim.NewCond(r.eng())} //lint:allow hotalloc (one posted receive per unmatched Recv; still to be pooled)
-	r.posted = append(r.posted, pr)                                   //lint:allow hotalloc (amortized growth; the list's capacity is reused as it drains)
-	return r.waitOn(p, pr.cond).(*Message)
+	r.posted = append(r.posted, pr) //lint:allow hotalloc (amortized growth; the list's capacity is reused as it drains)
+	return pr
+}
+
+// awaitRecv parks until pr has matched, unless it already has, returns
+// the matched envelope and puts pr back on the free list.
+func (r *Rank) awaitRecv(p *sim.Proc, pr *postedRecv) *Message {
+	if pr.msg == nil {
+		r.waitOn(p, pr.cond)
+	}
+	m := pr.msg
+	pr.msg = nil
+	r.recvs = append(r.recvs, pr) //lint:allow hotalloc (amortized growth to the peak number of receives in flight, then reused)
+	return m
 }
 
 // completeRecv finishes the protocol for a matched envelope: copy-out
@@ -149,7 +191,7 @@ func (r *Rank) completeRecv(p *sim.Proc, m *Message) *Message {
 		h := m.handle
 		dw := sim.NewCond(r.eng())
 		r.dataWait[rdKey{src: m.Src, handle: h}] = dw
-		cts := &Message{Src: r.id, Dst: m.Src, Tag: m.Tag, Size: r.w.cfg.ControlBytes, kind: kindCTS, handle: h} //lint:allow hotalloc (one CTS envelope per rendezvous; still to be pooled)
+		cts := &Message{Src: r.id, Dst: m.Src, Tag: m.Tag, Size: r.w.cfg.ControlBytes, kind: kindCTS, handle: h} //lint:allow hotalloc (rendezvous clear-to-send: one per message above EagerThreshold)
 		r.transmitControl(cts)
 		data := r.waitOn(p, dw).(*Message)
 		r.byteWork(p, data.Size)
@@ -171,25 +213,148 @@ type Request struct {
 // Done reports whether the operation has completed.
 func (q *Request) Done() bool { return q.done }
 
-// Isend starts a send in the background (a helper process on the same
-// node, so its CPU costs still hit this node) and returns a Request for
-// Wait.
+// newRequest returns a request the caller keeps: Isend and Irecv hand
+// it out, so it is never recycled.
+func (r *Rank) newRequest() *Request {
+	return &Request{cond: sim.NewCond(r.eng())}
+}
+
+// Isend starts a send in the background and returns a Request for
+// Wait. Its CPU costs hit this node, at the same instants as a helper
+// process on the node would charge them.
 func (r *Rank) Isend(p *sim.Proc, dst, tag int, size int64, payload any) *Request {
 	r.checkRank(dst)
 	checkUserTag(tag)
-	return r.isend(p, dst, tag, size, payload)
+	q := r.newRequest()
+	r.isend(p, q, dst, tag, size, payload)
+	return q
 }
 
+// isend starts a send that completes q. An eager or self send runs as
+// the three events of a pooled send record; a rendezvous send runs in a
+// helper process, because it must wait for the CTS. Either way the
+// envelope sequence number is claimed here, so posting order, not
+// execution order, defines matching order.
+//
 //lint:hotpath Isend and the collectives' sends run here once per message
-func (r *Rank) isend(_ *sim.Proc, dst, tag int, size int64, payload any) *Request {
-	q := &Request{cond: sim.NewCond(r.eng())}       //lint:allow hotalloc (one request per Isend; still to be pooled)
-	seq := r.claimSeq(dst)                          // posting order, not helper execution order
-	r.eng().Spawn(r.isendName, func(hp *sim.Proc) { //lint:allow hotalloc (one helper process per Isend; still to be replaced)
-		r.sendSeqed(hp, seq, dst, tag, size, payload)
-		q.done = true
-		q.cond.Broadcast()
+func (r *Rank) isend(_ *sim.Proc, q *Request, dst, tag int, size int64, payload any) {
+	seq := r.claimSeq(dst)
+	if r.eagerOrSelf(dst, size) {
+		r.takeSend().start(q, seq, dst, tag, size, payload)
+		return
+	}
+	r.eng().Spawn(r.isendName, func(hp *sim.Proc) { //lint:allow hotalloc (one helper process per rendezvous Isend, which must wait for the CTS)
+		r.sendSeqed(hp, seq, dst, tag, size, payload, q)
 	})
+}
+
+// sendRec runs one eager or self Isend as events: the start at the
+// Isend instant, the end of the send overhead and, for a nonempty
+// message, the end of the byte work. They carry the keys of the three
+// events a helper process running sendSeqed would fire, so the choice
+// between the two changes no output. Each charge's duration is taken
+// when the charge starts, as the node's work primitives take it, so a
+// DVS change between the two charges lands as it would for a process.
+// The handlers are method values bound once, when the record is made;
+// the record goes back to its rank's free list when the send
+// completes.
+type sendRec struct {
+	r        *Rank
+	q        *Request
+	payload  any
+	size     int64
+	seq      int64
+	dst, tag int
+	token    uint64 // node state token of the charge in progress
+
+	onStart, onOverhead, onCopy func()
+}
+
+// takeSend returns a free send record of this rank.
+func (r *Rank) takeSend() *sendRec {
+	s := pop(&r.sends)
+	if s == nil {
+		s = &sendRec{r: r} //lint:allow hotalloc (pool miss: the free list grows to the peak number of eager Isends in flight)
+		s.onStart = s.overhead
+		s.onOverhead = s.overheadEnd
+		s.onCopy = s.copyEnd
+	}
+	return s
+}
+
+// start fills the record and schedules its first event at the current
+// instant.
+func (s *sendRec) start(q *Request, seq int64, dst, tag int, size int64, payload any) {
+	s.q, s.seq, s.dst, s.tag, s.size, s.payload = q, seq, dst, tag, size, payload
+	eng := s.r.eng()
+	eng.Schedule(eng.Now(), s.onStart)
+}
+
+// charge puts the node in state st for cycles of core-clocked work and
+// schedules next at the charge's end.
+func (s *sendRec) charge(st machine.State, cycles float64, next func()) {
+	n := s.r.node
+	d := n.CoreDuration(cycles)
+	n.SetState(st)
+	s.token = n.StateToken()
+	eng := s.r.eng()
+	eng.Schedule(eng.Now().Add(d), next)
+}
+
+// overhead charges the send overhead.
+//
+//lint:hotpath runs once per eager Isend
+func (s *sendRec) overhead() {
+	s.charge(machine.Compute, s.r.w.cfg.SendOverheadCycles, s.onOverhead)
+}
+
+// overheadEnd ends the overhead charge, then charges the byte work or,
+// for an empty message, completes the send.
+//
+//lint:hotpath runs once per eager Isend
+func (s *sendRec) overheadEnd() {
+	s.r.node.RestoreState(s.token, machine.Idle)
+	if s.size <= 0 {
+		s.finish()
+		return
+	}
+	s.charge(machine.Copy, s.r.byteCycles(s.size), s.onCopy)
+}
+
+// copyEnd ends the byte-work charge and completes the send.
+//
+//lint:hotpath runs once per nonempty eager Isend
+func (s *sendRec) copyEnd() {
+	s.r.node.RestoreState(s.token, machine.Idle)
+	s.finish()
+}
+
+// finish completes the send and returns the record to the free list.
+func (s *sendRec) finish() {
+	r := s.r
+	r.sendCharged(nil, s.seq, s.dst, s.tag, s.size, s.payload, s.q)
+	s.q, s.payload = nil, nil
+	r.sends = append(r.sends, s) //lint:allow hotalloc (amortized growth to the peak number of eager Isends in flight, then reused)
+}
+
+// isendPooled is isend with a request from the rank's free list, for
+// the library's own sends (collectives, Sendrecv), which hand the
+// request back with waitPooled.
+func (r *Rank) isendPooled(p *sim.Proc, dst, tag int, size int64, payload any) *Request {
+	q := pop(&r.reqs)
+	if q == nil {
+		q = r.newRequest()
+	}
+	r.isend(p, q, dst, tag, size, payload)
 	return q
+}
+
+// waitPooled waits for a request from isendPooled and returns it to
+// the free list.
+func (r *Rank) waitPooled(p *sim.Proc, q *Request) {
+	r.Wait(p, q)
+	q.done = false
+	r.reqs = append(r.reqs, q)
 }
 
 // Irecv posts a receive immediately (so envelope matching sees it) and
@@ -199,13 +364,11 @@ func (r *Rank) Irecv(p *sim.Proc, src, tag int) *Request {
 	if src != AnySource {
 		r.checkRank(src)
 	}
-	return r.irecv(p, src, tag)
-}
-
-func (r *Rank) irecv(_ *sim.Proc, src, tag int) *Request {
-	q := &Request{cond: sim.NewCond(r.eng())}
+	q := r.newRequest()
+	pr := r.postRecv(src, tag)
 	r.eng().Spawn(r.irecvName, func(hp *sim.Proc) {
-		q.msg = r.Recv(hp, src, tag)
+		r.overhead(hp, r.w.cfg.RecvOverheadCycles)
+		q.msg = r.completeRecv(hp, r.awaitRecv(hp, pr))
 		q.done = true
 		q.cond.Broadcast()
 	})
@@ -231,9 +394,11 @@ func (r *Rank) Waitall(p *sim.Proc, qs ...*Request) {
 // Sendrecv runs a simultaneous send and receive — the pattern used by
 // exchange steps — and returns the received message.
 func (r *Rank) Sendrecv(p *sim.Proc, dst, sendTag int, size int64, payload any, src, recvTag int) *Message {
-	sq := r.Isend(p, dst, sendTag, size, payload)
+	r.checkRank(dst)
+	checkUserTag(sendTag)
+	sq := r.isendPooled(p, dst, sendTag, size, payload)
 	m := r.Recv(p, src, recvTag)
-	r.Wait(p, sq)
+	r.waitPooled(p, sq)
 	return m
 }
 
@@ -265,9 +430,7 @@ func (r *Rank) Probe(p *sim.Proc, src, tag int) *Message {
 	}
 	// Park on a posted recv, then put the envelope back at the front
 	// of the unexpected queue so Recv can claim it.
-	pr := &postedRecv{src: src, tag: tag, cond: sim.NewCond(r.eng())}
-	r.posted = append(r.posted, pr)
-	m := r.waitOn(p, pr.cond).(*Message)
+	m := r.matchOrWait(p, src, tag)
 	r.unexpected = append([]*Message{m}, r.unexpected...)
 	return m
 }
