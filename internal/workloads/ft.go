@@ -60,7 +60,11 @@ func (f *FT) Name() string { return fmt.Sprintf("ft.%c", f.Class) }
 // Ranks implements Workload.
 func (f *FT) Ranks() int { return f.Procs }
 
-// Run implements Workload.
+// Run implements Workload. It is the body of every FT rank, about a
+// quarter of the paper-figure profile's CPU, so its per-iteration
+// loop must not allocate.
+//
+//lint:hotpath
 func (f *FT) Run(ctx Ctx) {
 	points, iters := f.classDims()
 	if f.IterOverride > 0 {
