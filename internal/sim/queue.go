@@ -71,17 +71,31 @@ const arrivalClass = uint64(1) << 63
 // cache-missing levels on large queues. Both sifts move a hole rather
 // than swapping: entries on the path shift one level and the moving
 // event is written once, at its final slot.
+//
+// A firing event keeps the root, vacated (see Engine.fire), and the
+// first event pushed meanwhile takes it with one sift down instead of
+// a leaf's sift down and its own sift up. A vacated root is no event:
+// Len does not count it, and next and rekey remove it first. pop and
+// peek, which serve a Group's global queue, never see one.
 type eventHeap struct {
-	items []event
+	items   []event
+	vacated bool
 }
 
-func (h *eventHeap) Len() int { return len(h.items) }
+// Len reports the number of queued events, not counting a vacated root.
+func (h *eventHeap) Len() int {
+	if h.vacated {
+		return len(h.items) - 1
+	}
+	return len(h.items)
+}
 
 // next returns the earliest live event without removing it; Len must
 // be positive. A timer entry left behind by a later Reset is re-filed
 // in place at its timer's armed key, which is later than the entry's,
 // so next never reports a time at which nothing fires.
 func (h *eventHeap) next() *event {
+	h.settle()
 	for {
 		ev := &h.items[0]
 		if ev.kind != evTimer || (ev.t == ev.tm.at && ev.seq == ev.tm.seq) {
@@ -95,6 +109,11 @@ func (h *eventHeap) next() *event {
 }
 
 func (h *eventHeap) push(ev *event) {
+	if h.vacated {
+		h.vacated = false
+		h.siftDown(0, ev)
+		return
+	}
 	n := len(h.items)
 	if n < cap(h.items) {
 		h.items = h.items[:n+1] // the slot was zeroed when it was last popped
@@ -102,6 +121,14 @@ func (h *eventHeap) push(ev *event) {
 		h.items = append(h.items, event{}) //lint:allow hotalloc (amortized growth; steady-state heap capacity is reused, see the zero-alloc benchmarks)
 	}
 	h.siftUp(n, ev)
+}
+
+// settle removes a vacated root: its event fired and pushed nothing.
+func (h *eventHeap) settle() {
+	if h.vacated {
+		h.vacated = false
+		h.drop()
+	}
 }
 
 // drop removes the minimum.
@@ -172,6 +199,7 @@ func (h *eventHeap) siftDown(i int, ev *event) {
 // found by a linear scan: only a Reset earlier than the queued entry
 // needs it, and a timeout re-armed as the clock advances never does.
 func (h *eventHeap) rekey(tm *Timer, t Time, seq uint64) {
+	h.settle()
 	for i := range h.items {
 		if h.items[i].tm == tm {
 			ev := h.items[i]
