@@ -142,7 +142,6 @@ func (t *Tree) MinLatency() sim.Duration { return t.cfg.Host.Latency }
 // there, in arrival order.
 //
 //lint:hotpath runs once per simulated message
-//lint:allow profgate (stays near the 0.5% threshold because it is cheap, not because it is rare; the shard workers' barrier spin in the sharded profile dilutes its share; kept allocation-free on the per-message path)
 func (t *Tree) Send(src, dst int, size int64, now sim.Time) (start, arrive sim.Time) {
 	if src == dst {
 		t.selfTransferPanic(src)
@@ -184,7 +183,6 @@ func (t *Tree) Send(src, dst int, size int64, now sim.Time) (start, arrive sim.T
 // arrivals still occupying the receive link.
 //
 //lint:hotpath runs once per simulated message
-//lint:allow profgate (stays near the 0.5% threshold because it is cheap, not because it is rare; the shard workers' barrier spin in the sharded profile dilutes its share; kept allocation-free on the per-message path)
 func (t *Tree) Accept(src, dst int, size int64, arrive sim.Time) (deliver sim.Time) {
 	t.checkPort(src)
 	t.checkPort(dst)
