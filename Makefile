@@ -5,7 +5,6 @@ BIN     := bin
 REPOLINT := $(BIN)/repolint
 BENCHOUT := $(BIN)/BENCH_sim.json
 BASELINE := BENCH_baseline.json
-PROFILES := profiles
 
 # Gated benchmarks: the sim-kernel microbenches and the MPI message-path
 # benches, whose ns/op, B/op, and allocs/op are compared against
@@ -19,7 +18,7 @@ GATED_BENCHTIME := 500ms
 GATED_COUNT     := 3
 BENCHDIFF_BAND  ?= 40
 
-.PHONY: all build test bench-test race lint vuln fuzz bench bench-baseline benchdiff bench-profile profgate ci clean
+.PHONY: all build test bench-test race lint vuln fuzz bench bench-baseline benchdiff ci clean
 
 all: build
 
@@ -88,33 +87,6 @@ bench-baseline: bench $(REPOLINT)
 benchdiff: bench $(REPOLINT)
 	$(REPOLINT) benchdiff -band $(BENCHDIFF_BAND) -baseline $(BASELINE) $(BENCHOUT)
 
-# Collect CPU profiles from the benchmark suite for the profgate
-# analyzer: the sim-kernel microbenches, the campaign fan-out, the
-# end-to-end paper figure, and the 256-rank sharded FT (the
-# communication-heavy profile that keeps the netsim and cross-shard
-# delivery paths hot). Committed under profiles/ so hot-root
-# discovery runs on every `make ci`, not only on machines that just
-# benched. Refresh whenever hot paths move: make bench-profile && make profgate
-# The figure, sharded-FT and trace profiles run for several seconds
-# each (about 1,000 samples at the default 100 Hz): with the 2-second
-# profiles they used to record, profgate's 0.5% and 1% thresholds were
-# one or two samples, and consecutive refreshes flagged different
-# functions.
-bench-profile:
-	@mkdir -p $(PROFILES) $(BIN)
-	$(GO) test -run '^$$' -bench . -benchtime $(GATED_BENCHTIME) -cpuprofile $(CURDIR)/$(PROFILES)/sim.pprof -o $(BIN)/sim.test $(GATED_PKG)
-	$(GO) test -run '^$$' -bench 'Campaign8' -cpuprofile $(CURDIR)/$(PROFILES)/campaign.pprof -o $(BIN)/campaign.test ./internal/campaign
-	$(GO) test -run '^$$' -bench 'Fig3FTClassB' -benchtime 5s -cpuprofile $(CURDIR)/$(PROFILES)/figure.pprof -o $(BIN)/figure.test .
-	$(GO) test -run '^$$' -bench 'ShardedFT' -benchtime 5x -cpuprofile $(CURDIR)/$(PROFILES)/sharded.pprof -o $(BIN)/sharded.test .
-	$(GO) test -run '^$$' -bench 'TraceStream' -benchtime 2s -cpuprofile $(CURDIR)/$(PROFILES)/trace.pprof -o $(BIN)/trace.test ./internal/trace
-
-# Profile-guided hot-root discovery: join the committed CPU profiles
-# against //lint:hotpath reachability. Reports functions the profiles
-# show hot that no annotated root guards, and annotated roots that are
-# cold in every profile. Thresholds: profgate.Default*Percent.
-profgate: $(REPOLINT)
-	REPOLINT_PROFILES=$(PROFILES) $(REPOLINT) -only profgate ./...
-
 $(REPOLINT): $(shell find internal/lint cmd/repolint -name '*.go' -not -path '*/testdata/*' 2>/dev/null)
 	@mkdir -p $(BIN)
 	$(GO) build -o $(REPOLINT) ./cmd/repolint
@@ -132,13 +104,16 @@ lint: $(REPOLINT)
 	$(GO) vet -vettool=$(CURDIR)/$(REPOLINT) ./...
 	$(REPOLINT) -budget LINT_BUDGET.json ./...
 
-# Ten-second native-fuzzing smoke over the PWTR binary trace decoder:
-# arbitrary bytes must never panic the reader, and any stream it
-# accepts must survive a bit-exact re-encode/re-decode round trip.
-# Interesting inputs accumulate in the local build cache; CI buys a
-# fixed budget of fresh execs on top of the committed seeds.
+# Ten-second native-fuzzing smokes. Over the PWTR binary trace
+# decoder: arbitrary bytes must never panic the reader, and any stream
+# it accepts must survive a bit-exact re-encode/re-decode round trip.
+# Over campaign spec parsing: arbitrary JSON must yield a spec or an
+# error, never a panic. Interesting inputs accumulate in the local
+# build cache; CI buys a fixed budget of fresh execs on top of the
+# committed seeds.
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzTraceReader' -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz 'FuzzCampaignSpec' -fuzztime 10s ./internal/campaign
 
 # Best-effort locally: govulncheck is not vendored; skip quietly when
 # absent. The CI workflow installs it, so the hosted `make ci` always
@@ -150,7 +125,7 @@ vuln:
 		echo "govulncheck not installed; skipping"; \
 	fi
 
-ci: build test bench-test lint race profgate benchdiff fuzz vuln
+ci: build test bench-test lint race benchdiff fuzz vuln
 
 clean:
 	rm -rf $(BIN)

@@ -1,6 +1,6 @@
 // Command repolint runs the repository's analyzer suite (floateq,
-// unitsafety, panicfree, erraudit, detflow, hotalloc, profgate,
-// shardown, typestate, rangecheck — see internal/lint) in two modes:
+// unitsafety, panicfree, erraudit, detflow, hotalloc, shardown,
+// typestate, rangecheck — see internal/lint) in two modes:
 //
 // Standalone, against package patterns, loading and type-checking the
 // module itself:

@@ -20,12 +20,12 @@ func TestSelectAnalyzers(t *testing.T) {
 		t.Fatalf("selectAnalyzers(\"\") = %d analyzers, err %v; want the full suite (%d)",
 			len(all), err, len(repolint.All()))
 	}
-	subset, err := selectAnalyzers("detflow, profgate")
+	subset, err := selectAnalyzers("detflow, hotalloc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(subset) != 2 || subset[0].Name != "detflow" || subset[1].Name != "profgate" {
-		t.Errorf("subset = %v, want [detflow profgate]", subset)
+	if len(subset) != 2 || subset[0].Name != "detflow" || subset[1].Name != "hotalloc" {
+		t.Errorf("subset = %v, want [detflow hotalloc]", subset)
 	}
 	if _, err := selectAnalyzers("nosuch"); err == nil {
 		t.Error("selectAnalyzers(\"nosuch\") succeeded, want unknown-analyzer error")

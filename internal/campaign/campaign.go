@@ -252,6 +252,9 @@ func buildWorkload(ws WorkloadSpec) (workloads.Workload, error) {
 		} else if ws.Procs == 16 {
 			grid = 4
 		}
+		if n < 0 || n%int64(grid) != 0 {
+			return nil, fmt.Errorf("campaign: SUMMA size %d must be positive and divisible by the grid side %d", n, grid)
+		}
 		return workloads.NewSumma(n, grid), nil
 	case "swim":
 		return workloads.NewSwim(orDefault(ws.Iters, 100)), nil

@@ -137,6 +137,45 @@ type NodeResult struct {
 	Component   map[power.Component]power.Joules
 }
 
+// readNode returns node n's counters through time t: a NodeResult
+// over the window from the start of the simulation, ACPI unset.
+func readNode(n *machine.Node, t sim.Time) NodeResult {
+	nr := NodeResult{
+		Energy:      n.EnergyAt(t),
+		Transitions: n.TransitionsAt(t),
+		StateTime:   make(map[machine.State]sim.Duration),
+		Component:   make(map[power.Component]power.Joules),
+	}
+	nr.Busy, nr.Idle = n.UtilizationAt(t)
+	for _, s := range machine.States() {
+		nr.StateTime[s] = n.StateTimeAt(s, t)
+	}
+	for _, c := range power.Components() {
+		nr.Component[c] = n.ComponentEnergyAt(c, t)
+	}
+	return nr
+}
+
+// minus returns what a node accrued between two readings: r's
+// counters less start's.
+func (r NodeResult) minus(start NodeResult) NodeResult {
+	nr := NodeResult{
+		Energy:      r.Energy - start.Energy,
+		Transitions: r.Transitions - start.Transitions,
+		Busy:        r.Busy - start.Busy,
+		Idle:        r.Idle - start.Idle,
+		StateTime:   make(map[machine.State]sim.Duration),
+		Component:   make(map[power.Component]power.Joules),
+	}
+	for _, s := range machine.States() {
+		nr.StateTime[s] = r.StateTime[s] - start.StateTime[s]
+	}
+	for _, c := range power.Components() {
+		nr.Component[c] = r.Component[c] - start.Component[c]
+	}
+	return nr
+}
+
 // Result is the outcome of one experiment run.
 type Result struct {
 	Workload string
@@ -379,42 +418,21 @@ func (r *Runner) RunOnce(w workloads.Workload, strat dvs.Strategy, baseIdx int, 
 		return fmt.Errorf("%w (also trace: %v)", err, cerr)
 	}
 
-	// Energy snapshot at the measurement window's start.
+	// Every node is read at both ends of the measured window; its
+	// NodeResult is the difference.
 	startAt := sim.Time(cfg.Settle)
-	startEnergy := make([]power.Joules, nRanks)
-	startComp := make([]map[power.Component]power.Joules, nRanks)
-	startBusy := make([]sim.Duration, nRanks)
-	startIdle := make([]sim.Duration, nRanks)
-	startState := make([]map[machine.State]sim.Duration, nRanks)
-	startTrans := make([]int, nRanks)
+	start := make([]NodeResult, nRanks)
 	g.ScheduleGlobal(startAt, startSnapshotPri, func() {
 		for i, n := range nodes {
-			startEnergy[i] = n.EnergyAt(startAt)
-			m := make(map[power.Component]power.Joules)
-			for _, c := range power.Components() {
-				m[c] = n.ComponentEnergyAt(c, startAt)
-			}
-			startComp[i] = m
-			startBusy[i], startIdle[i] = n.Utilization()
-			st := make(map[machine.State]sim.Duration)
-			for _, s := range machine.States() {
-				st[s] = n.StateTime(s)
-			}
-			startState[i] = st
-			startTrans[i] = n.Transitions()
+			start[i] = readNode(n, startAt)
 		}
 	})
 
-	endEnergy := make([]power.Joules, nRanks)
-	endComp := make([]map[power.Component]power.Joules, nRanks)
-	endBusy := make([]sim.Duration, nRanks)
-	endIdle := make([]sim.Duration, nRanks)
-	endState := make([]map[machine.State]sim.Duration, nRanks)
-	endTrans := make([]int, nRanks)
+	end := make([]NodeResult, nRanks)
 	// complete is the idempotent completion check: each finishing rank
 	// schedules it one lookahead after its own finish (the earliest
 	// coordinator slot its slot-write is guaranteed visible at). The
-	// first check that sees every rank finished snapshots the cluster.
+	// first check that sees every rank finished reads the cluster.
 	// All reads back-date to endAt even though the check runs up to one
 	// lookahead later, so the measured window is exactly
 	// [startAt, endAt] no matter the shard count.
@@ -433,20 +451,8 @@ func (r *Runner) RunOnce(w workloads.Workload, strat dvs.Strategy, baseIdx int, 
 				endAt = t
 			}
 		}
-		for j, n := range nodes {
-			endEnergy[j] = n.EnergyAt(endAt)
-			m := make(map[power.Component]power.Joules)
-			for _, c := range power.Components() {
-				m[c] = n.ComponentEnergyAt(c, endAt)
-			}
-			endComp[j] = m
-			endBusy[j], endIdle[j] = n.UtilizationAt(endAt)
-			st := make(map[machine.State]sim.Duration)
-			for _, s := range machine.States() {
-				st[s] = n.StateTimeAt(s, endAt)
-			}
-			endState[j] = st
-			endTrans[j] = n.TransitionsAt(endAt)
+		for i, n := range nodes {
+			end[i] = readNode(n, endAt)
 		}
 		done = true
 	}
@@ -486,20 +492,7 @@ func (r *Runner) RunOnce(w workloads.Workload, strat dvs.Strategy, baseIdx int, 
 
 	regions := map[string]bool{}
 	for i := range nodes {
-		nr := NodeResult{
-			Energy:      endEnergy[i] - startEnergy[i],
-			Transitions: endTrans[i] - startTrans[i],
-			StateTime:   make(map[machine.State]sim.Duration),
-			Component:   make(map[power.Component]power.Joules),
-		}
-		nr.Busy = endBusy[i] - startBusy[i]
-		nr.Idle = endIdle[i] - startIdle[i]
-		for _, s := range machine.States() {
-			nr.StateTime[s] = endState[i][s] - startState[i][s]
-		}
-		for _, c := range power.Components() {
-			nr.Component[c] = endComp[i][c] - startComp[i][c]
-		}
+		nr := end[i].minus(start[i])
 		if batteries[i].Exhausted() {
 			res.BatteryExhausted = true
 		}

@@ -66,7 +66,7 @@ func run(pass *analysis.Pass) error {
 	}
 	g := callgraph.Build(pass.Fset, files, pass.TypesInfo)
 
-	roots, dangling := FindRoots(pass, files, g)
+	roots, dangling := findRoots(pass, files, g)
 	for _, pos := range dangling {
 		pass.Reportf(pos, "//lint:hotpath does not attach to a function declaration's "+
 			"doc comment or the line above a function literal")
@@ -86,13 +86,11 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// FindRoots resolves every Marker comment to the function it annotates:
+// findRoots resolves every Marker comment to the function it annotates:
 // a declaration whose doc group contains it, or a literal starting on
 // the marker's line or the one below. Unattached markers are returned
-// as dangling positions. The profgate analyzer shares this resolution
-// so its hot-root discovery and hotalloc's enforcement agree on what an
-// annotated root is.
-func FindRoots(pass *analysis.Pass, files []*ast.File, g *callgraph.Graph) (roots []*callgraph.Node, dangling []token.Pos) {
+// as dangling positions.
+func findRoots(pass *analysis.Pass, files []*ast.File, g *callgraph.Graph) (roots []*callgraph.Node, dangling []token.Pos) {
 	type marker struct {
 		pos  token.Pos
 		line int

@@ -28,12 +28,6 @@ func TestRepoIsLintClean(t *testing.T) {
 		t.Skip("repo-wide type-check is not short")
 	}
 	root := moduleRoot(t)
-	// Run profgate against the committed benchmark profiles (it is a
-	// no-op without them), so the profile<->annotation join is part of
-	// the clean-tree invariant: a hot function losing its root, or a
-	// root going cold in every committed profile, fails here — not only
-	// in the `make profgate` CI step.
-	t.Setenv("REPOLINT_PROFILES", filepath.Join(root, "profiles"))
 	fset := token.NewFileSet()
 	pkgs, err := loader.Load(fset, root, "./...")
 	if err != nil {

@@ -30,7 +30,6 @@ import (
 // drops a seeded violation, shows up as an edit to that map.
 func TestFixtureCrossMatrix(t *testing.T) {
 	dir := filepath.Join(moduleRoot(t), "internal", "lint", "testdata")
-	t.Setenv("REPOLINT_PROFILES", filepath.Join(dir, "src", "fixtures", "profgate"))
 	suite := repolint.All()
 	unique := make(map[string]int) // analyzer -> seeded violations only it reports
 	for _, path := range fixturePackages(t, filepath.Join(dir, "src")) {
@@ -90,7 +89,6 @@ var uniqueCatches = map[string]int{
 	"floateq":    3,
 	"hotalloc":   8,
 	"panicfree":  3,
-	"profgate":   2,
 	"rangecheck": 25,
 	"shardown":   24,
 	"typestate":  16,

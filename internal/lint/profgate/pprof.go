@@ -1,12 +1,20 @@
-// pprof.go implements a minimal decoder and encoder for the pprof
-// profile.proto wire format, standard library only. The repository
-// cannot vendor github.com/google/pprof, and the profgate analyzer
-// needs just one projection of a CPU profile: per-sample call stacks of
-// fully-qualified function names with a sample value. The decoder
-// therefore resolves Sample -> Location -> Line -> Function -> name and
-// discards mappings, addresses, labels, and comments; the encoder emits
-// exactly the fields the decoder consumes, which is how the synthetic
-// fixture profiles under testdata are built and kept round-trippable.
+// Package profgate is the benchmark's dependency-free pprof codec: a
+// minimal decoder and encoder for the pprof profile.proto wire format,
+// standard library only. bench/run.sh -trace folds the CPU profile it
+// records by simulator layer through ParseProfile, and the bench tests
+// build synthetic profiles with NewBuilder. The module cannot vendor
+// github.com/google/pprof, and the fold needs just one projection of a
+// profile: per-sample call stacks of fully-qualified function names
+// with a sample value. The decoder therefore resolves Sample ->
+// Location -> Line -> Function -> name and discards mappings,
+// addresses, labels, and comments; the encoder emits exactly the
+// fields the decoder consumes, so what it builds round-trips.
+//
+// The import path is historical: the codec was written for a
+// profile-guided lint analyzer, since retired. It stays because
+// bench/layers.go and bench/layers_test.go import the codec by this
+// path, and the benchmark module is kept unchanged so that successive
+// commits are measured by the same harness.
 //
 // Field numbers follow github.com/google/pprof/proto/profile.proto:
 //
@@ -34,11 +42,10 @@ type Sample struct {
 	Value int64
 }
 
-// A Profile is the projection of one pprof CPU profile that the hot-root
-// join consumes.
+// A Profile is the projection of one pprof CPU profile that the layer
+// fold consumes.
 type Profile struct {
-	// Name labels the profile in diagnostics (the source file's
-	// basename).
+	// Name labels the profile in error messages.
 	Name string
 	// SampleType and SampleUnit describe the value dimension that was
 	// selected (e.g. "cpu"/"nanoseconds" or "samples"/"count").
@@ -321,10 +328,10 @@ func decodeProfile(name string, data []byte) (*Profile, error) {
 	return p, nil
 }
 
-// --- profile encoding (synthetic fixtures) ---
+// --- profile encoding (synthetic test profiles) ---
 
-// A Builder assembles a synthetic single-value-type profile for tests
-// and committed fixtures. Stacks are given leaf-first, matching the
+// A Builder assembles a synthetic single-value-type profile for tests.
+// Stacks are given leaf-first, matching the
 // decoder's Sample.Stack order.
 type Builder struct {
 	sampleType, unit string
@@ -438,10 +445,10 @@ func (b *Builder) Bytes() []byte {
 	var buf bytes.Buffer
 	zw := gzip.NewWriter(&buf)
 	if _, err := zw.Write(out); err != nil {
-		panic(err) //lint:allow panicfree (in-memory gzip cannot fail; used by tests and fixture generation only)
+		panic(err) //lint:allow panicfree (in-memory gzip cannot fail; used by tests only)
 	}
 	if err := zw.Close(); err != nil {
-		panic(err) //lint:allow panicfree (in-memory gzip cannot fail; used by tests and fixture generation only)
+		panic(err) //lint:allow panicfree (in-memory gzip cannot fail; used by tests only)
 	}
 	return buf.Bytes()
 }

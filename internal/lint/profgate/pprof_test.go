@@ -100,51 +100,3 @@ func TestParsePackedAndCPUSelection(t *testing.T) {
 		t.Errorf("Samples = %+v, want %+v", p.Samples, want)
 	}
 }
-
-// TestDeclOf covers the runtime-symbol → declared-function folding:
-// closures, nested closures, method values, goroutine and defer
-// wrappers, generic instantiation arguments, and receiver
-// normalization.
-func TestDeclOf(t *testing.T) {
-	const pkg = "repro/internal/sim"
-	cases := []struct {
-		sym  string
-		want string
-		ok   bool
-	}{
-		{"repro/internal/sim.NewEngine", "NewEngine", true},
-		{"repro/internal/sim.(*Engine).Schedule", "*Engine.Schedule", true},
-		{"repro/internal/sim.Time.Add", "Time.Add", true},
-		{"repro/internal/sim.(*Engine).Run.func1", "*Engine.Run", true},
-		{"repro/internal/sim.(*Engine).Run.func1.2", "*Engine.Run", true},
-		{"repro/internal/sim.(*Proc).wake-fm", "*Proc.wake", true},
-		{"repro/internal/sim.run.gowrap1", "run", true},
-		{"repro/internal/sim.run.deferwrap1", "run", true},
-		{"repro/internal/sim.Map[go.shape.int_0,go.shape.string_1]", "Map", true},
-		{"repro/internal/sim.(*Table[go.shape.int_0]).At", "*Table.At", true},
-		{"repro/internal/simx.NewEngine", "", false}, // other package: prefix must match exactly
-		{"runtime.mallocgc", "", false},
-	}
-	for _, c := range cases {
-		got, ok := declOf(c.sym, pkg)
-		if ok != c.ok || (ok && got != c.want) {
-			t.Errorf("declOf(%q) = %q, %v; want %q, %v", c.sym, got, ok, c.want, c.ok)
-		}
-	}
-}
-
-// TestCanonName pins the receiver normalization both name sources pass
-// through before the join.
-func TestCanonName(t *testing.T) {
-	cases := map[string]string{
-		"(*Engine).Schedule": "*Engine.Schedule", // runtime and callgraph pointer receivers
-		"(Time).Add":         "Time.Add",         // callgraph value receiver
-		"Time.Add":           "Time.Add",         // runtime value receiver
-		"NewEngine":          "NewEngine",
-	}
-	for in, want := range cases {
-		if got := canonName(in); got != want {
-			t.Errorf("canonName(%q) = %q, want %q", in, got, want)
-		}
-	}
-}

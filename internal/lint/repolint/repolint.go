@@ -14,7 +14,6 @@ import (
 	"repro/internal/lint/floateq"
 	"repro/internal/lint/hotalloc"
 	"repro/internal/lint/panicfree"
-	"repro/internal/lint/profgate"
 	"repro/internal/lint/rangecheck"
 	"repro/internal/lint/shardown"
 	"repro/internal/lint/typestate"
@@ -23,10 +22,8 @@ import (
 
 // registry is the full repolint suite, in reporting order: the three
 // intra-function gates from v1, the v2 error audit, the v3
-// flow-sensitive gates built on internal/lint/dataflow, the v4
-// profile-guided gate (a no-op unless REPOLINT_PROFILES points at
-// benchmark CPU profiles; see `make profgate`), the v5 shard-ownership
-// gate (which also polices exec.Map workers and, over
+// flow-sensitive gates built on internal/lint/dataflow, the v5
+// shard-ownership gate (which also polices exec.Map workers and, over
 // internal/lint/callgraph, package-level writes) and API-protocol gate
 // for the parallel core, and the v6 numeric range gate built on the
 // interval abstract domain (dataflow.RunIntervals).
@@ -37,7 +34,6 @@ var registry = []*analysis.Analyzer{
 	erraudit.Analyzer,
 	detflow.Analyzer,
 	hotalloc.Analyzer,
-	profgate.Analyzer,
 	shardown.Analyzer,
 	typestate.Analyzer,
 	rangecheck.Analyzer,

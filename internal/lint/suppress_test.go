@@ -3,7 +3,6 @@ package lint
 import (
 	"fmt"
 	"go/token"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/lint/analysis"
@@ -31,10 +30,6 @@ func TestSuppressionInventory(t *testing.T) {
 		t.Skip("repo-wide type-check is not short")
 	}
 	root := moduleRoot(t)
-	// Same environment as TestRepoIsLintClean: profgate runs against the
-	// committed profiles, so a `//lint:allow profgate` in production code
-	// is held to the same load-bearing standard as every other directive.
-	t.Setenv("REPOLINT_PROFILES", filepath.Join(root, "profiles"))
 	fset := token.NewFileSet()
 	pkgs, err := loader.Load(fset, root, "./...")
 	if err != nil {

@@ -114,8 +114,7 @@ type Node struct {
 	busy, idle sim.Duration
 	stateTime  [numStates]sim.Duration
 
-	transitions int
-	freqLog     []FreqChange
+	freqLog []FreqChange // one entry per DVS transition
 }
 
 // NewNode builds a node with the given id running at the highest
@@ -399,10 +398,10 @@ func (n *Node) IdleFor(p *sim.Proc, d sim.Duration) {
 // during the segment, e.g. a concurrent helper process).
 //
 // Every work primitive (Compute, MemoryRounds, CopyBytes, ...) funnels
-// through here, so a campaign crosses it once per work segment — the
-// profgate benchmarks put it at ~26% cumulative CPU. The hotpath root
-// keeps the whole state-accounting subtree (SetState, flushTime,
-// applyPower, RestoreState) allocation-free.
+// through here, so a campaign crosses it once per work segment — a CPU
+// profile of the campaign benchmark put it at ~26% cumulative. The
+// hotpath root keeps the whole state-accounting subtree (SetState,
+// flushTime, applyPower, RestoreState) allocation-free.
 //
 //lint:hotpath
 func (n *Node) inState(p *sim.Proc, s State, d sim.Duration) {
@@ -469,7 +468,6 @@ func (n *Node) commitOP(idx int) {
 	from := n.par.Table.At(n.opIdx)
 	to := n.par.Table.At(idx)
 	n.opIdx = idx
-	n.transitions++
 	n.freqLog = append(n.freqLog, FreqChange{At: now, From: from, To: to})
 	n.integ[power.CPU].AddEnergy(power.Joules(n.par.Transition.Energy))
 	n.applyPower(now)
@@ -481,7 +479,7 @@ func (n *Node) SetFrequency(p *sim.Proc, freq dvfs.Hz) error {
 }
 
 // Transitions reports how many DVS switches the node has performed.
-func (n *Node) Transitions() int { return n.transitions }
+func (n *Node) Transitions() int { return len(n.freqLog) }
 
 // FreqLog returns the recorded DVS transitions.
 func (n *Node) FreqLog() []FreqChange { return n.freqLog }
@@ -489,27 +487,12 @@ func (n *Node) FreqLog() []FreqChange { return n.freqLog }
 // Utilization returns the cumulative busy and idle time as the OS would
 // report them in /proc/stat, up to the current instant.
 func (n *Node) Utilization() (busy, idle sim.Duration) {
-	n.settleNIC()
-	d := n.eng.Now().Sub(n.lastFlush)
-	busy, idle = n.busy, n.idle
-	if d > 0 {
-		if n.state.countsBusy() {
-			busy += d
-		} else {
-			idle += d
-		}
-	}
-	return busy, idle
+	return n.UtilizationAt(n.eng.Now())
 }
 
 // StateTime reports the cumulative time spent in state s.
 func (n *Node) StateTime(s State) sim.Duration {
-	n.settleNIC()
-	t := n.stateTime[s]
-	if n.state == s {
-		t += n.eng.Now().Sub(n.lastFlush)
-	}
-	return t
+	return n.StateTimeAt(s, n.eng.Now())
 }
 
 // UtilizationAt is Utilization evaluated at a (recent) past instant t:

@@ -10,6 +10,11 @@ import (
 // ever signal.
 var ErrDeadlock = errors.New("sim: deadlock: no pending events but processes remain blocked")
 
+// errReentrant is what Engine.Run and Group.Run return when called
+// while the same engine or group is already running: from an event,
+// a process body or a global.
+var errReentrant = errors.New("sim: Run called reentrantly")
+
 // Engine owns the virtual clock and the event queue, and schedules
 // simulated processes. It is not safe for concurrent use from multiple
 // goroutines: all interaction must happen either before Run, from inside
@@ -133,7 +138,7 @@ func (e *Engine) Run(limit Time) (Time, error) {
 		return e.now, errors.New("sim: engine is closed")
 	}
 	if e.running {
-		return e.now, errors.New("sim: Run called reentrantly")
+		return e.now, errReentrant
 	}
 	e.running = true
 	defer e.endRun()

@@ -77,6 +77,7 @@ type Group struct {
 	horizon Time // all shards have fully executed events before this time
 	active  []int
 	closed  bool
+	running bool
 
 	// workers run every active shard but the first in a window; they
 	// live only while Run does (startWorkers, stopWorkers). procs is
@@ -448,7 +449,8 @@ func (g *Group) runGlobals(t Time) {
 // exhaustion): events at t <= limit execute, and the clocks stop at
 // limit. It returns the final horizon. If the queues drain while
 // processes remain blocked, Run returns ErrDeadlock. Like Engine.Run it
-// ends every shard's idle coroutines when it returns; shards keep them
+// fails at once when called while the group is running, and it ends
+// every shard's idle coroutines when it returns; shards keep them
 // across windows. A group of more than one shard runs its shards on
 // workers that Run starts and joins on every exit: return, error or
 // panic.
@@ -458,7 +460,11 @@ func (g *Group) Run(limit Time) (Time, error) {
 	if g.closed {
 		return g.horizon, errors.New("sim: group is closed")
 	}
-	defer g.releaseIdle()
+	if g.running {
+		return g.horizon, errReentrant
+	}
+	g.running = true
+	defer g.endRun()
 	if len(g.engines) > 1 {
 		g.startWorkers()
 		defer g.stopWorkers()
@@ -514,8 +520,11 @@ func (g *Group) Run(limit Time) (Time, error) {
 	}
 }
 
-// releaseIdle ends every shard's idle coroutines.
-func (g *Group) releaseIdle() {
+// endRun, deferred by Run, clears the reentrancy guard and ends every
+// shard's idle coroutines. It runs after stopWorkers has joined the
+// workers, so clearing the guard races no shard event's read of it.
+func (g *Group) endRun() {
+	g.running = false
 	for _, e := range g.engines {
 		e.releaseIdle()
 	}

@@ -431,3 +431,54 @@ func TestShardGroupSpinRule(t *testing.T) {
 		t.Fatalf("%d shard goroutines counted after a panicking Run, %d before", n, before)
 	}
 }
+
+// Run called while the same engine or group is running fails with the
+// reentrancy error, and the outer Run finishes as if it had not been
+// called: from an engine event, and on 1 and 2 shards from a
+// coordinator global and from a shard event (on 2 shards the last
+// shard's events run on a worker).
+func TestRunReentrant(t *testing.T) {
+	e := NewEngine()
+	var inner error
+	e.Schedule(10, func() { _, inner = e.Run(0) })
+	e.Schedule(20, func() {})
+	if end, err := e.Run(0); err != nil || end != 20 || !errors.Is(inner, errReentrant) {
+		t.Fatalf("engine: outer Run = %v, %v and inner Run error %v; want 20, nil and %v", end, err, inner, errReentrant)
+	}
+
+	const ticks, look = 100, 10 * Microsecond
+	wantEnd := Time(ticks * Microsecond).Add(look) // the last window's horizon
+	before := shardGoroutines.Load()
+	for _, shards := range []int{1, 2} {
+		for _, from := range []string{"global", "shard event"} {
+			g := NewGroup(shards, look)
+			for i := 0; i < shards; i++ {
+				for k := 0; k <= ticks; k++ {
+					g.Engine(i).Schedule(Time(k)*Time(Microsecond), func() {})
+				}
+			}
+			var inner error
+			reenter := func() { _, inner = g.Run(30 * Time(Microsecond)) }
+			want := uint64(shards * (ticks + 1))
+			if from == "global" {
+				g.ScheduleGlobal(20*Time(Microsecond), 0, reenter)
+			} else {
+				g.Engine(shards-1).Schedule(20*Time(Microsecond), reenter)
+				want++
+			}
+			end, err := g.Run(0)
+			var fired uint64
+			for i := 0; i < shards; i++ {
+				fired += g.Engine(i).Fired()
+			}
+			g.Close()
+			if err != nil || end != wantEnd || fired != want || !errors.Is(inner, errReentrant) {
+				t.Errorf("%d shards, from a %s: outer Run = %v, %v after %d events and inner Run error %v; want %v, nil, %d and %v",
+					shards, from, end, err, fired, inner, wantEnd, want, errReentrant)
+			}
+			if n := shardGoroutines.Load(); n != before {
+				t.Errorf("%d shards, from a %s: %d shard goroutines counted after Run, %d before", shards, from, n, before)
+			}
+		}
+	}
+}
