@@ -91,17 +91,13 @@ $(REPOLINT): $(shell find internal/lint cmd/repolint -name '*.go' -not -path '*/
 	@mkdir -p $(BIN)
 	$(GO) build -o $(REPOLINT) ./cmd/repolint
 
-# Run go vet's own analyzers first (copylocks among them: a -vettool
-# run replaces them, and go test runs only a subset), then the repolint
-# analyzers over the whole module via go vet's vettool protocol
-# (type-checks against export data, caches per package), then one
-# standalone pass against the per-analyzer wall-time ceilings in
-# LINT_BUDGET.json: an analyzer whose cost regresses past its ceiling
-# (say, going quadratic on the module) fails lint even when its
-# diagnostics stay clean.
+# Run go vet's own analyzers first (copylocks among them; go test runs
+# only a subset), then one repolint pass over the whole module against
+# the per-analyzer wall-time ceilings in LINT_BUDGET.json: an analyzer
+# whose cost regresses past its ceiling (say, going quadratic on the
+# module) fails lint even when its diagnostics stay clean.
 lint: $(REPOLINT)
 	$(GO) vet ./...
-	$(GO) vet -vettool=$(CURDIR)/$(REPOLINT) ./...
 	$(REPOLINT) -budget LINT_BUDGET.json ./...
 
 # Ten-second native-fuzzing smokes. Over the PWTR binary trace

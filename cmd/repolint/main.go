@@ -1,23 +1,13 @@
 // Command repolint runs the repository's analyzer suite (floateq,
 // unitsafety, panicfree, erraudit, detflow, hotalloc, shardown,
-// typestate, rangecheck — see internal/lint) in two modes:
-//
-// Standalone, against package patterns, loading and type-checking the
-// module itself:
+// typestate, rangecheck — see internal/lint) against package
+// patterns, loading and type-checking the module itself:
 //
 //	go run ./cmd/repolint ./...
 //	repolint -list         # print every registered analyzer with its one-line doc
 //	repolint -only detflow,panicfree ./internal/...
 //	repolint -json ./...   # one JSON object per line, suppressions and timing included
 //	repolint -timing ./... # per-analyzer wall-time table on stderr
-//
-// And as a vet tool, speaking the go vet driver protocol (the -V=full
-// handshake, the -flags query, and the JSON .cfg package description
-// with pre-built export data), which lets the go tool own package
-// loading, caching, and parallelism:
-//
-//	go build -o bin/repolint ./cmd/repolint
-//	go vet -vettool=bin/repolint ./...
 //
 // It also hosts the benchmark-regression gate as a subcommand (see
 // internal/lint/benchdiff):
@@ -31,18 +21,12 @@
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -59,27 +43,18 @@ func main() {
 		os.Exit(benchdiffMain(os.Args[2:], os.Stdout, os.Stderr))
 	}
 
-	versionFlag := flag.String("V", "", "print version and exit (go vet handshake)")
-	flagsFlag := flag.Bool("flags", false, "print analyzer flags as JSON and exit (go vet handshake)")
 	list := flag.Bool("list", false, "print every registered analyzer with its one-line doc and exit")
 	only := flag.String("only", "", "comma-separated subset of analyzers to run")
 	jsonOut := flag.Bool("json", false,
-		"standalone mode: print one JSON object per diagnostic (including suppressed ones) to stdout")
+		"print one JSON object per diagnostic (including suppressed ones) to stdout")
 	timing := flag.Bool("timing", false,
-		"standalone mode: print a per-analyzer wall-time table to stderr (-json always carries timing records)")
+		"print a per-analyzer wall-time table to stderr (-json always carries timing records)")
 	budget := flag.String("budget", "",
-		"standalone mode: JSON file of per-analyzer wall-time ceilings in ms (see LINT_BUDGET.json); any exceeded ceiling fails the run")
+		"JSON file of per-analyzer wall-time ceilings in ms (see LINT_BUDGET.json); any exceeded ceiling fails the run")
 	flag.Usage = usage
 	flag.Parse()
 
-	switch {
-	case *versionFlag != "":
-		printVersion(*versionFlag)
-		return
-	case *flagsFlag:
-		fmt.Println("[]") // no pass-through flags beyond the handshake
-		return
-	case *list:
+	if *list {
 		listAnalyzers(os.Stdout)
 		return
 	}
@@ -89,12 +64,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "repolint:", err)
 		os.Exit(1)
 	}
-
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runVetUnit(args[0], analyzers))
-	}
-	os.Exit(runStandalone(args, analyzers, *jsonOut, *timing, *budget, ".", os.Stdout, os.Stderr))
+	os.Exit(runStandalone(flag.Args(), analyzers, *jsonOut, *timing, *budget, ".", os.Stdout, os.Stderr))
 }
 
 // listAnalyzers prints the registered suite, one analyzer per line
@@ -108,36 +78,11 @@ func listAnalyzers(w io.Writer) {
 
 func usage() {
 	fmt.Fprintf(os.Stderr, "usage: repolint [-only a,b] [package pattern ...]\n"+
-		"       repolint benchdiff [-baseline file] [-band pct] [-update] [stream.json]\n"+
-		"       go vet -vettool=$(command -v repolint) ./...\n\nanalyzers:\n")
+		"       repolint benchdiff [-baseline file] [-band pct] [-update] [stream.json]\n\nanalyzers:\n")
 	for _, a := range repolint.All() {
 		fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 	}
 	flag.PrintDefaults()
-}
-
-// printVersion answers go vet's tool-identity handshake. The go tool
-// folds the line into its build cache key, so it must change when the
-// binary does: we hash the executable itself, as x/tools' unitchecker
-// does.
-func printVersion(mode string) {
-	if mode != "full" {
-		fmt.Fprintf(os.Stderr, "repolint: unsupported -V mode %q\n", mode)
-		os.Exit(1)
-	}
-	progname := filepath.Base(os.Args[0])
-	self, err := os.Open(os.Args[0])
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "repolint:", err)
-		os.Exit(1)
-	}
-	defer self.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, self); err != nil {
-		fmt.Fprintln(os.Stderr, "repolint:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("%s version devel comments-go-here buildID=%02x\n", progname, string(h.Sum(nil)))
 }
 
 func selectAnalyzers(only string) ([]*analysis.Analyzer, error) {
@@ -263,112 +208,6 @@ func runStandalone(patterns []string, analyzers []*analysis.Analyzer, jsonOut, t
 	}
 	if budgetFile != "" {
 		return checkBudget(budgetFile, analyzers, elapsed, stderr)
-	}
-	return 0
-}
-
-// vetConfig is the JSON package description the go vet driver hands to
-// a -vettool for each package unit (see x/tools unitchecker for the
-// reference decoder of the same schema).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// runVetUnit analyzes the single package unit described by cfgFile,
-// type-checking against the export data the go tool already built.
-func runVetUnit(cfgFile string, analyzers []*analysis.Analyzer) int {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "repolint:", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "repolint: parsing %s: %v\n", cfgFile, err)
-		return 1
-	}
-
-	// The driver always expects the facts output file; the suite uses
-	// no cross-package facts, so it is empty.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "repolint:", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0 // dependency visited only for facts, of which we have none
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return 0
-			}
-			fmt.Fprintln(os.Stderr, "repolint:", err)
-			return 1
-		}
-		files = append(files, f)
-	}
-
-	imp := importer.ForCompiler(fset, cfg.Compiler, func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	// Test variants arrive as "path [path.test]"; analyzers scope by
-	// the real import path.
-	importPath := cfg.ImportPath
-	if i := strings.IndexByte(importPath, ' '); i >= 0 {
-		importPath = importPath[:i]
-	}
-	info := loader.NewInfo()
-	conf := types.Config{Importer: imp, GoVersion: cfg.GoVersion}
-	tpkg, err := conf.Check(importPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "repolint: type-checking %s: %v\n", cfg.ImportPath, err)
-		return 1
-	}
-
-	found := 0
-	for _, a := range analyzers {
-		pass := analysis.NewPass(a, fset, files, tpkg, info)
-		if err := a.Run(pass); err != nil {
-			fmt.Fprintf(os.Stderr, "repolint: %s: %s: %v\n", a.Name, cfg.ImportPath, err)
-			return 1
-		}
-		for _, d := range pass.Diagnostics() {
-			fmt.Fprintf(os.Stderr, "%s: %s: %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)
-			found++
-		}
-	}
-	if found > 0 {
-		return 2
 	}
 	return 0
 }

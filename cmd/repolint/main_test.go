@@ -34,15 +34,17 @@ func TestSelectAnalyzers(t *testing.T) {
 
 // --- standalone driver ---
 
-// TestRunStandaloneCleanPackage lints the module (the tree is
-// lint-clean, so the run must be too) through both output modes. The
-// standalone loader resolves intra-module imports from the `go list`
-// set, so the pattern must cover the whole module, rooted at go.mod.
+// TestRunStandaloneCleanPackage lints a small module whose one finding
+// carries a //lint:allow through both output modes: the run must be
+// clean, and -json must still report the suppressed finding. That the
+// repository itself is clean is TestRepoIsLintClean's check (and
+// `make lint`'s).
 func TestRunStandaloneCleanPackage(t *testing.T) {
 	if testing.Short() {
-		t.Skip("loads and type-checks the whole module; not short")
+		t.Skip("loads and type-checks packages; not short")
 	}
-	root := filepath.Join("..", "..")
+	root := t.TempDir()
+	writeModule(t, root, " //lint:allow detflow (the suppressed finding the -json stream must carry)")
 	analyzers, err := selectAnalyzers("")
 	if err != nil {
 		t.Fatal(err)
@@ -67,10 +69,11 @@ func TestRunStandaloneCleanPackage(t *testing.T) {
 	if code := runStandalone([]string{"./..."}, analyzers, true, false, "", root, &stdout, &stderr); code != 0 {
 		t.Fatalf("-json mode exit %d, stderr:\n%s", code, stderr.String())
 	}
-	// Whatever -json emits (suppressed findings included) must be one
-	// well-formed object per line with the stable field set — now
-	// followed by one timing record per analyzer.
+	// Whatever -json emits must be one well-formed object per line with
+	// the stable field set: the suppressed finding, then one timing
+	// record per analyzer.
 	timings := make(map[string]bool)
+	suppressed := 0
 	dec := json.NewDecoder(bytes.NewReader(stdout.Bytes()))
 	for dec.More() {
 		var raw map[string]any
@@ -88,9 +91,14 @@ func TestRunStandaloneCleanPackage(t *testing.T) {
 		if pos, _ := raw["pos"].(string); pos == "" {
 			t.Errorf("-json diagnostic missing pos: %+v", raw)
 		}
-		if suppressed, _ := raw["suppressed"].(bool); !suppressed {
-			t.Errorf("clean tree emitted an unsuppressed diagnostic: %+v", raw)
+		if s, _ := raw["suppressed"].(bool); !s {
+			t.Errorf("clean module emitted an unsuppressed diagnostic: %+v", raw)
+		} else if name == "detflow" {
+			suppressed++
 		}
+	}
+	if suppressed != 1 {
+		t.Errorf("-json stream has %d suppressed detflow records, want 1:\n%s", suppressed, stdout.String())
 	}
 	for _, a := range analyzers {
 		if !timings[a.Name] {
@@ -99,20 +107,14 @@ func TestRunStandaloneCleanPackage(t *testing.T) {
 	}
 }
 
-// TestRunStandaloneDiagnostics seeds a diagnostic (the detcmd fixture
-// under the lint testdata module is a real module the loader can list)
-// and checks the exit code and -json wire format carry it.
+// TestRunStandaloneDiagnostics seeds a diagnostic and checks the exit
+// code and -json wire format carry it.
 func TestRunStandaloneDiagnostics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks packages; not short")
 	}
-	dir := filepath.Join("..", "..", "internal", "lint", "testdata", "src", "repro")
-	if _, err := os.Stat(filepath.Join(dir, "go.mod")); err != nil {
-		// The fixture tree is GOPATH-style (no go.mod): the standalone
-		// loader needs a module, so synthesize one in a copy.
-		dir = t.TempDir()
-		writeFixtureModule(t, dir)
-	}
+	dir := t.TempDir()
+	writeModule(t, dir, "")
 	analyzers, err := selectAnalyzers("detflow")
 	if err != nil {
 		t.Fatal(err)
@@ -139,9 +141,10 @@ func TestRunStandaloneDiagnostics(t *testing.T) {
 	}
 }
 
-// writeFixtureModule lays down a minimal module whose one package
-// reads the wall clock inside a simulator package, which detflow bans.
-func writeFixtureModule(t *testing.T, dir string) {
+// writeModule lays down a minimal module whose one package reads the
+// wall clock inside a simulator package, which detflow bans; allow
+// ends that line.
+func writeModule(t *testing.T, dir, allow string) {
 	t.Helper()
 	files := map[string]string{
 		"go.mod": "module repro\n\ngo 1.22\n",
@@ -150,8 +153,7 @@ func writeFixtureModule(t *testing.T, dir string) {
 import "time"
 
 // Now leaks wall-clock time into the simulator.
-func Now() time.Time { return time.Now() }
-`,
+func Now() time.Time { return time.Now() }` + allow + "\n",
 	}
 	for name, content := range files {
 		path := filepath.Join(dir, name)

@@ -17,12 +17,17 @@
 // suppressed by //lint:allow simply carries no want comment — if the
 // suppression were to stop working, the unexpected diagnostic fails
 // the test, which is how the escape hatch itself stays tested.
+//
+// Fixtures import the module's own packages, type-checked from source,
+// so they exercise the analyzers against the real APIs: renaming an API
+// a fixture calls fails the fixture too. A fixture sits under
+// testdata/src/repro/... only where an analyzer scopes by import path
+// (a simulator package, say).
 package analysistest
 
 import (
 	"fmt"
 	"go/ast"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -101,12 +106,17 @@ type Package struct {
 	Wants []Want
 }
 
-// Load parses and type-checks the fixture package dir/src/<pkgPath>,
-// resolving imports first against the fixture tree and then the
-// standard library.
+// Load parses and type-checks the fixture package dir/src/<pkgPath>.
+// An import resolves to a fixture directory that holds Go files, then
+// to a package of the module holding dir, type-checked from source,
+// then to the standard library.
 func Load(dir, pkgPath string) (*Package, error) {
 	fset := token.NewFileSet()
-	ld := &fixtureLoader{root: filepath.Join(dir, "src"), fset: fset, loaded: make(map[string]*types.Package)}
+	module, err := loader.NewImporter(fset, dir)
+	if err != nil {
+		return nil, err
+	}
+	ld := &fixtureLoader{root: filepath.Join(dir, "src"), fset: fset, module: module, loaded: make(map[string]*types.Package)}
 	files, tpkg, info, err := ld.loadDir(pkgPath)
 	if err != nil {
 		return nil, err
@@ -118,27 +128,26 @@ func Load(dir, pkgPath string) (*Package, error) {
 	return &Package{Fset: fset, Files: files, Types: tpkg, Info: info, Wants: wants}, nil
 }
 
-// fixtureLoader parses and type-checks fixture packages, resolving
-// imports first against the fixture tree and then the standard library.
+// fixtureLoader parses and type-checks fixture packages.
 type fixtureLoader struct {
 	root   string
 	fset   *token.FileSet
+	module types.Importer
 	loaded map[string]*types.Package
-	std    types.Importer
 }
 
+// Import resolves path to a fixture package when its directory holds
+// Go files: testdata/src/repro/internal/sim only parents fixture
+// packages, so repro/internal/sim is the module's own.
 func (ld *fixtureLoader) Import(path string) (*types.Package, error) {
 	if p, ok := ld.loaded[path]; ok {
 		return p, nil
 	}
-	if st, err := os.Stat(filepath.Join(ld.root, path)); err == nil && st.IsDir() {
+	if goFiles, _ := filepath.Glob(filepath.Join(ld.root, path, "*.go")); len(goFiles) > 0 {
 		_, tpkg, _, err := ld.loadDir(path)
 		return tpkg, err
 	}
-	if ld.std == nil {
-		ld.std = importer.Default()
-	}
-	return ld.std.Import(path)
+	return ld.module.Import(path)
 }
 
 func (ld *fixtureLoader) loadDir(pkgPath string) ([]*ast.File, *types.Package, *types.Info, error) {

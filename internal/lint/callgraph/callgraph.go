@@ -14,8 +14,8 @@
 // from them; Summaries memoizes per-function results for the value
 // analyzers. Cross-package calls are not followed — instead every
 // intra-module package is analyzed with its own roots, which closes
-// the module-wide argument package by package without needing
-// whole-program loading under the "go vet -vettool" driver.
+// the module-wide argument package by package without whole-program
+// analysis.
 package callgraph
 
 import (

@@ -226,7 +226,7 @@ func F() (x string, n int, s *T) {
 	n++
 	return
 }`,
-			"taint test source, ret test source | iv ret (-inf, +inf), ret [-1, -1], ret (-inf, +inf), ret (-inf, +inf), ret [1, +inf), ret (-inf, +inf) | proto p.M value does not reach fresh or ended on this path (must reach End on every path), p.M value does not reach fresh or ended on this path (must reach End on every path)"},
+			"taint test source, ret test source | iv ret (-inf, +inf), ret [-1, -1], ret (-inf, +inf), ret (-inf, +inf), ret [1, +inf), ret (-inf, +inf) | proto "},
 		{"defer in a loop", `
 func F(xs []int) {
 	x, n := "", 0

@@ -132,11 +132,12 @@ type StateAnalysis struct {
 }
 
 // RunProto interprets body under a, reporting protocol violations
-// through a.Report. It is the typestate counterpart of Run.
-func RunProto(body *ast.BlockStmt, a *StateAnalysis) {
+// through a.Report. ft is the function's type (for named results and
+// naked returns). It is the typestate counterpart of Run.
+func RunProto(ft *ast.FuncType, body *ast.BlockStmt, a *StateAnalysis) {
 	d := newProtocols(a, nil)
 	d.pushFrame()
-	d.body(nil, body)
+	d.body(ft, body)
 }
 
 // objState is one tracked value's abstract state.
@@ -280,9 +281,9 @@ func (d *protocols) loop(pass int, pre, _, out env[objState]) (env[objState], bo
 	return carryTwice(&d.walker, pass, pre, out)
 }
 
-// read leaves a naked return with nothing to escape: a tracked named
-// result is still owed by the function that returns it.
-func (d *protocols) read(types.Object) protoRef { return protoRef{} }
+// read is a named result at a naked return: a tracked one escapes to
+// the caller, as it would through an explicit return.
+func (d *protocols) read(obj types.Object) protoRef { return protoRef{obj: obj} }
 
 func (d *protocols) elem(protoRef) protoRef                                   { return protoRef{} }
 func (d *protocols) arith(token.Token, protoRef, protoRef, ast.Expr) protoRef { return protoRef{} }

@@ -146,7 +146,7 @@ func runProto(t *testing.T, src string) []string {
 			got = append(got, posMsg{v.Pos, v.Msg})
 		},
 	}
-	dataflow.RunProto(fd.Body, a)
+	dataflow.RunProto(fd.Type, fd.Body, a)
 	sort.Slice(got, func(i, j int) bool { return got[i].pos < got[j].pos })
 	msgs := make([]string, len(got))
 	for i, g := range got {

@@ -12,6 +12,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/lint/analysis"
@@ -27,21 +28,13 @@ func TestRepoIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repo-wide type-check is not short")
 	}
-	root := moduleRoot(t)
-	fset := token.NewFileSet()
-	pkgs, err := loader.Load(fset, root, "./...")
-	if err != nil {
-		t.Fatalf("loading module packages: %v", err)
-	}
-	if len(pkgs) == 0 {
-		t.Fatal("loader returned no packages")
-	}
+	m := lintModule(t)
 	// Dogfooding: the sweep must cover the linters themselves. If the
 	// loader ever skipped internal/lint (or the v5 analyzer packages),
 	// the clean-tree invariant would silently stop policing the code
 	// that enforces it.
-	covered := make(map[string]bool, len(pkgs))
-	for _, pkg := range pkgs {
+	covered := make(map[string]bool, len(m.pkgs))
+	for _, pkg := range m.pkgs {
 		covered[pkg.ImportPath] = true
 	}
 	// (internal/lint itself is all _test.go files, which the loader
@@ -58,18 +51,63 @@ func TestRepoIsLintClean(t *testing.T) {
 			t.Errorf("lint sweep does not load %s: repolint must self-lint", path)
 		}
 	}
-	for _, a := range repolint.All() {
-		for _, pkg := range pkgs {
-			pass := analysis.NewPass(a, fset, pkg.Files, pkg.Types, pkg.Info)
-			if err := a.Run(pass); err != nil {
-				t.Errorf("%s: %s: %v", a.Name, pkg.ImportPath, err)
-				continue
-			}
-			for _, d := range pass.Diagnostics() {
-				t.Errorf("%s: %s: %s", fset.Position(d.Pos), d.Analyzer, d.Message)
-			}
+	for _, r := range m.runs {
+		if r.err != nil {
+			t.Errorf("%s: %s: %v", r.pass.Analyzer.Name, r.pkg.ImportPath, r.err)
+			continue
+		}
+		for _, d := range r.pass.Diagnostics() {
+			t.Errorf("%s: %s: %s", m.fset.Position(d.Pos), d.Analyzer, d.Message)
 		}
 	}
+}
+
+// lintedModule is the whole module loaded once and linted once by the
+// full suite, shared by TestRepoIsLintClean and
+// TestSuppressionInventory.
+type lintedModule struct {
+	fset *token.FileSet
+	pkgs []*loader.Package
+	runs []analyzerRun // every repolint.All() analyzer over every package
+	err  error         // from loader.Load
+}
+
+type analyzerRun struct {
+	pkg  *loader.Package
+	pass *analysis.Pass
+	err  error
+}
+
+var linted struct {
+	once sync.Once
+	m    lintedModule
+}
+
+// lintModule returns the shared lint run, failing t when the module
+// does not load.
+func lintModule(t *testing.T) *lintedModule {
+	t.Helper()
+	root := moduleRoot(t)
+	linted.once.Do(func() {
+		m := &linted.m
+		m.fset = token.NewFileSet()
+		if m.pkgs, m.err = loader.Load(m.fset, root, "./..."); m.err != nil {
+			return
+		}
+		for _, pkg := range m.pkgs {
+			for _, a := range repolint.All() {
+				pass := analysis.NewPass(a, m.fset, pkg.Files, pkg.Types, pkg.Info)
+				m.runs = append(m.runs, analyzerRun{pkg: pkg, pass: pass, err: a.Run(pass)})
+			}
+		}
+	})
+	if linted.m.err != nil {
+		t.Fatalf("loading module packages: %v", linted.m.err)
+	}
+	if len(linted.m.pkgs) == 0 {
+		t.Fatal("loader returned no packages")
+	}
+	return &linted.m
 }
 
 // moduleRoot walks up from the working directory to the go.mod.

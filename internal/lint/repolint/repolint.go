@@ -1,10 +1,10 @@
 // Package repolint assembles the repository's analyzer suite. The
-// cmd/repolint multichecker, the go vet -vettool integration, and the
-// repo-wide clean-lint meta-test all call All() for exactly the same
-// list, so adding an analyzer to the registry here is the single step
-// that wires it into every gate — and no driver can end up running a
-// private subset, which is what let a suppression name a registered-
-// but-never-loaded analyzer before the inventory test caught it.
+// cmd/repolint multichecker and the repo-wide clean-lint meta-tests
+// call All() for exactly the same list, so adding an analyzer to the
+// registry here is the single step that wires it into every gate — and
+// no driver can end up running a private subset, which is what let a
+// suppression name a registered-but-never-loaded analyzer before the
+// inventory test caught it.
 package repolint
 
 import (

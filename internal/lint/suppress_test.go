@@ -2,11 +2,9 @@ package lint
 
 import (
 	"fmt"
-	"go/token"
 	"testing"
 
 	"repro/internal/lint/analysis"
-	"repro/internal/lint/loader"
 	"repro/internal/lint/repolint"
 )
 
@@ -29,43 +27,31 @@ func TestSuppressionInventory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repo-wide type-check is not short")
 	}
-	root := moduleRoot(t)
-	fset := token.NewFileSet()
-	pkgs, err := loader.Load(fset, root, "./...")
-	if err != nil {
-		t.Fatalf("loading module packages: %v", err)
-	}
-	if len(pkgs) == 0 {
-		t.Fatal("loader returned no packages")
-	}
+	m := lintModule(t)
 
-	// One shared registry: the same repolint.All() slice the standalone
-	// and vet drivers run, so an analyzer cannot be "registered" for the
+	// One shared registry: the same repolint.All() slice cmd/repolint
+	// runs, so an analyzer cannot be "registered" for the
 	// directive-grammar check yet missing from the load-bearing check.
-	suite := repolint.All()
 	registered := make(map[string]bool)
-	for _, a := range suite {
+	for _, a := range repolint.All() {
 		registered[a.Name] = true
 	}
 
 	// Which (file, line) directive sites actually silenced a diagnostic,
 	// according to the full suite.
 	used := make(map[string]bool)
-	for _, pkg := range pkgs {
-		for _, a := range suite {
-			pass := analysis.NewPass(a, fset, pkg.Files, pkg.Types, pkg.Info)
-			if err := a.Run(pass); err != nil {
-				t.Fatalf("%s: %s: %v", a.Name, pkg.ImportPath, err)
-			}
-			for _, s := range pass.Suppressed() {
-				used[fmt.Sprintf("%s:%d", s.DirectiveFile, s.DirectiveLine)] = true
-			}
+	for _, r := range m.runs {
+		if r.err != nil {
+			t.Fatalf("%s: %s: %v", r.pass.Analyzer.Name, r.pkg.ImportPath, r.err)
+		}
+		for _, s := range r.pass.Suppressed() {
+			used[fmt.Sprintf("%s:%d", s.DirectiveFile, s.DirectiveLine)] = true
 		}
 	}
 
 	total := 0
-	for _, pkg := range pkgs {
-		for _, d := range analysis.ParseDirectives(fset, pkg.Files) {
+	for _, pkg := range m.pkgs {
+		for _, d := range analysis.ParseDirectives(m.fset, pkg.Files) {
 			total++
 			site := fmt.Sprintf("%s:%d", d.File, d.Line)
 			if d.Problem != "" {

@@ -1,10 +1,12 @@
 // Package typestate_fixture seeds one violation of each built-in
 // protocol spec — Tick after End (the acceptance case), Tick before
-// Begin, double Begin, a Writer abandoned on an error exit, a double
-// Replay, Spawn after Close, Post after Close, a Group that never
-// reaches Close, and exec.Map results read before the error check —
-// next to the clean shapes (defer-discharged obligations, err-guarded
-// constructors, sinks handed off to a Recorder) that must stay quiet.
+// Begin, double Begin, a Writer abandoned on an error exit or beside a
+// naked return, a double Replay, Spawn after Close, Post after Close, a
+// Group that never reaches Close, and exec.Map results read before the
+// error check — next to the clean shapes (defer-discharged
+// obligations, err-guarded constructors, sinks handed off to a
+// Recorder, a writer returned through a named result) that must stay
+// quiet.
 package typestate_fixture
 
 import (
@@ -76,6 +78,24 @@ func WriterDeferredEnd(out io.Writer, row []trace.Sample) error {
 		return err
 	}
 	return nil
+}
+
+// WriterOpened hands its begun writer to the caller through a named
+// result and a naked return: the caller owes the End.
+func WriterOpened(out io.Writer, m trace.Meta) (w *trace.Writer, err error) {
+	w = trace.NewWriter(out)
+	err = w.Begin(m)
+	return
+}
+
+// WriterOpenedLeaksSpare returns its named writer the same way but
+// drops a second, begun one.
+func WriterOpenedLeaksSpare(out, spare io.Writer, m trace.Meta) (w *trace.Writer, err error) {
+	w = trace.NewWriter(out)
+	tmp := trace.NewWriter(spare)
+	_ = tmp.Begin(m)
+	err = w.Begin(m)
+	return // want `trace\.Writer value does not reach End`
 }
 
 // FileWriterNeverEnded leaks the file sink entirely.

@@ -229,7 +229,7 @@ func run(pass *analysis.Pass) error {
 			Decl:   func(fn *types.Func) *ast.FuncDecl { return decls[fn] },
 			Report: report,
 		}
-		dataflow.RunProto(fd.Body, a)
+		dataflow.RunProto(fd.Type, fd.Body, a)
 		checkMapResults(pass, fd)
 	}
 	return nil

@@ -287,8 +287,8 @@ type Rank struct {
 	spin      *sim.Timer
 	spinToken uint64
 
-	// Helper-process names, built once: they appear only in debug
-	// traces and panic text.
+	// Helper-process names, built once: they appear only in panic
+	// text.
 	isendName, irecvName string
 
 	stats Stats

@@ -37,10 +37,6 @@ type Engine struct {
 	// empty for a standalone engine. Preformatted at construction so
 	// the panic helpers stay allocation-free on the hot path.
 	shardTag string
-
-	// Trace, if non-nil, receives a line for every process state change.
-	// Intended for debugging simulations, not for measurement.
-	Trace func(t Time, format string, args ...any)
 }
 
 // NewEngine returns an engine with the clock at the simulation epoch.
@@ -113,12 +109,6 @@ func (e *Engine) After(d Duration, fn func()) {
 		d = 0
 	}
 	e.Schedule(e.now.Add(d), fn)
-}
-
-func (e *Engine) tracef(format string, args ...any) {
-	if e.Trace != nil {
-		e.Trace(e.now, format, args...)
-	}
 }
 
 // Run executes events until the queue is empty or until limit is reached
@@ -272,16 +262,6 @@ func (e *Engine) resumeProc(kind eventKind, p *Proc) {
 	}
 	if p.state != want {
 		return
-	}
-	if e.Trace != nil {
-		switch kind {
-		case evStart:
-			e.tracef("proc %s: start", p.name) //lint:allow hotalloc (nil-guarded debug tracing, off on the measured path)
-		case evWake:
-			e.tracef("proc %s: wake", p.name) //lint:allow hotalloc (nil-guarded debug tracing, off on the measured path)
-		case evDeliver:
-			e.tracef("proc %s: resume", p.name) //lint:allow hotalloc (nil-guarded debug tracing, off on the measured path)
-		}
 	}
 	p.state = procRunning
 	if kind == evStart {

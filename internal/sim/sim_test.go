@@ -417,27 +417,6 @@ func BenchmarkProcessSwitch(b *testing.B) {
 	}
 }
 
-func TestEngineTraceHook(t *testing.T) {
-	e := NewEngine()
-	var lines []string
-	e.Trace = func(at Time, format string, args ...any) {
-		lines = append(lines, fmt.Sprintf("%v "+format, append([]any{at}, args...)...))
-	}
-	e.Spawn("traced", func(p *Proc) {
-		p.Sleep(Microsecond)
-	})
-	if _, err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if len(lines) < 2 {
-		t.Fatalf("trace lines: %v", lines)
-	}
-	joined := strings.Join(lines, "\n")
-	if !strings.Contains(joined, "traced") {
-		t.Fatalf("trace missing proc name:\n%s", joined)
-	}
-}
-
 func TestEnginePending(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(Time(10), func() {})
