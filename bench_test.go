@@ -661,8 +661,8 @@ func BenchmarkAblationFinePStates(b *testing.B) {
 // (TestShardedRunByteEquality), so the only thing that changes is
 // wall-clock time, reported as the speedup metric beside the
 // GOMAXPROCS it ran with. Two shards need two cores to gain anything:
-// at GOMAXPROCS 1 the ratio records the windowing overhead instead
-// (slightly below 1).
+// at GOMAXPROCS 1 the ratio records instead what the 2-shard side's
+// lookahead windows cost, against a 1-shard run that has none.
 func BenchmarkShardedFT(b *testing.B) {
 	ft := repro.NewFT('A', 256)
 	ft.IterOverride = 1

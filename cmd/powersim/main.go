@@ -57,15 +57,20 @@ func replayTrace(w io.Writer, path, csvOut string) error {
 	return err
 }
 
-// catalog builds the named workloads at a given scale.
-func catalog(scale int) map[string]func() workloads.Workload {
-	s := func(base int) int {
-		n := base * scale
-		if n < 1 {
-			n = 1
-		}
-		return n
+// checkCounts rejects a workload scale or a repetition count below 1.
+func checkCounts(scale, reps int) error {
+	if scale < 1 {
+		return fmt.Errorf("-scale %d: the workload size multiplier must be at least 1", scale)
 	}
+	if reps < 1 {
+		return fmt.Errorf("-reps %d: the repetition count must be at least 1", reps)
+	}
+	return nil
+}
+
+// catalog builds the named workloads at a given scale, at least 1.
+func catalog(scale int) map[string]func() workloads.Workload {
+	s := func(base int) int { return base * scale }
 	mk := map[string]func() workloads.Workload{
 		"swim":     func() workloads.Workload { return workloads.NewSwim(s(100)) },
 		"mgrid":    func() workloads.Workload { return workloads.NewMgrid(s(100)) },
@@ -135,6 +140,10 @@ func main() {
 	traceReplay := flag.String("trace-replay", "", "replay a binary trace archive: print per-node stats (no simulation); combine with -trace to re-encode it as CSV")
 	list := flag.Bool("list", false, "list workloads and exit")
 	flag.Parse()
+	if err := checkCounts(*scale, *reps); err != nil {
+		fmt.Fprintf(os.Stderr, "powersim: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *traceReplay != "" {
 		if err := replayTrace(os.Stdout, *traceReplay, *traceCSV); err != nil {

@@ -30,7 +30,8 @@ import (
 type Spec struct {
 	// Name labels the campaign in outputs.
 	Name string `json:"name"`
-	// Reps is the repetition count (default 3, the paper's protocol).
+	// Reps is the repetition count (0 means 3, the paper's protocol;
+	// negative is an error).
 	Reps int `json:"reps,omitempty"`
 	// Settle is the battery-protocol settle time as a Go duration
 	// string (default "5m").
@@ -140,6 +141,9 @@ func (s *Spec) validate() error {
 	}
 	if len(s.Strategies) == 0 {
 		return fmt.Errorf("campaign: no strategies")
+	}
+	if s.Reps < 0 {
+		return fmt.Errorf("campaign: negative reps")
 	}
 	if s.Parallelism < 0 {
 		return fmt.Errorf("campaign: negative parallelism")

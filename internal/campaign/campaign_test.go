@@ -47,6 +47,8 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		`{"workloads": [{"kind":"swim"}], "strategies": [{"kind":"static"}], "settle": "soon"}`,
 		`{"workloads": [{"kind":"swim"}], "strategies": [{"kind":"static"}], "bogus": 1}`,                 // unknown field
 		`{"workloads": [{"kind":"swim"}], "strategies": [{"kind":"static"}], "trace_interval_ms": -1}`,    // negative trace interval
+		`{"workloads": [{"kind":"swim"}], "strategies": [{"kind":"static"}], "reps": -1}`,                 // negative reps
+		`{"workloads": [{"kind":"swim"}], "strategies": [{"kind":"static"}], "parallelism": -1}`,          // negative parallelism
 		`{"workloads": [{"kind":"swim"}], "strategies": [{"kind":"static"}], "trace_dir": "/tmp/traces"}`, // dir without interval
 	}
 	for i, c := range cases {

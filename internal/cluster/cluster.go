@@ -296,9 +296,10 @@ const (
 // lookahead windows of Net.Latency. All cluster-wide observers — the
 // start snapshot, completion detection, the Baytech strip and the
 // trace recorder — run as coordinator globals at window barriers,
-// where every shard's state is consistent. One shard runs the same
-// windowed protocol inline, so results are byte-identical at any
-// shard count.
+// where every shard's state is consistent. One shard runs inline from
+// global to global, with no lookahead windows, and every global still
+// runs after the events before its time and before those at it, so
+// results are byte-identical at any shard count.
 func (r *Runner) RunOnce(w workloads.Workload, strat dvs.Strategy, baseIdx int, seed int64) (*Result, error) {
 	cfg := r.cfg
 	table := cfg.Machine.Table
@@ -317,8 +318,9 @@ func (r *Runner) RunOnce(w workloads.Workload, strat dvs.Strategy, baseIdx int, 
 	}
 	look := cfg.Net.Latency
 	if look <= 0 {
-		// Single shard only (Validate enforces it): the lookahead just
-		// paces windows, so any positive value is correct.
+		// Single shard only (Validate enforces it): there the lookahead
+		// only delays each rank's completion check, whose reads
+		// back-date to the finish, so any positive value is correct.
 		look = sim.Microsecond
 	}
 	g := sim.NewGroup(shards, look)

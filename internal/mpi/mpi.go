@@ -108,8 +108,9 @@ func NewWorld(g *sim.Group, nodes []*machine.Node, sw netsim.Fabric, cfg Config)
 		panic(fmt.Sprintf("mpi: %d nodes but only %d switch ports", len(nodes), sw.Ports())) //lint:allow panicfree (models MPI_Abort; rank/tag/count errors abort the MPI job)
 	}
 	if g.Size() > 1 && sw.MinLatency() < g.Lookahead() {
-		// A single-shard group never crosses a shard boundary, so the
-		// lookahead only paces windows and any fabric is safe.
+		// A single-shard group never crosses a shard boundary and runs
+		// from global to global, not by the lookahead, so any fabric is
+		// safe.
 		panic("mpi: fabric minimum latency below group lookahead") //lint:allow panicfree (models MPI_Abort; rank/tag/count errors abort the MPI job)
 	}
 	w := &World{

@@ -227,3 +227,49 @@ func BenchmarkTimerReset(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkGroupChurn measures one fired event of a one-shard Group
+// shaped like a paper-figure run: eight event chains, one per rank,
+// each scheduling its next event 3 to 216 µs ahead (about five events
+// per 45 µs lookahead), and a global that re-arms every 10 ms, as the
+// power strip's polls do. One op is one chain event.
+func BenchmarkGroupChurn(b *testing.B) {
+	b.ReportAllocs()
+	g := NewGroup(1, 45*Microsecond)
+	defer g.Close()
+	e := g.Engine(0)
+	// xorshift keeps the draws deterministic without math/rand.
+	x := uint64(0x9E3779B97F4A7C15)
+	rnd := func() uint64 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return x
+	}
+	const chains = 8
+	offsets := [...]Duration{3 * Microsecond, 18 * Microsecond, 45 * Microsecond, 100 * Microsecond, 216 * Microsecond}
+	n := 0
+	var near func()
+	near = func() {
+		n++
+		if n < b.N {
+			e.After(offsets[rnd()%uint64(len(offsets))], near)
+		}
+	}
+	var at Time
+	var poll func()
+	poll = func() {
+		if n < b.N {
+			at = at.Add(10 * Millisecond)
+			g.ScheduleGlobal(at, 0, poll)
+		}
+	}
+	for i := 0; i < chains; i++ {
+		e.After(offsets[rnd()%uint64(len(offsets))], near)
+	}
+	g.ScheduleGlobal(0, 0, poll)
+	b.ResetTimer()
+	if _, err := g.Run(0); err != nil {
+		b.Fatal(err)
+	}
+}

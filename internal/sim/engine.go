@@ -29,6 +29,7 @@ type Engine struct {
 	idle    []*coro            // coroutines whose last body ended, reused LIFO
 	blocked int                // live processes currently parked on a primitive
 	fired   uint64             // events fired so far (see Fired)
+	horizon Time               // RunUntil's bound; see RunUntil
 	running bool
 	closed  bool
 	failure error // first process panic, reported by Run
@@ -170,11 +171,14 @@ func (e *Engine) releaseIdle() {
 // It is the shard-side half of a Group window: the coordinator picks h
 // so that no other shard can inject an arrival earlier than h, and each
 // shard drains its queue up to (not including) h with exclusive access
-// to its own state. Unlike Run it performs no deadlock check — with
-// multiple shards only the Group can tell whether a blocked process
-// might still be woken by a message from elsewhere — and it leaves the
-// clock at the last executed event; the Group advances all clocks to
-// the common horizon at the barrier.
+// to its own state. The horizon is kept in the engine while the window
+// runs, because on a one-shard Group ScheduleGlobal lowers it to a
+// global that an event books inside the window; the window then stops
+// there. Unlike Run it performs no deadlock check — with multiple
+// shards only the Group can tell whether a blocked process might still
+// be woken by a message from elsewhere — and it leaves the clock at the
+// last executed event; the Group advances all clocks to the horizon
+// reached at the barrier.
 //
 //lint:hotpath the sharded dispatch loop runs once per event
 func (e *Engine) RunUntil(h Time) error {
@@ -187,9 +191,10 @@ func (e *Engine) RunUntil(h Time) error {
 	e.running = true
 	defer func() { e.running = false }() //lint:allow hotalloc (one closure per window, not per event)
 
+	e.horizon = h
 	for e.queue.Len() > 0 {
 		ev := e.queue.next()
-		if ev.t >= h {
+		if ev.t >= e.horizon {
 			break
 		}
 		e.fire(ev)

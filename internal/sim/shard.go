@@ -10,7 +10,12 @@ package sim
 //
 // are causally independent across shards and can execute in parallel.
 // The Group repeatedly computes H, runs the active shards, barriers,
-// drains the cross-shard inboxes, and repeats. A group of more than one
+// drains the cross-shard inboxes, and repeats. Every window also stops
+// at the next coordinator global. With K=1 no other shard can post an
+// arrival, so a window runs to the next global or the run's limit
+// instead of H; a global that a shard event books inside such a window
+// cuts it there (ScheduleGlobal lowers the engine's horizon), and Post
+// enqueues on the engine at once. A group of more than one
 // shard starts one persistent worker goroutine per extra shard when
 // Run begins and joins them before Run returns. In each window the
 // coordinating goroutine (the one that called Run) runs the first
@@ -24,7 +29,7 @@ package sim
 // a (source port, source sequence) priority that totally orders them
 // regardless of drain order, so the same simulation produces
 // byte-identical results at any shard count, including K=1 (which runs
-// the identical windowed protocol inline, without workers).
+// inline, without workers, from global to global).
 
 import (
 	"errors"
@@ -76,6 +81,7 @@ type Group struct {
 
 	horizon Time // all shards have fully executed events before this time
 	active  []int
+	windows uint64 // windows run so far (see Windows)
 	closed  bool
 	running bool
 
@@ -252,6 +258,11 @@ func (g *Group) Size() int { return len(g.engines) }
 // Engine returns shard i's engine.
 func (g *Group) Engine(i int) *Engine { return g.engines[i] }
 
+// Windows reports how many windows the coordinator has run, empty ones
+// included. Unlike the fired events it depends on the shard count: a
+// group of one shard runs one window per global it stops at.
+func (g *Group) Windows() uint64 { return g.windows }
+
 // Lookahead reports the conservative window size.
 func (g *Group) Lookahead() Duration { return g.look }
 
@@ -264,8 +275,15 @@ func (g *Group) Now() Time { return g.horizon }
 // It is safe to call from any shard while windows are running. The
 // lookahead contract requires t to be at least one lookahead past the
 // sender's current time; violations surface as past-time panics when
-// the inbox is drained.
+// the inbox is drained. On one shard Post enqueues on the engine at
+// once, through PostArrival with the same key: a window runs up to the
+// next global there, so an inbox drained after it would hand the
+// engine arrivals its clock has passed.
 func (g *Group) Post(shard int, t Time, src int, seq uint64, fn func()) {
+	if len(g.engines) == 1 {
+		g.engines[0].PostArrival(t, src, seq, fn)
+		return
+	}
 	in := &g.inboxes[shard]
 	in.mu.Lock()
 	in.evs = append(in.evs, arrival{t: t, src: src, seq: seq, fn: fn})
@@ -281,16 +299,29 @@ func (g *Group) Post(shard int, t Time, src int, seq uint64, fn func()) {
 // would make the tie-break nondeterministic, so every independent
 // source of same-time globals must use its own priority — distinct
 // (t, pri) pairs give a total order that is identical at any shard
-// count.
+// count. On one shard a window runs to the next global it knew of when
+// it began, so a global a shard event books before the window's
+// horizon lowers the horizon to t: the window stops there, and the
+// global runs before any shard event at t, as on more shards. A global
+// before the group horizon panics; on one shard, whose window can run
+// far past the group horizon, so does one before the shard's clock.
 func (g *Group) ScheduleGlobal(t Time, pri uint64, fn func()) {
 	g.gmu.Lock()
-	if t < g.horizon {
+	one := len(g.engines) == 1
+	floor := g.horizon
+	if one {
+		floor = g.engines[0].now
+	}
+	if t < floor {
 		g.gmu.Unlock()
-		panic(fmt.Sprintf("sim: ScheduleGlobal at %v before horizon %v (lookahead %v)", t, g.horizon, g.look)) //lint:allow panicfree (simulation-kernel invariant; a broken event loop cannot continue)
+		panic(fmt.Sprintf("sim: ScheduleGlobal at %v before horizon %v (lookahead %v)", t, floor, g.look)) //lint:allow panicfree (simulation-kernel invariant; a broken event loop cannot continue)
 	}
 	g.gseq++
 	ev := event{t: t, pri: pri, seq: g.gseq, kind: evCall, fn: fn}
 	g.globals.push(&ev)
+	if one && t < g.engines[0].horizon {
+		g.engines[0].horizon = t
+	}
 	g.gmu.Unlock()
 }
 
@@ -352,7 +383,9 @@ func (g *Group) advanceAll(t Time) {
 }
 
 // window executes all events strictly before h on every shard that has
-// one. A single active shard runs inline. Otherwise the coordinator
+// one and returns the horizon it reached: h, or on a one-shard group
+// the earlier time of a global booked while the window ran. A single
+// active shard runs inline. Otherwise the coordinator
 // releases the second and later active shards to workers 0, 1, ...,
 // runs the first itself, and waits at the barrier for each worker it
 // released. The barrier is also the memory barrier: everything a shard
@@ -362,7 +395,8 @@ func (g *Group) advanceAll(t Time) {
 // stopWorkers, which waits the window out.
 //
 //lint:hotpath the window loop runs a few thousand times per simulation
-func (g *Group) window(h Time) error {
+func (g *Group) window(h Time) (Time, error) {
+	g.windows++
 	g.active = g.active[:0]
 	for i, e := range g.engines {
 		if t, ok := e.NextEventTime(); ok && t < h {
@@ -371,9 +405,11 @@ func (g *Group) window(h Time) error {
 	}
 	switch len(g.active) {
 	case 0:
-		return nil
+		return h, nil
 	case 1:
-		return g.engines[g.active[0]].RunUntil(h)
+		e := g.engines[g.active[0]]
+		err := e.RunUntil(h)
+		return e.horizon, err
 	}
 	ws := g.workers[:len(g.active)-1]
 	for i := range ws {
@@ -387,14 +423,14 @@ func (g *Group) window(h Time) error {
 		ws[i].finish.await(ws[i].n, g.spin())
 	}
 	if err != nil {
-		return err
+		return h, err
 	}
 	for i := range ws {
 		if err := ws[i].result(); err != nil {
-			return err
+			return h, err
 		}
 	}
-	return nil
+	return h, nil
 }
 
 // startWorkers starts one worker per extra shard for this Run and
@@ -447,15 +483,17 @@ func (g *Group) runGlobals(t Time) {
 // Run advances the whole group until every shard's queue and the global
 // queue drain, or until limit is reached (limit <= 0 means run to
 // exhaustion): events at t <= limit execute, and the clocks stop at
-// limit. It returns the final horizon. If the queues drain while
-// processes remain blocked, Run returns ErrDeadlock. Like Engine.Run it
-// fails at once when called while the group is running, and it ends
-// every shard's idle coroutines when it returns; shards keep them
-// across windows. A group of more than one shard runs its shards on
-// workers that Run starts and joins on every exit: return, error or
-// panic.
+// limit. It returns the final horizon: the limit, or once the queues
+// drain, the last window's horizon on more than one shard and the time
+// of the last event or global on one, as Engine.Run returns the time of
+// its last event. If the queues drain while processes remain blocked,
+// Run returns ErrDeadlock. Like Engine.Run it fails at once when called
+// while the group is running, and it ends every shard's idle
+// coroutines when it returns; shards keep them across windows. A group
+// of more than one shard runs its shards on workers that Run starts and
+// joins on every exit: return, error or panic.
 //
-//lint:hotpath the coordinator loop runs once per lookahead window
+//lint:hotpath the coordinator loop runs once per window
 func (g *Group) Run(limit Time) (Time, error) {
 	if g.closed {
 		return g.horizon, errors.New("sim: group is closed")
@@ -491,8 +529,10 @@ func (g *Group) Run(limit Time) (Time, error) {
 			g.advanceAll(limit)
 			return g.horizon, nil
 		}
+		// On one shard no arrival can land inside a window, so it runs
+		// to the next global or the limit.
 		h := maxTime
-		if any {
+		if any && len(g.engines) > 1 {
 			h = m.Add(g.look)
 		}
 		runG := false
@@ -500,22 +540,32 @@ func (g *Group) Run(limit Time) (Time, error) {
 			h = gt
 			runG = true
 		}
-		if limit > 0 && h > limit {
+		park := limit > 0 && h > limit
+		if park {
 			// The horizon overshoots the limit but events at or before the
-			// limit remain; they are all inside the lookahead window, so run
-			// them and park the clocks at the limit.
-			if err := g.window(limit + 1); err != nil {
-				return g.horizon, err
-			}
-			g.advanceAll(limit)
-			continue
+			// limit remain; they are all inside the window, so run them and
+			// park the clocks at the limit.
+			h = limit + 1
 		}
-		if err := g.window(h); err != nil {
+		r, err := g.window(h)
+		if err != nil {
 			return g.horizon, err
 		}
-		g.advanceAll(h)
+		switch {
+		case r < h:
+			// One shard: a global that a shard event booked inside the
+			// window stopped it at r.
+			runG = true
+		case park:
+			r = limit
+		case h == maxTime:
+			// One shard with no global or limit ahead: the queue has
+			// drained, and the clocks stay at its last event.
+			r = g.engines[0].Now()
+		}
+		g.advanceAll(r)
 		if runG {
-			g.runGlobals(h)
+			g.runGlobals(r)
 		}
 	}
 }

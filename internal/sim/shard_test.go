@@ -13,19 +13,30 @@ import (
 
 // pingPong runs a K-shard ping-pong chain: each of n logical ports
 // lives on shard port*K/n, sleeps, and posts to its successor one
-// lookahead ahead. It returns one delivery log per port (a port's log
-// is only appended from its own shard, so the logs are race-free and
-// their contents — unlike a cross-shard interleaving — are a
-// simulation property).
+// lookahead ahead. Each hop also books a global one lookahead ahead,
+// which logs the clock it runs at and the deliveries made so far; on
+// one shard it lands inside a running window. It returns one delivery
+// log per port and then the globals' log (a port's log is only
+// appended from its own shard and the globals' from the coordinator,
+// so the logs are race-free and their contents — unlike a cross-shard
+// interleaving — are a simulation property).
 func pingPong(shards, n, hops int, look Duration) [][]string {
 	g := NewGroup(shards, look)
 	defer g.Close()
 	shardOf := func(port int) int { return port * shards / n }
-	log := make([][]string, n)
+	log := make([][]string, n+1)
+	seen := func(port int) {
+		delivered := 0
+		for _, l := range log[:n] {
+			delivered += len(l)
+		}
+		log[n] = append(log[n], fmt.Sprintf("%v port%d saw%d", g.Engine(0).Now(), port, delivered))
+	}
 	var hop func(port, depth int)
 	hop = func(port, depth int) {
 		e := g.Engine(shardOf(port))
 		log[port] = append(log[port], fmt.Sprintf("%v depth%d", e.Now(), depth))
+		g.ScheduleGlobal(e.Now().Add(look), uint64(port), func() { seen(port) })
 		if depth >= hops {
 			return
 		}
@@ -51,16 +62,21 @@ func pingPong(shards, n, hops int, look Duration) [][]string {
 // TestShardGroupCountInvariance pins the core determinism guarantee:
 // the same event program produces the identical execution log at any
 // shard count, because arrival keys — not drain order — order events.
+// The globals' log pins the one-shard window: a global booked inside
+// it must stop it, or the global sees later deliveries.
 func TestShardGroupCountInvariance(t *testing.T) {
 	const n, hops = 8, 40
 	look := 45 * Microsecond
 	want := pingPong(1, n, hops, look)
 	total := 0
-	for _, l := range want {
+	for _, l := range want[:n] {
 		total += len(l)
 	}
-	if total != n*(hops+1) {
-		t.Fatalf("logs have %d entries, want %d", total, n*(hops+1))
+	if total != n*(hops+1) || len(want[n]) != n*(hops+1) {
+		t.Fatalf("logs have %d deliveries and %d globals, want %d of each", total, len(want[n]), n*(hops+1))
+	}
+	if first := fmt.Sprintf("%v port0 saw%d", look, n); want[n][0] != first {
+		t.Fatalf("first global logged %q, want %q", want[n][0], first)
 	}
 	for _, k := range []int{2, 3, 4, 8} {
 		got := pingPong(k, n, hops, look)
@@ -84,35 +100,90 @@ func TestShardGroupDeadlock(t *testing.T) {
 }
 
 // TestShardGroupLimit checks limit semantics: events at t <= limit run,
-// later ones stay queued, and the clocks park exactly at the limit.
+// later ones stay queued, and the clocks park exactly at the limit. The
+// event at 10 books a global at 15, one lookahead ahead, which on one
+// shard lands inside the window that runs to the limit and must stop
+// it there.
 func TestShardGroupLimit(t *testing.T) {
-	// A lookahead below the 10 ns event spacing keeps the two shards'
-	// events in separate windows, so the shared log is race-free.
-	g := NewGroup(2, 5)
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			// A lookahead below the 10 ns event spacing keeps the two
+			// shards' events in separate windows, so the shared log is
+			// race-free.
+			g := NewGroup(shards, 5)
+			defer g.Close()
+			var ran []string
+			last := g.Engine(shards - 1)
+			g.Engine(0).Schedule(10, func() {
+				ran = append(ran, "10")
+				g.ScheduleGlobal(15, 0, func() { ran = append(ran, fmt.Sprintf("global with clocks at %d", g.Engine(0).Now())) })
+			})
+			last.Schedule(20, func() { ran = append(ran, "20") })
+			g.Engine(0).Schedule(30, func() { ran = append(ran, "30") })
+			end, err := g.Run(20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if end != 20 || g.Now() != 20 {
+				t.Fatalf("parked at %v, want 20", end)
+			}
+			if want := []string{"10", "global with clocks at 15", "20"}; !reflect.DeepEqual(ran, want) {
+				t.Fatalf("ran %q, want %q", ran, want)
+			}
+			if g.Engine(0).Now() != 20 || last.Now() != 20 {
+				t.Fatalf("engine clocks %v, %v", g.Engine(0).Now(), last.Now())
+			}
+			// Resuming executes the leftover event.
+			if _, err := g.Run(0); err != nil {
+				t.Fatal(err)
+			}
+			if want := []string{"10", "global with clocks at 15", "20", "30"}; !reflect.DeepEqual(ran, want) {
+				t.Fatalf("after resume ran %q, want %q", ran, want)
+			}
+		})
+	}
+}
+
+// TestShardGroupOneShardPastGlobal books a global behind the shard's
+// clock from a shard event. On one shard the window has run past the
+// group horizon, so ScheduleGlobal checks the shard's clock and panics.
+func TestShardGroupOneShardPastGlobal(t *testing.T) {
+	g := NewGroup(1, 10*Microsecond)
 	defer g.Close()
-	var ran []int
-	g.Engine(0).Schedule(10, func() { ran = append(ran, 10) })
-	g.Engine(1).Schedule(20, func() { ran = append(ran, 20) })
-	g.Engine(0).Schedule(30, func() { ran = append(ran, 30) })
-	end, err := g.Run(20)
+	g.Engine(0).Schedule(Time(50*Microsecond), func() { g.ScheduleGlobal(Time(40*Microsecond), 0, func() {}) })
+	var err error
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "ScheduleGlobal at 0.000040s before horizon 0.000050s") {
+			t.Fatalf("Run returned %v and panicked with %q, want the ScheduleGlobal past-time panic", err, msg)
+		}
+	}()
+	_, err = g.Run(0)
+}
+
+// TestShardGroupOneShardPost posts from a shard event to its own shard
+// one lookahead ahead while later local events are queued. A one-shard
+// window runs past the arrival's time, so the arrival must reach the
+// engine at once: parked in the inbox until the window ended it would
+// be behind the clock.
+func TestShardGroupOneShardPost(t *testing.T) {
+	look := 10 * Microsecond
+	g := NewGroup(1, look)
+	defer g.Close()
+	e := g.Engine(0)
+	var ran []Time
+	e.Schedule(0, func() {
+		ran = append(ran, e.Now())
+		g.Post(0, e.Now().Add(look), 0, 1, func() { ran = append(ran, e.Now()) })
+	})
+	for _, at := range []Time{Time(2 * look), Time(5 * look)} {
+		e.Schedule(at, func() { ran = append(ran, e.Now()) })
+	}
+	end, err := g.Run(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if end != 20 || g.Now() != 20 {
-		t.Fatalf("parked at %v, want 20", end)
-	}
-	if !reflect.DeepEqual(ran, []int{10, 20}) {
-		t.Fatalf("ran %v", ran)
-	}
-	if g.Engine(0).Now() != 20 || g.Engine(1).Now() != 20 {
-		t.Fatalf("engine clocks %v, %v", g.Engine(0).Now(), g.Engine(1).Now())
-	}
-	// Resuming executes the leftover event.
-	if _, err := g.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ran, []int{10, 20, 30}) {
-		t.Fatalf("after resume ran %v", ran)
+	if want := []Time{0, Time(look), Time(2 * look), Time(5 * look)}; end != Time(5*look) || !reflect.DeepEqual(ran, want) {
+		t.Fatalf("Run = %v and ran %v; want %v and %v", end, ran, Time(5*look), want)
 	}
 }
 
@@ -436,7 +507,9 @@ func TestShardGroupSpinRule(t *testing.T) {
 // reentrancy error, and the outer Run finishes as if it had not been
 // called: from an engine event, and on 1 and 2 shards from a
 // coordinator global and from a shard event (on 2 shards the last
-// shard's events run on a worker).
+// shard's events run on a worker). Once the queues drain, one shard
+// returns the last event's time, as Engine.Run does, and two shards
+// the last window's horizon.
 func TestRunReentrant(t *testing.T) {
 	e := NewEngine()
 	var inner error
@@ -447,9 +520,13 @@ func TestRunReentrant(t *testing.T) {
 	}
 
 	const ticks, look = 100, 10 * Microsecond
-	wantEnd := Time(ticks * Microsecond).Add(look) // the last window's horizon
+	lastEvent := Time(ticks * Microsecond)
 	before := shardGoroutines.Load()
-	for _, shards := range []int{1, 2} {
+	for _, tc := range []struct {
+		shards  int
+		wantEnd Time
+	}{{1, lastEvent}, {2, lastEvent.Add(look)}} {
+		shards, wantEnd := tc.shards, tc.wantEnd
 		for _, from := range []string{"global", "shard event"} {
 			g := NewGroup(shards, look)
 			for i := 0; i < shards; i++ {

@@ -12,8 +12,8 @@ import (
 
 // firedEvents runs body on every rank of an n-rank world split over
 // the given number of event-core shards and returns the events fired,
-// summed over the shards.
-func firedEvents(t *testing.T, shards, n int, body func(ctx Ctx)) uint64 {
+// summed over the shards, and the group's windows.
+func firedEvents(t *testing.T, shards, n int, body func(ctx Ctx)) (fired, windows uint64) {
 	t.Helper()
 	g := sim.NewGroup(shards, netsim.Default100Mb().Latency)
 	defer g.Close()
@@ -35,33 +35,36 @@ func firedEvents(t *testing.T, shards, n int, body func(ctx Ctx)) uint64 {
 	if _, err := g.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	var fired uint64
 	for i := 0; i < g.Size(); i++ {
 		fired += g.Engine(i).Fired()
 	}
-	return fired
+	return fired, g.Windows()
 }
 
 // TestFiredEventCounts pins the number of events the event core fires
 // for an eager all-to-all and for one FT iteration, whose transpose is
 // rendezvous-sized. A change to the message path that keeps every event
 // key keeps these totals; a change that adds or drops events moves
-// them. The totals must not depend on the shard count.
+// them. The totals must not depend on the shard count. The windows do:
+// with no global to stop at, one shard runs in a single window, while
+// two shards advance one lookahead window at a time.
 func TestFiredEventCounts(t *testing.T) {
 	ft := NewFT('A', 16)
 	ft.IterOverride = 1
 	cases := []struct {
-		name string
-		body func(ctx Ctx)
-		want uint64
+		name    string
+		body    func(ctx Ctx)
+		want    uint64
+		windows [2]uint64 // on 1 and 2 shards
 	}{
-		{"alltoall16", func(ctx Ctx) { ctx.Rank.Alltoall(ctx.P, 2048) }, 1952},
-		{"ftA16", ft.Run, 3889},
+		{"alltoall16", func(ctx Ctx) { ctx.Rank.Alltoall(ctx.P, 2048) }, 1952, [2]uint64{1, 32}},
+		{"ftA16", ft.Run, 3889, [2]uint64{1, 151}},
 	}
 	for _, c := range cases {
 		for _, shards := range []int{1, 2} {
-			if got := firedEvents(t, shards, 16, c.body); got != c.want {
-				t.Errorf("%s on %d shards: %d events fired, want %d", c.name, shards, got, c.want)
+			got, windows := firedEvents(t, shards, 16, c.body)
+			if got != c.want || windows != c.windows[shards-1] {
+				t.Errorf("%s on %d shards: %d events fired in %d windows, want %d in %d", c.name, shards, got, windows, c.want, c.windows[shards-1])
 			}
 		}
 	}
