@@ -8,6 +8,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -34,15 +36,9 @@ func main() {
 	}
 
 	type job struct {
-		w       workloads.Workload
-		strats  []dvs.Strategy
-		dynOnly bool
+		w      workloads.Workload
+		strats []dvs.Strategy
 	}
-	scale := 1
-	if *quick {
-		scale = 0
-	}
-	_ = scale
 
 	micro := func(passesQuick, passesFull int) int {
 		if *quick {
@@ -68,6 +64,15 @@ func main() {
 		{w: ftC, strats: []dvs.Strategy{dvs.Static{}, dvs.NewDynamic(workloads.RegionFFT)}},
 		{w: workloads.NewTranspose(micro(1, 2)), strats: []dvs.Strategy{
 			dvs.Static{}, dvs.NewDynamic(workloads.RegionStep2, workloads.RegionStep3)}},
+	}
+
+	var names []string
+	for _, j := range jobs {
+		names = append(names, j.w.Name())
+	}
+	if *only != "" && !slices.Contains(names, *only) {
+		fmt.Fprintf(os.Stderr, "calibrate: unknown -only workload %q (want one of %s)\n", *only, strings.Join(names, ", "))
+		os.Exit(2)
 	}
 
 	for _, j := range jobs {

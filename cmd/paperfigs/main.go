@@ -24,6 +24,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/cluster"
@@ -113,11 +114,48 @@ func main() {
 	quick := flag.Bool("quick", false, "smaller workloads, one repetition, short settle")
 	exact := flag.Bool("exact", false, "report exact integrated energy instead of the ACPI estimate")
 	only := flag.String("only", "", "comma-separated list of items to produce (e.g. fig3,table1); empty = all")
-	reps := flag.Int("reps", 0, "override repetition count")
+	reps := flag.Int("reps", 0, "override repetition count (0 keeps the default)")
 	charts := flag.Bool("charts", false, "also render ASCII bar charts for the crescendos")
 	traceOut := flag.String("trace-out", "", "archive every run's binary power trace into this directory")
 	traceReplay := flag.String("trace-replay", "", "summarize one archived binary trace (no simulation), then exit")
 	flag.Parse()
+
+	a := &app{out: os.Stdout, quick: *quick, charts: *charts}
+	type item struct {
+		key string
+		fn  func() error
+	}
+	items := []item{
+		{"table2", a.table2},
+		{"fig2", a.fig2},
+		{"fig1", a.fig1AndTable1},
+		{"fig3", a.fig3AndTable3},
+		{"fig4", a.fig4},
+		{"fig5", a.fig5},
+		{"fig6", a.fig6},
+		{"fig7", a.fig7},
+		{"fig8", a.fig8},
+	}
+	// table1/table3 ride along with fig1/fig3.
+	alias := map[string]string{"table1": "fig1", "table3": "fig3"}
+	want := map[string]bool{}
+	if *only != "" {
+		for _, name := range strings.Split(*only, ",") {
+			k := strings.TrimSpace(name)
+			if v, ok := alias[k]; ok {
+				k = v
+			}
+			if !slices.ContainsFunc(items, func(it item) bool { return it.key == k }) {
+				fmt.Fprintf(os.Stderr, "paperfigs: unknown -only item %q (want table1-3 or fig1-8)\n", name)
+				os.Exit(2)
+			}
+			want[k] = true
+		}
+	}
+	if *reps < 0 {
+		fmt.Fprintf(os.Stderr, "paperfigs: -reps must be at least 0 (0 keeps the default), got %d\n", *reps)
+		os.Exit(2)
+	}
 
 	if *traceReplay != "" {
 		if err := replayTrace(os.Stdout, *traceReplay); err != nil {
@@ -155,41 +193,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "paperfigs:", err)
 		os.Exit(1)
 	}
-	a := &app{runner: runner, out: os.Stdout, quick: *quick, charts: *charts}
-
-	want := map[string]bool{}
-	if *only != "" {
-		for _, k := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(k)] = true
-		}
-	}
-	sel := func(k string) bool { return len(want) == 0 || want[k] }
-
-	type item struct {
-		key string
-		fn  func() error
-	}
-	items := []item{
-		{"table2", a.table2},
-		{"fig2", a.fig2},
-		{"fig1", a.fig1AndTable1},
-		{"fig3", a.fig3AndTable3},
-		{"fig4", a.fig4},
-		{"fig5", a.fig5},
-		{"fig6", a.fig6},
-		{"fig7", a.fig7},
-		{"fig8", a.fig8},
-	}
-	// table1/table3 ride along with fig1/fig3.
-	alias := map[string]string{"table1": "fig1", "table3": "fig3"}
-	for k, v := range alias {
-		if want[k] {
-			want[v] = true
-		}
-	}
+	a.runner = runner
 
 	for _, it := range items {
-		if !sel(it.key) {
+		if len(want) > 0 && !want[it.key] {
 			continue
 		}
 		if err := it.fn(); err != nil {

@@ -212,6 +212,13 @@ func TestBestOnFrontierProperty(t *testing.T) {
 		}
 		return false
 	}
+	// A draw that testing/quick once printed: at d = 1 the energy factor
+	// is 1, and b (146 J), c (117 J) and d (119 J) all take 3.3 s, so
+	// they tie on weighted ED2P; c dominates b and d, and the frontier
+	// is {c, e}.
+	if !f([5]uint16{0xf682, 0x7b9d, 0x6604, 0x333e, 0x4a6a}, 0xff) {
+		t.Error("Best is off the frontier on three points tied at d = 1")
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}

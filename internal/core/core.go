@@ -81,17 +81,25 @@ func (c Crescendo) Normalized(ref int) Crescendo {
 }
 
 // Best applies Equation 6: it returns the index of the point minimizing
-// the weighted ED2P under weight factor d. Ties go to the earlier
-// (faster) point.
+// the weighted ED2P under weight factor d. An exact tie goes to the
+// lower energy, then the lower delay, then the earlier point, so no
+// other point dominates the best one (at d = 1 the energy factor is 1,
+// and points of equal delay tie whatever their energy).
 func (c Crescendo) Best(d float64) int {
 	best, bestVal := -1, math.Inf(1)
 	for i, p := range c.Points {
 		v := WeightedED2P(p.Energy, p.Delay, d)
-		if v < bestVal {
+		if v < bestVal || best >= 0 && v == bestVal && p.winsTie(c.Points[best]) { //lint:allow floateq (an exact tie is what the rule breaks)
 			best, bestVal = i, v
 		}
 	}
 	return best
+}
+
+// winsTie reports whether p beats q on an exact weighted-ED2P tie: the
+// lower energy wins, then the lower delay.
+func (p Point) winsTie(q Point) bool {
+	return p.Energy < q.Energy || p.Energy == q.Energy && p.Delay < q.Delay //lint:allow floateq (equal energies fall through to the delay)
 }
 
 // Improvement reports how much more power-performance efficient point i

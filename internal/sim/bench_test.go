@@ -4,9 +4,11 @@ import "testing"
 
 // Engine hot-path microbenchmarks. `make bench` records these in
 // bin/BENCH_sim.json so the events/sec and allocs/op trajectory of the
-// kernel is tracked across PRs. The Sleep/wake and Cond ping-pong
-// benches are the paths a cluster run hits millions of times (every
-// simulated compute burst, link hold, and MPI match).
+// kernel is tracked across PRs. All but HeapChurn, which times the
+// bare heap, run their events through Group.Run (Engine.Run is its
+// one-shard group's Run). The Sleep/wake and Cond ping-pong benches are
+// the paths a cluster run hits millions of times (every simulated
+// compute burst, link hold, and MPI match).
 
 // BenchmarkSchedule measures the enqueue/dispatch cost of plain
 // callback events: one pending event at a time, b.N rounds.
@@ -131,13 +133,14 @@ func BenchmarkHeapChurn(b *testing.B) {
 }
 
 // BenchmarkEngineChurn measures one fired event of a queue shaped like
-// a 256-rank FT run's, through Run and fire rather than the bare heap.
-// Far ahead sit 256 spin-fallback timers, which the near callbacks keep
-// re-arming to +4 s so that they fire only once the run drains, and 256
-// pollers that re-schedule themselves every 15 s. About 220 near
-// callbacks each schedule 0, 1 or 2 follow-ups (in the ratio 1:5:1,
-// within a population of 200 to 240) at offsets of 0 to 216 µs, and
-// re-arm one timer. One op is one near callback.
+// a 256-rank FT run's, through the production loop rather than the bare
+// heap: Engine.Run is its one-shard group's Run, whose window fires the
+// events in runUntil. Far ahead sit 256 spin-fallback timers, which the
+// near callbacks keep re-arming to +4 s so that they fire only once the
+// run drains, and 256 pollers that re-schedule themselves every 15 s.
+// About 220 near callbacks each schedule 0, 1 or 2 follow-ups (in the
+// ratio 1:5:1, within a population of 200 to 240) at offsets of 0 to
+// 216 µs, and re-arm one timer. One op is one near callback.
 func BenchmarkEngineChurn(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()

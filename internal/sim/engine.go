@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrDeadlock is returned by Run when the event queue drains while
@@ -10,17 +11,17 @@ import (
 // ever signal.
 var ErrDeadlock = errors.New("sim: deadlock: no pending events but processes remain blocked")
 
-// errReentrant is what Engine.Run and Group.Run return when called
-// while the same engine or group is already running: from an event,
-// a process body or a global.
+// errReentrant is what Group.Run, and so Engine.Run, returns when
+// called while the group is already running: from an event, a process
+// body or a global.
 var errReentrant = errors.New("sim: Run called reentrantly")
 
-// Engine owns the virtual clock and the event queue, and schedules
-// simulated processes. It is not safe for concurrent use from multiple
-// goroutines: all interaction must happen either before Run, from inside
-// process bodies, or from event callbacks.
-// Started processes run on coroutines from the engine's idle list (see
-// Proc, Run and Close).
+// Engine owns the virtual clock and the event queue of one shard of a
+// Group, and schedules simulated processes. It is not safe for
+// concurrent use from multiple goroutines: all interaction must happen
+// either before Run, from inside process bodies, or from event
+// callbacks. Started processes run on coroutines from the engine's idle
+// list (see Proc, Run and Close).
 type Engine struct {
 	now     Time
 	seq     uint64
@@ -29,20 +30,18 @@ type Engine struct {
 	idle    []*coro            // coroutines whose last body ended, reused LIFO
 	blocked int                // live processes currently parked on a primitive
 	fired   uint64             // events fired so far (see Fired)
-	horizon Time               // RunUntil's bound; see RunUntil
+	horizon Time               // runUntil's bound; see runUntil
 	running bool
 	closed  bool
-	failure error // first process panic, reported by Run
-
-	// shardTag is " (shard N)" when the engine is owned by a Group,
-	// empty for a standalone engine. Preformatted at construction so
-	// the panic helpers stay allocation-free on the hot path.
-	shardTag string
+	failure error  // first process panic, reported by Run
+	g       *Group // the group this engine is a shard of
 }
 
-// NewEngine returns an engine with the clock at the simulation epoch.
+// NewEngine returns the engine of a new one-shard group, with the clock
+// at the simulation epoch. One shard never uses the group's lookahead,
+// so any positive one will do.
 func NewEngine() *Engine {
-	return &Engine{procs: make(map[*Proc]struct{})}
+	return NewGroup(1, Nanosecond).engines[0]
 }
 
 // Now returns the current virtual time.
@@ -72,7 +71,7 @@ func (e *Engine) scheduleEvent(ev event) {
 }
 
 func (e *Engine) schedulePastPanic(t Time) {
-	panic(fmt.Sprintf("sim: Schedule at %v before now %v%s", t, e.now, e.shardTag)) //lint:allow panicfree (simulation-kernel invariant; a broken event loop cannot continue)
+	panic(fmt.Sprintf("sim: Schedule at %v before now %v (shard %d)", t, e.now, slices.Index(e.g.engines, e))) //lint:allow panicfree (simulation-kernel invariant; a broken event loop cannot continue)
 }
 
 // arrivalPastPanic carries the full lookahead-contract context: which
@@ -80,8 +79,8 @@ func (e *Engine) schedulePastPanic(t Time) {
 // timestamp. Kept out of PostArrival so the hot delivery path stays
 // inlinable.
 func (e *Engine) arrivalPastPanic(t Time, srcPort int, srcSeq uint64) {
-	panic(fmt.Sprintf("sim: cross-shard arrival at %v before now %v%s (src shard %d, seq %d): the lookahead contract was violated", //lint:allow panicfree (simulation-kernel invariant; a broken event loop cannot continue)
-		t, e.now, e.shardTag, srcPort, srcSeq))
+	panic(fmt.Sprintf("sim: cross-shard arrival at %v before now %v (shard %d) (src shard %d, seq %d): the lookahead contract was violated", //lint:allow panicfree (simulation-kernel invariant; a broken event loop cannot continue)
+		t, e.now, slices.Index(e.g.engines, e), srcPort, srcSeq))
 }
 
 // PostArrival enqueues a cross-shard arrival event: fn runs at absolute
@@ -112,51 +111,10 @@ func (e *Engine) After(d Duration, fn func()) {
 	e.Schedule(e.now.Add(d), fn)
 }
 
-// Run executes events until the queue is empty or until limit is reached
-// (limit <= 0 means run to exhaustion). It returns the time of the last
-// executed event. When the next event lies beyond limit, Run moves the
-// clock forward to limit, never back (as AdvanceTo does), and returns
-// the clock. If the queue drains while processes remain blocked, Run
-// returns ErrDeadlock; the blocked processes can be inspected with
-// Blocked and reaped with Close. On return Run ends the idle coroutines,
-// so a run whose processes all finished leaves no goroutine behind; only
-// parked processes keep theirs. A process body that calls runtime.Goexit
-// (t.FailNow in a test) unwinds the goroutine that called Run.
-//
-//lint:hotpath the dispatch loop runs once per event
-func (e *Engine) Run(limit Time) (Time, error) {
-	if e.closed {
-		return e.now, errors.New("sim: engine is closed")
-	}
-	if e.running {
-		return e.now, errReentrant
-	}
-	e.running = true
-	defer e.endRun()
-
-	for e.queue.Len() > 0 {
-		ev := e.queue.next()
-		if limit > 0 && ev.t > limit {
-			e.AdvanceTo(limit)
-			return e.now, nil
-		}
-		e.fire(ev)
-		if e.failure != nil {
-			return e.now, e.failure
-		}
-	}
-	if e.blocked > 0 {
-		return e.now, fmt.Errorf("%w (%d blocked)", ErrDeadlock, e.blocked) //lint:allow hotalloc (deadlock exit path, runs at most once per Run)
-	}
-	return e.now, nil
-}
-
-// endRun, deferred by Run, clears the reentrancy guard and releases the
-// idle coroutines.
-func (e *Engine) endRun() {
-	e.running = false
-	e.releaseIdle()
-}
+// Run is Group.Run of the engine's group, so on a shard of a larger
+// group it advances every shard. After ErrDeadlock the blocked
+// processes can be inspected with Blocked and reaped with Close.
+func (e *Engine) Run(limit Time) (Time, error) { return e.g.Run(limit) }
 
 // releaseIdle ends every idle coroutine.
 func (e *Engine) releaseIdle() {
@@ -167,26 +125,27 @@ func (e *Engine) releaseIdle() {
 	e.idle = e.idle[:0]
 }
 
-// RunUntil executes every event strictly before horizon h and returns.
-// It is the shard-side half of a Group window: the coordinator picks h
-// so that no other shard can inject an arrival earlier than h, and each
-// shard drains its queue up to (not including) h with exclusive access
-// to its own state. The horizon is kept in the engine while the window
-// runs, because on a one-shard Group ScheduleGlobal lowers it to a
-// global that an event books inside the window; the window then stops
-// there. Unlike Run it performs no deadlock check — with multiple
-// shards only the Group can tell whether a blocked process might still
-// be woken by a message from elsewhere — and it leaves the clock at the
-// last executed event; the Group advances all clocks to the horizon
-// reached at the barrier.
+// runUntil executes every event strictly before horizon h and returns.
+// It is the kernel's one dispatch loop, the shard-side half of a Group
+// window: the coordinator picks h so that no other shard can inject an
+// arrival earlier than h, and each shard drains its queue up to (not
+// including) h with exclusive access to its own state. The horizon is
+// kept in the engine while the window runs, because on a one-shard
+// Group ScheduleGlobal lowers it to a global that an event books inside
+// the window; the window then stops there. It performs no deadlock
+// check — with multiple shards only the Group can tell whether a
+// blocked process might still be woken by a message from elsewhere —
+// and it leaves the clock at the last executed event; the Group
+// advances all clocks to the horizon reached at the barrier. Its guard
+// fails a window entered while the shard still runs one.
 //
-//lint:hotpath the sharded dispatch loop runs once per event
-func (e *Engine) RunUntil(h Time) error {
+//lint:hotpath the dispatch loop runs once per event
+func (e *Engine) runUntil(h Time) error {
 	if e.closed {
 		return errors.New("sim: engine is closed")
 	}
 	if e.running {
-		return errors.New("sim: RunUntil called reentrantly")
+		return errors.New("sim: runUntil called reentrantly")
 	}
 	e.running = true
 	defer func() { e.running = false }() //lint:allow hotalloc (one closure per window, not per event)
@@ -228,20 +187,20 @@ func (e *Engine) fire(ev *event) {
 	e.queue.settle()
 }
 
-// NextEventTime reports the timestamp of the earliest pending event, or
+// nextEventTime reports the timestamp of the earliest pending event, or
 // false when the queue is empty.
-func (e *Engine) NextEventTime() (Time, bool) {
+func (e *Engine) nextEventTime() (Time, bool) {
 	if e.queue.Len() == 0 {
 		return 0, false
 	}
 	return e.queue.next().t, true
 }
 
-// AdvanceTo moves the clock forward to t without executing anything.
+// advanceTo moves the clock forward to t without executing anything.
 // The Group uses it at window barriers so that between-window reads
 // (utilization extrapolation, energy integration) see a consistent
 // "now" on every shard. Moving backwards is a no-op.
-func (e *Engine) AdvanceTo(t Time) {
+func (e *Engine) advanceTo(t Time) {
 	if t > e.now {
 		e.now = t
 	}
@@ -294,17 +253,19 @@ func (e *Engine) Blocked() int { return e.blocked }
 func (e *Engine) Live() int { return len(e.procs) }
 
 // Close terminates every live process, ends the idle coroutines and
-// marks the engine unusable. A process that never started is dropped; a
-// parked or waking one is unwound on its coroutine, running its
-// deferred calls. Close must be called once a simulation is finished if
-// any process may still be blocked (for example after a deadlock or a
-// truncated run); otherwise their coroutines would leak for the lifetime
-// of the host program. Close is idempotent.
+// marks the engine, and so its group, unusable. A process that never
+// started is dropped; a parked or waking one is unwound on its
+// coroutine, running its deferred calls. Close must be called once a
+// simulation is finished if any process may still be blocked (for
+// example after a deadlock or a truncated run); otherwise their
+// coroutines would leak for the lifetime of the host program. Close is
+// idempotent.
 func (e *Engine) Close() {
 	if e.closed {
 		return
 	}
 	e.closed = true
+	e.g.closed = true
 	for p := range e.procs {
 		switch p.state {
 		case procCreated:

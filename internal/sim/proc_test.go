@@ -73,7 +73,7 @@ func TestRunReleasesFinishedCoroutines(t *testing.T) {
 	}
 }
 
-// Group.Run ends its shards' idle coroutines the way Engine.Run does.
+// Group.Run ends every shard's idle coroutines on two shards, as on one.
 func TestGroupRunReleasesFinishedCoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	g := NewGroup(2, Microsecond)

@@ -181,7 +181,7 @@ type shardWorker struct {
 	g      *Group
 	shard  int // shard to run in the released window; -1 ends the worker
 	h      Time
-	err    error  // the window's RunUntil error
+	err    error  // the window's runUntil error
 	pan    any    // the shard's recovered panic value
 	goexit bool   // a shard event called runtime.Goexit, which ended the worker
 	n      uint64 // windows released; the coordinator's count
@@ -198,7 +198,7 @@ func (w *shardWorker) loop() {
 		if w.shard < 0 {
 			return
 		}
-		w.err = w.g.engines[w.shard].RunUntil(w.h)
+		w.err = w.g.engines[w.shard].runUntil(w.h)
 		w.finish.signal(n)
 	}
 }
@@ -246,8 +246,7 @@ func NewGroup(shards int, look Duration) *Group {
 		inboxes: make([]inbox, shards),
 	}
 	for i := range g.engines {
-		g.engines[i] = NewEngine()
-		g.engines[i].shardTag = fmt.Sprintf(" (shard %d)", i)
+		g.engines[i] = &Engine{procs: make(map[*Proc]struct{}), g: g}
 	}
 	return g
 }
@@ -358,7 +357,7 @@ func (g *Group) lookaheadPanic(shard int, a arrival) {
 func (g *Group) minNextEvent() (Time, bool) {
 	m, any := maxTime, false
 	for _, e := range g.engines {
-		if t, ok := e.NextEventTime(); ok && t < m {
+		if t, ok := e.nextEventTime(); ok && t < m {
 			m, any = t, true
 		}
 	}
@@ -375,11 +374,23 @@ func (g *Group) blockedTotal() int {
 
 func (g *Group) advanceAll(t Time) {
 	for _, e := range g.engines {
-		e.AdvanceTo(t)
+		e.advanceTo(t)
 	}
 	if t > g.horizon {
 		g.horizon = t
 	}
+}
+
+// stop ends a Run: it advances every clock and the horizon to t or to
+// the latest shard clock, whichever is later, and returns the horizon.
+// A window that failed, or that a panic unwound, leaves the clocks of
+// the shards that ran it past the horizon.
+func (g *Group) stop(t Time) Time {
+	for _, e := range g.engines {
+		t = max(t, e.now)
+	}
+	g.advanceAll(t)
+	return g.horizon
 }
 
 // window executes all events strictly before h on every shard that has
@@ -399,7 +410,7 @@ func (g *Group) window(h Time) (Time, error) {
 	g.windows++
 	g.active = g.active[:0]
 	for i, e := range g.engines {
-		if t, ok := e.NextEventTime(); ok && t < h {
+		if t, ok := e.nextEventTime(); ok && t < h {
 			g.active = append(g.active, i) //lint:allow hotalloc (amortized growth; the active buffer is reused across windows)
 		}
 	}
@@ -408,7 +419,7 @@ func (g *Group) window(h Time) (Time, error) {
 		return h, nil
 	case 1:
 		e := g.engines[g.active[0]]
-		err := e.RunUntil(h)
+		err := e.runUntil(h)
 		return e.horizon, err
 	}
 	ws := g.workers[:len(g.active)-1]
@@ -418,7 +429,7 @@ func (g *Group) window(h Time) (Time, error) {
 		w.n++
 		w.release.signal(w.n)
 	}
-	err := g.engines[g.active[0]].RunUntil(h)
+	err := g.engines[g.active[0]].runUntil(h)
 	for i := range ws {
 		ws[i].finish.await(ws[i].n, g.spin())
 	}
@@ -483,15 +494,17 @@ func (g *Group) runGlobals(t Time) {
 // Run advances the whole group until every shard's queue and the global
 // queue drain, or until limit is reached (limit <= 0 means run to
 // exhaustion): events at t <= limit execute, and the clocks stop at
-// limit. It returns the final horizon: the limit, or once the queues
-// drain, the last window's horizon on more than one shard and the time
-// of the last event or global on one, as Engine.Run returns the time of
-// its last event. If the queues drain while processes remain blocked,
-// Run returns ErrDeadlock. Like Engine.Run it fails at once when called
-// while the group is running, and it ends every shard's idle
-// coroutines when it returns; shards keep them across windows. A group
-// of more than one shard runs its shards on workers that Run starts and
-// joins on every exit: return, error or panic.
+// limit, also when the queues drain before it. It returns the final
+// horizon: the limit, or without one, once the queues drain, the last
+// window's horizon on more than one shard and the time of the last
+// event or global on one. A limit behind the clocks leaves them where
+// they are. A process panic ends Run with its error and the clocks at
+// the latest shard clock. If the queues drain while processes remain
+// blocked, Run returns ErrDeadlock. It fails at once when called while
+// the group is running, and it ends every shard's idle coroutines when
+// it returns; shards keep them across windows. A group of more than one
+// shard runs its shards on workers that Run starts and joins on every
+// exit: return, error or panic. Every shard's Engine.Run is this Run.
 //
 //lint:hotpath the coordinator loop runs once per window
 func (g *Group) Run(limit Time) (Time, error) {
@@ -521,13 +534,11 @@ func (g *Group) Run(limit Time) (Time, error) {
 			if n := g.blockedTotal(); n > 0 {
 				return g.horizon, fmt.Errorf("%w (%d blocked)", ErrDeadlock, n) //lint:allow hotalloc (deadlock exit path, runs at most once per Run)
 			}
-			if !anyG {
-				return g.horizon, nil
-			}
 		}
-		if limit > 0 && (!any || m > limit) && (!anyG || gt > limit) {
-			g.advanceAll(limit)
-			return g.horizon, nil
+		if !any && !anyG || limit > 0 && (!any || m > limit) && (!anyG || gt > limit) {
+			// The queues have drained, or nothing is left at or before
+			// the limit.
+			return g.stop(limit), nil
 		}
 		// On one shard no arrival can land inside a window, so it runs
 		// to the next global or the limit.
@@ -549,7 +560,7 @@ func (g *Group) Run(limit Time) (Time, error) {
 		}
 		r, err := g.window(h)
 		if err != nil {
-			return g.horizon, err
+			return g.stop(0), err
 		}
 		switch {
 		case r < h:
@@ -583,10 +594,6 @@ func (g *Group) endRun() {
 // Close terminates every live process on every shard and marks the
 // group unusable. Idempotent.
 func (g *Group) Close() {
-	if g.closed {
-		return
-	}
-	g.closed = true
 	for _, e := range g.engines {
 		e.Close()
 	}

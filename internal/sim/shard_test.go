@@ -87,7 +87,7 @@ func TestShardGroupCountInvariance(t *testing.T) {
 }
 
 // TestShardGroupDeadlock checks that a blocked process with drained
-// queues surfaces ErrDeadlock, like the single-engine Run.
+// queues surfaces ErrDeadlock on two shards, as on one.
 func TestShardGroupDeadlock(t *testing.T) {
 	g := NewGroup(2, Microsecond)
 	defer g.Close()
@@ -99,47 +99,53 @@ func TestShardGroupDeadlock(t *testing.T) {
 	}
 }
 
-// TestShardGroupLimit checks limit semantics: events at t <= limit run,
-// later ones stay queued, and the clocks park exactly at the limit. The
-// event at 10 books a global at 15, one lookahead ahead, which on one
-// shard lands inside the window that runs to the limit and must stop
-// it there.
+// TestShardGroupLimit puts a limit inside one lookahead window that
+// every shard has events in, on both sides of the limit and exactly at
+// it. The window runs the events at or before the limit on each shard,
+// on two shards at once, leaves the later ones queued and parks the
+// clocks at the limit; resuming runs the rest. Each shard appends only
+// to its own log, so the logs are race-free. TestRunLimit checks the
+// limit across windows and globals.
 func TestShardGroupLimit(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			// A lookahead below the 10 ns event spacing keeps the two
-			// shards' events in separate windows, so the shared log is
-			// race-free.
-			g := NewGroup(shards, 5)
+	for _, tc := range []struct {
+		shards  int
+		drained Time // what Run(0) returns once the queues drain
+	}{{1, 50}, {2, 140}} {
+		t.Run(fmt.Sprintf("shards=%d", tc.shards), func(t *testing.T) {
+			g := NewGroup(tc.shards, 100)
 			defer g.Close()
-			var ran []string
-			last := g.Engine(shards - 1)
-			g.Engine(0).Schedule(10, func() {
-				ran = append(ran, "10")
-				g.ScheduleGlobal(15, 0, func() { ran = append(ran, fmt.Sprintf("global with clocks at %d", g.Engine(0).Now())) })
-			})
-			last.Schedule(20, func() { ran = append(ran, "20") })
-			g.Engine(0).Schedule(30, func() { ran = append(ran, "30") })
-			end, err := g.Run(20)
-			if err != nil {
-				t.Fatal(err)
+			logs := make([][]Time, tc.shards)
+			for i, times := range [][]Time{{10, 30, 40}, {20, 30, 50}} {
+				shard := i * (tc.shards - 1)
+				e := g.Engine(shard)
+				for _, at := range times {
+					e.Schedule(at, func() { logs[shard] = append(logs[shard], e.Now()) })
+				}
 			}
-			if end != 20 || g.Now() != 20 {
-				t.Fatalf("parked at %v, want 20", end)
+			run := func(limit, wantEnd Time, want [][]Time) {
+				t.Helper()
+				end, err := g.Run(limit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if end != wantEnd || g.Now() != wantEnd || g.Engine(0).Now() != wantEnd || g.Engine(tc.shards-1).Now() != wantEnd {
+					t.Fatalf("Run(%d) = %d with clocks %d, %d and group at %d; want %d", limit, end, g.Engine(0).Now(), g.Engine(tc.shards-1).Now(), g.Now(), wantEnd)
+				}
+				if !reflect.DeepEqual(logs, want) {
+					t.Fatalf("after Run(%d) shards ran %v, want %v", limit, logs, want)
+				}
 			}
-			if want := []string{"10", "global with clocks at 15", "20"}; !reflect.DeepEqual(ran, want) {
-				t.Fatalf("ran %q, want %q", ran, want)
+			parked := [][]Time{{10, 20, 30, 30}}
+			done := [][]Time{{10, 20, 30, 30, 40, 50}}
+			if tc.shards == 2 {
+				parked = [][]Time{{10, 30}, {20, 30}}
+				done = [][]Time{{10, 30, 40}, {20, 30, 50}}
 			}
-			if g.Engine(0).Now() != 20 || last.Now() != 20 {
-				t.Fatalf("engine clocks %v, %v", g.Engine(0).Now(), last.Now())
+			run(30, 30, parked)
+			if w := g.Windows(); w != 1 {
+				t.Fatalf("Run(30) took %d windows, want the one that holds the limit", w)
 			}
-			// Resuming executes the leftover event.
-			if _, err := g.Run(0); err != nil {
-				t.Fatal(err)
-			}
-			if want := []string{"10", "global with clocks at 15", "20", "30"}; !reflect.DeepEqual(ran, want) {
-				t.Fatalf("after resume ran %q, want %q", ran, want)
-			}
+			run(0, tc.drained, done)
 		})
 	}
 }
@@ -503,22 +509,14 @@ func TestShardGroupSpinRule(t *testing.T) {
 	}
 }
 
-// Run called while the same engine or group is running fails with the
-// reentrancy error, and the outer Run finishes as if it had not been
-// called: from an engine event, and on 1 and 2 shards from a
-// coordinator global and from a shard event (on 2 shards the last
+// Run called while the group is running fails with the reentrancy
+// error, and the outer Run finishes as if it had not been called: on 1
+// and 2 shards, from a coordinator global through Group.Run and from a
+// shard event through the shard's Engine.Run (on 2 shards the last
 // shard's events run on a worker). Once the queues drain, one shard
-// returns the last event's time, as Engine.Run does, and two shards
-// the last window's horizon.
+// returns the last event's time and two shards the last window's
+// horizon.
 func TestRunReentrant(t *testing.T) {
-	e := NewEngine()
-	var inner error
-	e.Schedule(10, func() { _, inner = e.Run(0) })
-	e.Schedule(20, func() {})
-	if end, err := e.Run(0); err != nil || end != 20 || !errors.Is(inner, errReentrant) {
-		t.Fatalf("engine: outer Run = %v, %v and inner Run error %v; want 20, nil and %v", end, err, inner, errReentrant)
-	}
-
 	const ticks, look = 100, 10 * Microsecond
 	lastEvent := Time(ticks * Microsecond)
 	before := shardGoroutines.Load()
@@ -535,12 +533,12 @@ func TestRunReentrant(t *testing.T) {
 				}
 			}
 			var inner error
-			reenter := func() { _, inner = g.Run(30 * Time(Microsecond)) }
 			want := uint64(shards * (ticks + 1))
 			if from == "global" {
-				g.ScheduleGlobal(20*Time(Microsecond), 0, reenter)
+				g.ScheduleGlobal(20*Time(Microsecond), 0, func() { _, inner = g.Run(30 * Time(Microsecond)) })
 			} else {
-				g.Engine(shards-1).Schedule(20*Time(Microsecond), reenter)
+				e := g.Engine(shards - 1)
+				e.Schedule(20*Time(Microsecond), func() { _, inner = e.Run(30 * Time(Microsecond)) })
 				want++
 			}
 			end, err := g.Run(0)

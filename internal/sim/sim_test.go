@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -86,8 +87,9 @@ func TestSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(Time(100), func() {
 		defer func() {
-			if recover() == nil {
-				t.Error("expected panic scheduling in the past")
+			// A NewEngine engine is shard 0 of its group.
+			if msg, _ := recover().(string); !strings.HasSuffix(msg, " (shard 0)") {
+				t.Errorf("Schedule in the past panicked with %q, want a message ending in (shard 0)", msg)
 			}
 		}()
 		e.Schedule(Time(50), func() {})
@@ -97,39 +99,65 @@ func TestSchedulePastPanics(t *testing.T) {
 	}
 }
 
+// TestRunLimit checks limit semantics on 1 and 2 shards: events at
+// t <= limit run, later ones stay queued, and the clocks park exactly
+// at the limit, also when the queue drains before it. A limit behind
+// the clocks leaves them where they are, so the past stays closed to
+// Schedule. The event at 10 books a global at 15, one lookahead ahead,
+// which on one shard lands inside the window that runs to the limit
+// and must stop it there. Every Run is the last shard's Engine.Run,
+// which on two shards runs the whole group.
 func TestRunLimit(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	e.Schedule(Time(10), func() { fired++ })
-	e.Schedule(Time(100), func() { fired++ })
-	end, err := e.Run(Time(50))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fired != 1 || end != Time(50) {
-		t.Fatalf("fired=%d end=%v", fired, end)
-	}
-	// A limit behind the clock leaves it where it is, so the past stays
-	// closed to Schedule.
-	end, err = e.Run(Time(20))
-	if err != nil || end != Time(50) || e.Now() != Time(50) {
-		t.Fatalf("Run(20) after Run(50) = %d ns, %v with Now() %d ns; want 50 ns, nil", int64(end), err, int64(e.Now()))
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Schedule(30) after the clock reached 50 did not panic")
+	for _, tc := range []struct {
+		shards  int
+		drained Time // what Run(0) returns once the queues drain
+	}{{1, 100}, {2, 105}} {
+		t.Run(fmt.Sprintf("shards=%d", tc.shards), func(t *testing.T) {
+			// A lookahead below the 10 ns event spacing keeps the two
+			// shards' events in separate windows, so the shared log is
+			// race-free.
+			g := NewGroup(tc.shards, 5)
+			defer g.Close()
+			first, last := g.Engine(0), g.Engine(tc.shards-1)
+			var ran []string
+			first.Schedule(10, func() {
+				ran = append(ran, "10")
+				g.ScheduleGlobal(15, 0, func() { ran = append(ran, fmt.Sprintf("global with clocks at %d", first.Now())) })
+			})
+			last.Schedule(20, func() { ran = append(ran, "20") })
+			first.Schedule(30, func() { ran = append(ran, "30") })
+			last.Schedule(100, func() { ran = append(ran, "100") })
+			run := func(limit, wantEnd Time, want ...string) {
+				t.Helper()
+				end, err := last.Run(limit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if end != wantEnd || g.Now() != wantEnd || first.Now() != wantEnd || last.Now() != wantEnd {
+					t.Fatalf("Run(%d) = %d with clocks %d, %d and group at %d; want %d", limit, end, first.Now(), last.Now(), g.Now(), wantEnd)
+				}
+				if !reflect.DeepEqual(ran, want) {
+					t.Fatalf("after Run(%d) ran %q, want %q", limit, ran, want)
+				}
 			}
-		}()
-		e.Schedule(Time(30), func() { fired++ })
-	}()
-	// Resume to exhaustion.
-	end, err = e.Run(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fired != 2 || end != Time(100) {
-		t.Fatalf("after resume fired=%d end=%v", fired, end)
+			run(20, 20, "10", "global with clocks at 15", "20")
+			run(50, 50, "10", "global with clocks at 15", "20", "30")
+			run(20, 50, "10", "global with clocks at 15", "20", "30")
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("Schedule(30) after the clock reached 50 did not panic")
+					}
+				}()
+				last.Schedule(30, func() {})
+			}()
+			// Resume to exhaustion.
+			run(0, tc.drained, "10", "global with clocks at 15", "20", "30", "100")
+			// A queue that drains before the limit still parks the
+			// clocks at the limit.
+			first.Schedule(200, func() { ran = append(ran, "200") })
+			run(300, 300, "10", "global with clocks at 15", "20", "30", "100", "200")
+		})
 	}
 }
 
@@ -269,8 +297,8 @@ func TestCondBroadcastAndRemove(t *testing.T) {
 	}
 }
 
-// A body panic is reported by Run, and the panicking body's coroutine
-// is ended with the other idle ones.
+// A body panic is reported by Run at the time it happened, and the
+// panicking body's coroutine is ended with the other idle ones.
 func TestProcPanicReportedByRun(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := NewEngine()
@@ -278,9 +306,9 @@ func TestProcPanicReportedByRun(t *testing.T) {
 		p.Sleep(Microsecond)
 		panic("boom")
 	})
-	_, err := e.Run(0)
-	if err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("err = %v", err)
+	end, err := e.Run(0)
+	if err == nil || !strings.Contains(err.Error(), "boom") || end != Time(Microsecond) {
+		t.Fatalf("Run = %v, %v; want 1 µs and the body's panic", end, err)
 	}
 	if n := goroutinesAtMost(before); n > before {
 		t.Fatalf("%d goroutines after the panic, %d before", n, before)
@@ -308,6 +336,13 @@ func TestCloseReapsCreatedAndParked(t *testing.T) {
 	e2.Close()
 	if e2.Live() != 0 {
 		t.Fatalf("e2 Live = %d", e2.Live())
+	}
+	// Closing an engine closes its group, so Run fails on either engine,
+	// with an empty queue as with a queued start event.
+	for _, e := range []*Engine{e, e2} {
+		if _, err := e.Run(0); err == nil || !strings.Contains(err.Error(), "closed") {
+			t.Errorf("Run after Close returned %v, want a closed error", err)
+		}
 	}
 }
 
@@ -432,82 +467,103 @@ func TestEnginePending(t *testing.T) {
 	}
 }
 
-// A callback panic unwinds Run to its caller. The panicking event is
-// then gone from the queue, alone or among others, and a later Run
-// fires every other event once. Inside a callback, Pending and
-// NextEventTime count what the callback has scheduled so far, never the
-// running event itself.
+// A callback panic unwinds Run to its caller, on 1 and 2 shards. The
+// panicking event is then gone from the queue, alone or among others,
+// and a later Run fires every other event once. A later Run that finds
+// the queues drained returns the panicking event's time: the unwound
+// window left the clocks ahead of the group's horizon. Inside a
+// callback, Pending and nextEventTime count what the callback has
+// scheduled so far, never the running event itself.
 func TestRunAfterCallbackPanic(t *testing.T) {
 	const us = Time(Microsecond)
-	runPanic := func(e *Engine) (pan any) {
+	// A lookahead below the event spacing runs one event per window on
+	// two shards, so the shared logs are race-free.
+	const look = Microsecond
+	runPanic := func(g *Group) (pan any) {
 		defer func() { pan = recover() }()
-		_, err := e.Run(0)
+		_, err := g.Run(0)
 		t.Errorf("Run returned %v, want the callback's panic", err)
 		return nil
 	}
-	wantQueue := func(t *testing.T, e *Engine, n int, next Time) {
+	wantQueue := func(t *testing.T, g *Group, n int, next Time) {
 		t.Helper()
-		if got := e.Pending(); got != n {
-			t.Errorf("Pending() = %d, want %d", got, n)
+		pending := 0
+		for i := 0; i < g.Size(); i++ {
+			pending += g.Engine(i).Pending()
 		}
-		at, ok := e.NextEventTime()
+		if pending != n {
+			t.Errorf("Pending() = %d, want %d", pending, n)
+		}
+		at, ok := g.minNextEvent()
 		if ok != (n > 0) || (ok && at != next) {
-			t.Errorf("NextEventTime() = %v, %v; want %v with %d pending", at, ok, next, n)
+			t.Errorf("nextEventTime() = %v, %v; want %v with %d pending", at, ok, next, n)
 		}
 	}
 
 	t.Run("among others", func(t *testing.T) {
-		e := NewEngine()
-		var got []string
-		log := func(s string) func() { return func() { got = append(got, s) } }
-		e.Schedule(10*us, log("a"))
-		e.Schedule(20*us, func() { got = append(got, "boom"); panic("boom") })
-		e.Schedule(30*us, log("c"))
-		e.Schedule(40*us, log("d"))
-		if pan := runPanic(e); pan != "boom" {
-			t.Fatalf("recovered %v, want boom", pan)
+		for _, shards := range []int{1, 2} {
+			g := NewGroup(shards, look)
+			defer g.Close()
+			first, last := g.Engine(0), g.Engine(shards-1)
+			var got []string
+			log := func(s string) func() { return func() { got = append(got, s) } }
+			first.Schedule(10*us, log("a"))
+			last.Schedule(20*us, func() { got = append(got, "boom"); panic("boom") })
+			first.Schedule(30*us, log("c"))
+			last.Schedule(40*us, log("d"))
+			if pan := runPanic(g); pan != "boom" {
+				t.Fatalf("%d shards: recovered %v, want boom", shards, pan)
+			}
+			wantQueue(t, g, 2, 30*us)
+			first.Schedule(25*us, log("e"))
+			end, err := g.Run(0)
+			// Two shards return the last window's horizon.
+			if want := 40*us + Time(shards-1)*Time(look); err != nil || end != want {
+				t.Fatalf("%d shards: second Run = %v, %v; want %v, nil", shards, end, err, want)
+			}
+			if s := strings.Join(got, " "); s != "a boom e c d" {
+				t.Fatalf("%d shards: fired %q, want %q", shards, s, "a boom e c d")
+			}
+			wantQueue(t, g, 0, 0)
 		}
-		wantQueue(t, e, 2, 30*us)
-		e.Schedule(25*us, log("e"))
-		end, err := e.Run(0)
-		if err != nil || end != 40*us {
-			t.Fatalf("second Run = %v, %v; want 40 µs, nil", end, err)
-		}
-		if s := strings.Join(got, " "); s != "a boom e c d" {
-			t.Fatalf("fired %q, want %q", s, "a boom e c d")
-		}
-		wantQueue(t, e, 0, 0)
 	})
 
 	t.Run("only event", func(t *testing.T) {
-		e := NewEngine()
-		fired := 0
-		e.Schedule(10*us, func() { fired++; panic("boom") })
-		if pan := runPanic(e); pan != "boom" {
-			t.Fatalf("recovered %v, want boom", pan)
-		}
-		wantQueue(t, e, 0, 0)
-		end, err := e.Run(0)
-		if err != nil || end != 10*us || fired != 1 {
-			t.Fatalf("second Run = %v, %v with %d fired; want 10 µs, nil with 1", end, err, fired)
+		for _, shards := range []int{1, 2} {
+			g := NewGroup(shards, look)
+			defer g.Close()
+			fired := 0
+			g.Engine(shards-1).Schedule(10*us, func() { fired++; panic("boom") })
+			if pan := runPanic(g); pan != "boom" {
+				t.Fatalf("%d shards: recovered %v, want boom", shards, pan)
+			}
+			wantQueue(t, g, 0, 0)
+			end, err := g.Run(0)
+			if err != nil || end != 10*us || fired != 1 {
+				t.Fatalf("%d shards: second Run = %v, %v with %d fired; want 10 µs, nil with 1", shards, end, err, fired)
+			}
 		}
 	})
 
 	t.Run("inside a callback", func(t *testing.T) {
-		e := NewEngine()
-		e.Schedule(50*us, func() {})
-		e.Schedule(10*us, func() {
-			wantQueue(t, e, 1, 50*us)
-			e.Schedule(30*us, func() {})
-			wantQueue(t, e, 2, 30*us)
-			e.Schedule(20*us, func() {})
-			wantQueue(t, e, 3, 20*us)
-		})
-		if _, err := e.Run(0); err != nil {
-			t.Fatal(err)
-		}
-		if e.Fired() != 4 {
-			t.Fatalf("Fired() = %d, want 4", e.Fired())
+		for _, shards := range []int{1, 2} {
+			g := NewGroup(shards, look)
+			defer g.Close()
+			e := g.Engine(shards - 1)
+			e.Schedule(50*us, func() {})
+			e.Schedule(10*us, func() {
+				wantQueue(t, g, 1, 50*us)
+				e.Schedule(30*us, func() {})
+				wantQueue(t, g, 2, 30*us)
+				e.Schedule(20*us, func() {})
+				wantQueue(t, g, 3, 20*us)
+			})
+			if _, err := e.Run(0); err != nil {
+				t.Fatal(err)
+			}
+			if e.Fired() != 4 {
+				t.Fatalf("%d shards: Fired() = %d, want 4", shards, e.Fired())
+			}
 		}
 	})
 }

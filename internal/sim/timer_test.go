@@ -271,7 +271,7 @@ func TestSameTimeOrder(t *testing.T) {
 
 // TestAdvanceToKeepsQueuedOrder: moving the clock past queued entries
 // (as a Group barrier does) keeps them ahead of everything scheduled
-// afterwards, and NextEventTime still reports the earliest of them.
+// afterwards, and nextEventTime still reports the earliest of them.
 func TestAdvanceToKeepsQueuedOrder(t *testing.T) {
 	e := NewEngine()
 	var log []string
@@ -280,10 +280,10 @@ func TestAdvanceToKeepsQueuedOrder(t *testing.T) {
 	}
 	e.Schedule(0, note("a"))
 	e.Schedule(5, note("h"))
-	e.AdvanceTo(5)
+	e.advanceTo(5)
 	e.Schedule(5, note("b"))
-	if next, ok := e.NextEventTime(); !ok || next != 0 {
-		t.Fatalf("NextEventTime = %d, %v; want 0, true", next, ok)
+	if next, ok := e.nextEventTime(); !ok || next != 0 {
+		t.Fatalf("nextEventTime = %d, %v; want 0, true", next, ok)
 	}
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
