@@ -19,7 +19,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dvfs"
 	"repro/internal/dvs"
-	"repro/internal/exec"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -375,17 +374,10 @@ func (s *Spec) points(table dvfs.Table) ([]int, error) {
 	return out, nil
 }
 
-// cell is one entry of the campaign's cross product.
-type cell struct {
-	w     workloads.Workload
-	strat dvs.Strategy
-	idx   int
-}
-
-// cells expands the resolved spec into the flat, deterministic cell
-// list the worker pool fans out over.
-func (s *Spec) cells(idxs []int) []cell {
-	var out []cell
+// cells expands the resolved spec into the flat, deterministic list of
+// the cross product's cells.
+func (s *Spec) cells(idxs []int) []cluster.Cell {
+	var out []cluster.Cell
 	for _, w := range s.built {
 		for _, strat := range s.strats {
 			pts := idxs
@@ -393,7 +385,7 @@ func (s *Spec) cells(idxs []int) []cell {
 				pts = []int{0} // the daemon owns the frequency
 			}
 			for _, idx := range pts {
-				out = append(out, cell{w: w, strat: strat, idx: idx})
+				out = append(out, cluster.Cell{Workload: w, Strategy: strat, BaseIdx: idx})
 			}
 		}
 	}
@@ -434,8 +426,9 @@ func (o *orderedProgress) done(i int, line string) {
 }
 
 // Run executes the whole matrix and returns one Result per cell, in
-// cross-product order. Cells are independent simulations and fan out
-// across up to Parallelism workers; results (and progress lines, if
+// cross-product order. The cells run as one cluster.Runner.RunCells
+// batch, which fans out once over (cell, repetition) pairs, so at most
+// Parallelism simulations run at once; results (and progress lines, if
 // progress is non-nil) are merged in submission order, so the output
 // is bit-identical to a sequential run at any parallelism.
 func Run(s *Spec, progress func(string)) ([]Result, error) {
@@ -461,24 +454,21 @@ func Run(s *Spec, progress func(string)) ([]Result, error) {
 	}
 	cells := s.cells(idxs)
 	prog := newOrderedProgress(progress)
-	return exec.Map(cfg.Parallelism, len(cells), func(i int) (Result, error) {
+	results := make([]Result, len(cells))
+	err = runner.RunCells(cells, func(i int, agg *cluster.Aggregate) error {
 		c := cells[i]
-		agg, err := runner.Run(c.w, c.strat, c.idx)
-		if err != nil {
-			return Result{}, fmt.Errorf("campaign: %s/%s: %w", c.w.Name(), c.strat.Name(), err)
-		}
 		energy := agg.EnergyACPI
 		if cfg.UseTrueEnergy {
 			energy = agg.EnergyTrue
 		}
-		label := cfg.Machine.Table.At(c.idx).Freq.String()
-		if c.strat.Name() == "cpuspeed" {
+		label := cfg.Machine.Table.At(c.BaseIdx).Freq.String()
+		if c.Strategy.Name() == "cpuspeed" {
 			label = "auto"
 		}
 		res := Result{
 			Campaign: s.Name,
-			Workload: c.w.Name(),
-			Strategy: c.strat.Name(),
+			Workload: c.Workload.Name(),
+			Strategy: c.Strategy.Name(),
 			Point:    label,
 			EnergyJ:  float64(energy),
 			DelayS:   agg.Delay.Seconds(),
@@ -488,17 +478,22 @@ func Run(s *Spec, progress func(string)) ([]Result, error) {
 			for _, id := range st.Nodes() {
 				p, perr := st.PeakPower(id)
 				if perr != nil {
-					return Result{}, fmt.Errorf("campaign: %s/%s: %w", c.w.Name(), c.strat.Name(), perr)
+					return fmt.Errorf("%s/%s: %w", c.Workload.Name(), c.Strategy.Name(), perr)
 				}
 				if float64(p) > res.PeakPowerW {
 					res.PeakPowerW = float64(p)
 				}
 			}
 		}
+		results[i] = res
 		prog.done(i, fmt.Sprintf("%s %s@%s: %.0f J, %.2f s",
 			res.Workload, res.Strategy, res.Point, res.EnergyJ, res.DelayS))
-		return res, nil
+		return nil
 	})
+	if err != nil {
+		return nil, fmt.Errorf("campaign: %w", err)
+	}
+	return results, nil
 }
 
 // WriteJSON emits the results as a JSON array.

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/dvfs"
@@ -74,12 +75,13 @@ type Config struct {
 
 	// Reps is how many times each experiment repeats (paper: ≥3).
 	Reps int
-	// Parallelism bounds how many independent simulation cells run
-	// concurrently: repetitions inside Run, operating points inside
-	// Sweep. Zero selects one worker per CPU (GOMAXPROCS); one forces
-	// sequential execution. Every cell owns its engine and cluster and
-	// seeds derive only from the cell index, so results are
-	// bit-identical at any setting.
+	// Parallelism bounds how many independent simulations run
+	// concurrently. Run, Sweep and RunCells fan out once, over every
+	// (operating point or cell, repetition) pair, so the bound holds
+	// for the whole batch. Zero selects one worker per CPU
+	// (GOMAXPROCS); one forces sequential execution. Every simulation
+	// owns its engine and cluster and seeds derive only from the
+	// repetition index, so results are bit-identical at any setting.
 	Parallelism int
 	// OutlierK is the MAD cutoff for outlier rejection.
 	OutlierK float64
@@ -540,21 +542,78 @@ type Aggregate struct {
 
 // Run repeats the experiment cfg.Reps times with different jitter
 // seeds, rejects outliers on the measured (ACPI) energy, and averages.
-// Repetitions are independent simulations, so they fan out across up
-// to cfg.Parallelism workers; each repetition's seed depends only on
-// its index and results merge in repetition order, keeping the
-// aggregate bit-identical to a sequential run.
+// The repetitions fan out as RunCells runs one cell's.
 func (r *Runner) Run(w workloads.Workload, strat dvs.Strategy, baseIdx int) (*Aggregate, error) {
-	reps := r.cfg.Reps
-	if reps < 1 {
-		reps = 1
-	}
-	runs, err := exec.Map(r.cfg.Parallelism, reps, func(rep int) (*Result, error) {
-		return r.RunOnce(w, strat, baseIdx, r.cfg.Seed+int64(rep)*7919)
+	var agg *Aggregate
+	err := r.RunCells([]Cell{{Workload: w, Strategy: strat, BaseIdx: baseIdx}}, func(_ int, a *Aggregate) error {
+		agg = a
+		return nil
 	})
-	if err != nil {
-		return nil, err
+	return agg, err
+}
+
+// Cell is one experiment of a batch: a workload under a strategy from
+// a base operating point, repeated as Run repeats it.
+type Cell struct {
+	Workload workloads.Workload
+	Strategy dvs.Strategy
+	BaseIdx  int
+}
+
+// RunCells runs every cell as Run would and hands done cell i's
+// aggregate as soon as the cell's last repetition ends, on the worker
+// that ran that repetition, so done may be called concurrently and out
+// of cell order; an error from done fails the batch. The batch fans
+// out once, over (cell, repetition) pairs, so at most cfg.Parallelism
+// simulations run at any moment. Each repetition's seed depends only
+// on its index and results merge in repetition order, so every
+// aggregate is bit-identical to a sequential run's.
+func (r *Runner) RunCells(cells []Cell, done func(i int, agg *Aggregate) error) error {
+	reps := max(r.cfg.Reps, 1)
+	b := &batch{reps: reps, runs: make([]*Result, len(cells)*reps), ended: make([]int, len(cells))}
+	_, err := exec.Map(r.cfg.Parallelism, len(b.runs), func(k int) (struct{}, error) {
+		c := cells[k/reps]
+		res, err := r.RunOnce(c.Workload, c.Strategy, c.BaseIdx, r.cfg.Seed+int64(k%reps)*7919)
+		if err != nil {
+			return struct{}{}, err
+		}
+		runs := b.add(k, res)
+		if runs == nil {
+			return struct{}{}, nil
+		}
+		agg, err := r.aggregate(runs)
+		if err == nil {
+			err = done(k/reps, agg)
+		}
+		return struct{}{}, err
+	})
+	return err
+}
+
+// batch collects the repetitions of a RunCells batch as they end.
+type batch struct {
+	mu    sync.Mutex
+	reps  int
+	runs  []*Result // repetition k of cell k/reps at k
+	ended []int     // repetitions ended so far, per cell
+}
+
+// add stores repetition k's result and, if it was the last of its
+// cell to end, returns the cell's runs in repetition order.
+func (b *batch) add(k int, res *Result) []*Result {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.runs[k] = res
+	i := k / b.reps
+	if b.ended[i]++; b.ended[i] < b.reps {
+		return nil
 	}
+	return b.runs[i*b.reps : (i+1)*b.reps : (i+1)*b.reps]
+}
+
+// aggregate rejects outliers among one cell's repetitions on the
+// measured (ACPI) energy and averages the rest.
+func (r *Runner) aggregate(runs []*Result) (*Aggregate, error) {
 	agg := &Aggregate{Runs: runs}
 	acpis := make([]float64, len(runs))
 	for i, res := range runs {
@@ -600,22 +659,24 @@ func (r *Runner) reportedEnergy(agg *Aggregate) power.Joules {
 
 // Sweep runs the strategy at every operating point and returns the
 // energy-delay crescendo (measured energies, exact delays), highest
-// frequency first. Operating points fan out across up to
-// cfg.Parallelism workers; the crescendo is assembled in table order,
-// so it is bit-identical to a sequential sweep.
+// frequency first. The points are the cells of one RunCells batch; the
+// crescendo is assembled in table order, so it is bit-identical to a
+// sequential sweep.
 func (r *Runner) Sweep(w workloads.Workload, strat dvs.Strategy) (core.Crescendo, error) {
 	table := r.cfg.Machine.Table
-	points, err := exec.Map(r.cfg.Parallelism, table.Len(), func(i int) (core.Point, error) {
-		agg, err := r.Run(w, strat, i)
-		if err != nil {
-			return core.Point{}, err
-		}
-		return core.Point{
+	cells := make([]Cell, table.Len())
+	for i := range cells {
+		cells[i] = Cell{Workload: w, Strategy: strat, BaseIdx: i}
+	}
+	points := make([]core.Point, len(cells))
+	err := r.RunCells(cells, func(i int, agg *Aggregate) error {
+		points[i] = core.Point{
 			Label:  fmt.Sprintf("%s@%s", strat.Name(), table.At(i).Freq),
 			Freq:   table.At(i).Freq,
 			Energy: float64(r.reportedEnergy(agg)),
 			Delay:  agg.Delay.Seconds(),
-		}, nil
+		}
+		return nil
 	})
 	if err != nil {
 		return core.Crescendo{}, err

@@ -3,10 +3,13 @@ package cluster
 import (
 	"encoding/json"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/dvs"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -92,6 +95,40 @@ func TestSweepParallelMultiRank(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seq, par) {
 		t.Errorf("multi-rank parallel crescendo differs:\nseq %+v\npar %+v", seq, par)
+	}
+}
+
+// inFlightSink counts the simulations between their trace factory
+// call and their trace's End.
+type inFlightSink struct{ n *atomic.Int32 }
+
+func (s inFlightSink) Begin(trace.Meta) error              { return nil }
+func (s inFlightSink) Tick(sim.Time, []trace.Sample) error { return nil }
+func (s inFlightSink) End() error                          { s.n.Add(-1); return nil }
+
+// TestParallelismBoundsSimulationsInFlight pins that Parallelism bounds
+// the whole sweep, not each level of it: operating points and their
+// repetitions fan out once, so at most Parallelism simulations run at
+// any moment. Each run's trace factory holds its run for a few
+// milliseconds of wall time, so runs that may overlap do.
+func TestParallelismBoundsSimulationsInFlight(t *testing.T) {
+	const width = 2
+	var inFlight, peak atomic.Int32
+	cfg := parallelTestConfig(width)
+	cfg.Reps = 3
+	cfg.TraceInterval = sim.Second
+	cfg.TraceSinks = func(RunInfo) []trace.Sink {
+		n := inFlight.Add(1)
+		for m := peak.Load(); n > m && !peak.CompareAndSwap(m, n); m = peak.Load() {
+		}
+		time.Sleep(5 * time.Millisecond)
+		return []trace.Sink{inFlightSink{&inFlight}}
+	}
+	if _, err := MustRunner(cfg).Sweep(workloads.NewSwim(5), dvs.Static{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := peak.Load(); got > width {
+		t.Errorf("%d simulations in flight at once, want at most Parallelism %d", got, width)
 	}
 }
 

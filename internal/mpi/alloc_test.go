@@ -86,3 +86,63 @@ func TestEagerMessageAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestRendezvousMessageAllocations pins the cost of a message above
+// EagerThreshold: one exchange record, which holds the RTS, CTS and
+// data envelopes and both waits, plus the first Wait on each of those
+// waits. An Isend's helper process (Proc and closure) adds two more,
+// which the Alltoall's sends pay. The patterns are a blocking 1 MB
+// Send/Recv ping-pong and an 8-rank 1 MB Alltoall.
+func TestRendezvousMessageAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts need whole simulations")
+	}
+	if raceEnabled {
+		t.Skip("the race detector's runtime allocates on its own")
+	}
+	const size = 1 << 20
+	pingPong := func(t *testing.T, rounds int) {
+		g, w := testWorld(2, nil)
+		defer g.Close()
+		w.SpawnRanks(func(p *sim.Proc, r *Rank) {
+			peer := 1 - r.ID()
+			for i := 0; i < rounds; i++ {
+				if r.ID() == 0 {
+					r.Send(p, peer, 0, size, nil)
+					r.Recv(p, peer, 0)
+				} else {
+					r.Recv(p, peer, 0)
+					r.Send(p, peer, 0, size, nil)
+				}
+			}
+		})
+		mustRun(t, g)
+	}
+	alltoall := func(t *testing.T, rounds int) {
+		g, w := testWorld(8, nil)
+		defer g.Close()
+		w.SpawnRanks(func(p *sim.Proc, r *Rank) {
+			for i := 0; i < rounds; i++ {
+				r.Alltoall(p, size)
+			}
+		})
+		mustRun(t, g)
+	}
+	cases := []struct {
+		name         string
+		k            int
+		msgsPerRound int
+		max          float64
+		run          func(t *testing.T, rounds int)
+	}{
+		{"pingpong", 100, 2, 3, pingPong},
+		{"alltoall8", 4, 8 * 7, 5, alltoall},
+	}
+	for _, c := range cases {
+		got := allocsPerMessage(t, c.k, c.msgsPerRound, c.run)
+		t.Logf("%s: %.2f allocations per rendezvous message", c.name, got)
+		if got > c.max {
+			t.Errorf("%s: %.2f allocations per rendezvous message, want at most %.0f", c.name, got, c.max)
+		}
+	}
+}

@@ -7,7 +7,7 @@ import (
 )
 
 // The message-path benches: per-op time and allocations of the eager
-// protocol, one layer below the end-to-end FT runs. `make bench` runs
+// and rendezvous protocols, one layer below the end-to-end FT runs. `make bench` runs
 // them with a pinned -benchtime and -count, and benchdiff gates them.
 
 // BenchmarkEagerPingPong sends 2 KB each way between two ranks: two
@@ -25,6 +25,32 @@ func BenchmarkEagerPingPong(b *testing.B) {
 			} else {
 				r.Recv(p, peer, 0)
 				r.Send(p, peer, 0, 2048, nil)
+			}
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := g.Run(0); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkRendezvousPingPong sends 1 MB each way between two ranks:
+// two rendezvous messages per op, on one world that lives across all
+// ops.
+func BenchmarkRendezvousPingPong(b *testing.B) {
+	g, w := testWorld(2, nil)
+	defer g.Close()
+	ops := b.N
+	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
+		peer := 1 - r.ID()
+		for i := 0; i < ops; i++ {
+			if r.ID() == 0 {
+				r.Send(p, peer, 0, 1<<20, nil)
+				r.Recv(p, peer, 0)
+			} else {
+				r.Recv(p, peer, 0)
+				r.Send(p, peer, 0, 1<<20, nil)
 			}
 		}
 	})

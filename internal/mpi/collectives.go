@@ -20,8 +20,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Reserved tag-space layout (all at or above collectiveTagBase, which
-// user tags must stay below):
+// Reserved tag-space layout (all at or above collectiveTagBase; world
+// user tags stay below commP2PBase, and sub-communicator p2p contexts
+// lie between the two):
 //
 //	collectiveTagBase + slot*commTagStride + seq*64 + phase
 //
@@ -367,6 +368,17 @@ func allreduceRD(v view, size int64, payload any, combine func(a, b any) any) an
 	return acc
 }
 
+// allreduceV: reduce to position 0 followed by a broadcast below the
+// configured large-message threshold, MPICH-1 style; at or above it,
+// recursive doubling spreads the bandwidth over every link instead of
+// concentrating it at position 0.
+func allreduceV(v view, size int64, payload any, combine func(a, b any) any) any {
+	if thr := v.r.w.cfg.AllreduceLargeThreshold; thr > 0 && size >= thr {
+		return allreduceRD(v, size, payload, combine)
+	}
+	return bcastV(v, 0, size, reduceV(v, 0, size, payload, combine))
+}
+
 // allgatherV: ring, P-1 steps.
 func allgatherV(v view, size int64) {
 	v.begin()
@@ -404,18 +416,12 @@ func (r *Rank) Reduce(p *sim.Proc, root int, size int64, payload any, combine fu
 }
 
 // Allreduce combines size bytes across all ranks and leaves the result
-// everywhere. Below the configured large-message threshold it is
-// Reduce to rank 0 followed by Bcast, MPICH-1 style; at or above it,
-// recursive doubling spreads the bandwidth over every link instead of
-// concentrating it at rank 0.
+// everywhere: reduce+bcast below AllreduceLargeThreshold, recursive
+// doubling at or above it.
 //
 //lint:range size [0,inf]
 func (r *Rank) Allreduce(p *sim.Proc, size int64, payload any, combine func(a, b any) any) any {
-	if thr := r.w.cfg.AllreduceLargeThreshold; thr > 0 && size >= thr {
-		return allreduceRD(r.worldView(p), size, payload, combine)
-	}
-	acc := r.Reduce(p, 0, size, payload, combine)
-	return r.Bcast(p, 0, size, acc)
+	return allreduceV(r.worldView(p), size, payload, combine)
 }
 
 // Alltoall exchanges bytesPerPeer with every other rank (pairwise

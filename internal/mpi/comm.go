@@ -194,7 +194,7 @@ func (c *Comm) Recv(p *sim.Proc, src, tag int) *Message {
 
 // Isend is Send in the background.
 func (c *Comm) Isend(p *sim.Proc, dst, tag int, size int64, payload any) *Request {
-	q := c.r.newRequest()
+	q := new(Request)
 	c.r.isend(p, q, c.WorldRank(dst), c.ctag(tag), size, payload)
 	return q
 }
@@ -223,10 +223,10 @@ func (c *Comm) Reduce(p *sim.Proc, root int, size int64, payload any, combine fu
 	return reduceV(c.view(p), root, size, payload, combine)
 }
 
-// Allreduce is Reduce to comm rank 0 followed by Bcast.
+// Allreduce combines size bytes across the members and leaves the
+// result everywhere, by the same size rule as Rank.Allreduce.
 func (c *Comm) Allreduce(p *sim.Proc, size int64, payload any, combine func(a, b any) any) any {
-	acc := c.Reduce(p, 0, size, payload, combine)
-	return c.Bcast(p, 0, size, acc)
+	return allreduceV(c.view(p), size, payload, combine)
 }
 
 // Alltoall exchanges bytesPerPeer with every other member.

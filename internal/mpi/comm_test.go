@@ -152,6 +152,38 @@ func TestCommCollectives(t *testing.T) {
 	mustRun(t, g)
 }
 
+// TestCommAllreduceMatchesWorld pins one Allreduce rule for the world
+// and sub-communicators: on a communicator of every rank in world
+// order, a large Allreduce takes the same simulated time as the
+// world's, on every rank.
+func TestCommAllreduceMatchesWorld(t *testing.T) {
+	const n, size = 8, 1 << 20
+	elapsed := func(viaComm bool) []sim.Duration {
+		g, w := testWorld(n, nil)
+		defer g.Close()
+		took := make([]sim.Duration, n)
+		w.SpawnRanks(func(p *sim.Proc, r *Rank) {
+			c := r.Split(p, 0, r.ID())
+			r.Barrier(p)
+			start := p.Now()
+			if viaComm {
+				c.Allreduce(p, size, nil, nil)
+			} else {
+				r.Allreduce(p, size, nil, nil)
+			}
+			took[r.ID()] = p.Now().Sub(start)
+		})
+		mustRun(t, g)
+		return took
+	}
+	world, comm := elapsed(false), elapsed(true)
+	for i := range world {
+		if comm[i] != world[i] {
+			t.Errorf("rank %d: comm Allreduce took %v, world's %v", i, comm[i], world[i])
+		}
+	}
+}
+
 func TestCommSendrecvRing(t *testing.T) {
 	g, w := testWorld(4, nil)
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
@@ -181,6 +213,35 @@ func TestCommTagValidation(t *testing.T) {
 		c.Send(p, 1, MaxCommTag+1, 8, nil)
 	})
 	mustRun(t, g)
+}
+
+// TestWorldTagOutsideCommContexts pins that a world Send cannot forge
+// a sub-communicator's p2p context: the world tag that a comm's tag 5
+// maps to is out of the world's range, so the comm's Recv gets the
+// comm's own message.
+func TestWorldTagOutsideCommContexts(t *testing.T) {
+	g, w := testWorld(2, nil)
+	var got any
+	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
+		c := r.Split(p, 0, 0)
+		if r.ID() == 1 {
+			got = c.Recv(p, 0, 5).Payload
+			return
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("a world Send into a communicator's tag context did not panic")
+				}
+			}()
+			r.Send(p, 1, commP2PBase+c.slot*commP2PStride+5, 8, "world")
+		}()
+		c.Send(p, 1, 5, 8, "comm")
+	})
+	mustRun(t, g)
+	if got != "comm" {
+		t.Fatalf("comm Recv got %v, want the comm's own message", got)
+	}
 }
 
 func TestCommSlotExhaustion(t *testing.T) {

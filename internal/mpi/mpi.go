@@ -133,15 +133,13 @@ func NewWorld(g *sim.Group, nodes []*machine.Node, sw netsim.Fabric, cfg Config)
 			panic(fmt.Sprintf("mpi: node %d not on a group shard", i)) //lint:allow panicfree (models MPI_Abort; rank/tag/count errors abort the MPI job)
 		}
 		r := &Rank{
-			w:          w,
-			id:         i,
-			node:       n,
-			rendezvous: make(map[int64]*sim.Cond),
-			dataWait:   make(map[rdKey]*sim.Cond),
-			sendSeq:    make([]int64, len(nodes)),
-			expectSeq:  make([]int64, len(nodes)),
-			isendName:  fmt.Sprintf("rank%d.isend", i),
-			irecvName:  fmt.Sprintf("rank%d.irecv", i),
+			w:         w,
+			id:        i,
+			node:      n,
+			sendSeq:   make([]int64, len(nodes)),
+			expectSeq: make([]int64, len(nodes)),
+			isendName: fmt.Sprintf("rank%d.isend", i),
+			irecvName: fmt.Sprintf("rank%d.irecv", i),
 		}
 		r.spin = n.Engine().NewTimer(func() {
 			// Still in the same uninterrupted spin: fall back to a
@@ -212,9 +210,9 @@ type Message struct {
 	Size     int64
 	Payload  any
 
-	kind   msgKind
-	handle int64
-	seq    int64 // per-(src,dst) envelope sequence for non-overtaking
+	kind msgKind
+	x    *exchange // the rendezvous this message belongs to; nil for eager
+	seq  int64     // per-(src,dst) envelope sequence for non-overtaking
 }
 
 type msgKind int
@@ -226,13 +224,15 @@ const (
 	kindRData         // rendezvous payload
 )
 
-// rdKey identifies an in-flight rendezvous transfer on the receiver.
-// Handles are allocated from the sender's counter, so they are only
-// unique per source rank — concurrent transfers from different senders
-// can share a handle number and must not collide in dataWait.
-type rdKey struct {
-	src    int
-	handle int64
+// exchange is one rendezvous message: its three envelopes and the two
+// waits they end. The sender makes it, and every envelope points back
+// at it, so a delivery wakes the wait it ends without a lookup. Each
+// wait is touched only on its waiter's shard: the CTS wait on the
+// sender's, the data wait on the receiver's.
+type exchange struct {
+	rts, cts, data Message
+	ctsWait        sim.Cond // the sender waits here for the CTS
+	dataWait       sim.Cond // the receiver waits here for the payload
 }
 
 // Stats aggregates a rank's traffic counters.
@@ -251,10 +251,6 @@ type Rank struct {
 
 	posted     []*postedRecv
 	unexpected []*Message
-
-	nextHandle int64
-	rendezvous map[int64]*sim.Cond // sender side: waiting for CTS
-	dataWait   map[rdKey]*sim.Cond // receiver side: waiting for payload
 
 	// Non-overtaking machinery (MPI ordering semantics): envelopes from
 	// one sender carry a sequence number; a receiver only admits them
@@ -301,7 +297,7 @@ type Rank struct {
 type postedRecv struct {
 	src, tag int
 	msg      *Message
-	cond     *sim.Cond
+	cond     sim.Cond
 }
 
 // eng returns the engine this rank (and all its helper processes and
@@ -324,7 +320,9 @@ func (r *Rank) World() *World { return r.w }
 func (r *Rank) Stats() Stats { return r.stats }
 
 // matches reports whether a posted (src,tag) pattern accepts msg.
-// Only eager data and RTS envelopes participate in matching.
+// Only eager data and RTS envelopes participate in matching, and AnyTag
+// matches only the world's application tags, never a sub-communicator's
+// context or a collective's reserved tag.
 func matches(src, tag int, m *Message) bool {
 	if m.kind != kindEager && m.kind != kindRTS {
 		return false
@@ -332,10 +330,10 @@ func matches(src, tag int, m *Message) bool {
 	if src != AnySource && m.Src != src {
 		return false
 	}
-	if tag != AnyTag && m.Tag != tag {
-		return false
+	if tag == AnyTag {
+		return m.Tag < commP2PBase
 	}
-	return true
+	return m.Tag == tag
 }
 
 // deliver runs at the message's arrival time on the receiving rank.
@@ -354,20 +352,9 @@ func (r *Rank) deliver(m *Message) {
 			r.admitStashed(m.Src)
 		}
 	case kindCTS:
-		c, ok := r.rendezvous[m.handle]
-		if !ok {
-			panic(fmt.Sprintf("mpi: rank %d: CTS for unknown handle %d", r.id, m.handle)) //lint:allow panicfree,hotalloc (models MPI_Abort; rank/tag/count errors abort the MPI job, so the message is formatted once)
-		}
-		delete(r.rendezvous, m.handle)
-		c.Signal(m)
+		m.x.ctsWait.Signal(m)
 	case kindRData:
-		k := rdKey{src: m.Src, handle: m.handle}
-		c, ok := r.dataWait[k]
-		if !ok {
-			panic(fmt.Sprintf("mpi: rank %d: data from rank %d for unknown handle %d", r.id, m.Src, m.handle)) //lint:allow panicfree,hotalloc (models MPI_Abort; rank/tag/count errors abort the MPI job, so the message is formatted once)
-		}
-		delete(r.dataWait, k)
-		c.Signal(m)
+		m.x.dataWait.Signal(m)
 	}
 }
 

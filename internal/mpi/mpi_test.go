@@ -496,24 +496,57 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
+// TestUserTagValidation pins the world's tag range, [0, 2^28), on the
+// send and the receive side: the tags above belong to sub-communicator
+// contexts (from 2^28) and collectives (from 2^30).
 func TestUserTagValidation(t *testing.T) {
 	g, w := testWorld(2, nil)
 	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
 		if r.ID() != 0 {
 			return
 		}
-		for _, tag := range []int{-1, collectiveTagBase} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("tag %d: expected panic", tag)
-					}
-				}()
-				r.Send(p, 1, tag, 8, nil)
+		mustPanic := func(op string, tag int, f func()) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s with tag %d: expected panic", op, tag)
+				}
 			}()
+			f()
+		}
+		for _, tag := range []int{-1, 1 << 28, collectiveTagBase} {
+			mustPanic("Send", tag, func() { r.Send(p, 1, tag, 8, nil) })
+			mustPanic("Isend", tag, func() { r.Isend(p, 1, tag, 8, nil) })
+			mustPanic("Sendrecv", tag, func() { r.Sendrecv(p, 1, tag, 8, nil, 1, 0) })
+		}
+		for _, tag := range []int{-2, 1 << 28, collectiveTagBase} {
+			mustPanic("Recv", tag, func() { r.Recv(p, 1, tag) })
+			mustPanic("Irecv", tag, func() { r.Irecv(p, 1, tag) })
+			mustPanic("Probe", tag, func() { r.Probe(p, 1, tag) })
 		}
 	})
 	mustRun(t, g)
+}
+
+// TestAnyTagSkipsCollectiveTraffic pins that a wildcard receive posted
+// before a collective leaves the collective's messages alone and takes
+// the next application message.
+func TestAnyTagSkipsCollectiveTraffic(t *testing.T) {
+	g, w := testWorld(2, nil)
+	var got *Message
+	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
+		if r.ID() == 0 {
+			r.Barrier(p)
+			r.Send(p, 1, 7, 8, "after")
+			return
+		}
+		q := r.Irecv(p, AnySource, AnyTag)
+		r.Barrier(p)
+		got = r.Wait(p, q)
+	})
+	mustRun(t, g)
+	if got == nil || got.Tag != 7 || got.Payload != "after" {
+		t.Fatalf("wildcard Irecv got %+v, want the tag-7 message", got)
+	}
 }
 
 func TestDeterministicSchedule(t *testing.T) {
@@ -549,9 +582,9 @@ func TestCollectivesDoNotLeakWaiters(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		r := w.Rank(i)
-		if len(r.posted) != 0 || len(r.unexpected) != 0 || len(r.rendezvous) != 0 || len(r.dataWait) != 0 {
-			t.Fatalf("rank %d leaked matching state: posted=%d unexpected=%d rv=%d dw=%d",
-				i, len(r.posted), len(r.unexpected), len(r.rendezvous), len(r.dataWait))
+		if len(r.posted) != 0 || len(r.unexpected) != 0 {
+			t.Fatalf("rank %d leaked matching state: posted=%d unexpected=%d",
+				i, len(r.posted), len(r.unexpected))
 		}
 	}
 }

@@ -11,19 +11,29 @@ import (
 // with MPI_Send semantics: eager messages return once handed to the
 // transport; rendezvous messages return when the payload has drained to
 // the receiver. payload travels with the message for tests and
-// workloads that care about content.
+// workloads that care about content. tag must lie in [0, 2^28); the
+// tags above belong to sub-communicators and collectives.
 func (r *Rank) Send(p *sim.Proc, dst, tag int, size int64, payload any) {
 	r.checkRank(dst)
 	checkUserTag(tag)
 	r.send(p, dst, tag, size, payload)
 }
 
-// checkUserTag rejects tags outside the application range: negative
-// values are wildcards and tags at or above the collective base are
-// reserved for the collective algorithms.
+// checkUserTag rejects world tags outside the application range
+// [0, commP2PBase): negative values are wildcards, and the tags above
+// are the sub-communicators' point-to-point contexts and the
+// collectives' reserved space.
 func checkUserTag(tag int) {
-	if tag < 0 || tag >= collectiveTagBase {
-		panic(fmt.Sprintf("mpi: tag %d outside application range [0,%d)", tag, collectiveTagBase)) //lint:allow panicfree (models MPI_Abort; rank/tag/count errors abort the MPI job)
+	if tag < 0 || tag >= commP2PBase {
+		panic(fmt.Sprintf("mpi: tag %d outside application range [0,%d)", tag, commP2PBase)) //lint:allow panicfree (models MPI_Abort; rank/tag/count errors abort the MPI job)
+	}
+}
+
+// checkRecvTag is checkUserTag for a receive pattern, which may also
+// be AnyTag.
+func checkRecvTag(tag int) {
+	if tag != AnyTag {
+		checkUserTag(tag)
 	}
 }
 
@@ -85,16 +95,13 @@ func (r *Rank) sendCharged(p *sim.Proc, seq int64, dst, tag int, size int64, pay
 // sendRendezvous runs the rendezvous exchange: RTS → wait for CTS →
 // stream payload → wait for drain.
 func (r *Rank) sendRendezvous(p *sim.Proc, seq int64, dst, tag int, size int64, payload any) {
-	r.nextHandle++
-	h := r.nextHandle
-	cts := sim.NewCond(r.eng())
-	r.rendezvous[h] = cts
-	rts := &Message{Src: r.id, Dst: dst, Tag: tag, Size: size, kind: kindRTS, handle: h, seq: seq} //lint:allow hotalloc (rendezvous request-to-send: one per message above EagerThreshold)
-	r.transmitControl(rts)
-	r.waitOn(p, cts)
+	x := &exchange{} //lint:allow hotalloc (the one record per message above EagerThreshold; its data envelope is what Recv hands to its caller)
+	x.rts = Message{Src: r.id, Dst: dst, Tag: tag, Size: size, kind: kindRTS, x: x, seq: seq}
+	r.transmitControl(&x.rts)
+	r.waitOn(p, &x.ctsWait)
 
-	data := &Message{Src: r.id, Dst: dst, Tag: tag, Size: size, Payload: payload, kind: kindRData, handle: h} //lint:allow hotalloc (rendezvous payload: the message Recv hands to its caller)
-	txDone := r.transmit(data, size, true)
+	x.data = Message{Src: r.id, Dst: dst, Tag: tag, Size: size, Payload: payload, kind: kindRData, x: x}
+	txDone := r.transmit(&x.data, size, true)
 	// The sender's progress engine actively pushes the payload through
 	// the socket until the last byte leaves its transmit link; it polls
 	// (and eventually blocks) exactly like a receive-side wait. The
@@ -129,11 +136,13 @@ func (r *Rank) spinUntil(p *sim.Proc, t sim.Time) {
 }
 
 // Recv blocks until a message matching (src, tag) arrives and returns
-// it. src may be AnySource and tag may be AnyTag.
+// it. src may be AnySource and tag may be AnyTag, which matches only
+// the world's application tags.
 func (r *Rank) Recv(p *sim.Proc, src, tag int) *Message {
 	if src != AnySource {
 		r.checkRank(src)
 	}
+	checkRecvTag(tag)
 	r.overhead(p, r.w.cfg.RecvOverheadCycles)
 
 	m := r.matchOrWait(p, src, tag)
@@ -152,7 +161,7 @@ func (r *Rank) matchOrWait(p *sim.Proc, src, tag int) *Message {
 func (r *Rank) postRecv(src, tag int) *postedRecv {
 	pr := pop(&r.recvs)
 	if pr == nil {
-		pr = &postedRecv{cond: sim.NewCond(r.eng())} //lint:allow hotalloc (pool miss: the free list grows to the peak number of receives in flight)
+		pr = &postedRecv{} //lint:allow hotalloc (pool miss: the free list grows to the peak number of receives in flight)
 	}
 	pr.src, pr.tag = src, tag
 	for i, m := range r.unexpected {
@@ -170,7 +179,7 @@ func (r *Rank) postRecv(src, tag int) *postedRecv {
 // the matched envelope and puts pr back on the free list.
 func (r *Rank) awaitRecv(p *sim.Proc, pr *postedRecv) *Message {
 	if pr.msg == nil {
-		r.waitOn(p, pr.cond)
+		r.waitOn(p, &pr.cond)
 	}
 	m := pr.msg
 	pr.msg = nil
@@ -188,12 +197,10 @@ func (r *Rank) completeRecv(p *sim.Proc, m *Message) *Message {
 		r.stats.BytesRecv += m.Size
 		return m
 	case kindRTS:
-		h := m.handle
-		dw := sim.NewCond(r.eng())
-		r.dataWait[rdKey{src: m.Src, handle: h}] = dw
-		cts := &Message{Src: r.id, Dst: m.Src, Tag: m.Tag, Size: r.w.cfg.ControlBytes, kind: kindCTS, handle: h} //lint:allow hotalloc (rendezvous clear-to-send: one per message above EagerThreshold)
-		r.transmitControl(cts)
-		data := r.waitOn(p, dw).(*Message)
+		x := m.x
+		x.cts = Message{Src: r.id, Dst: m.Src, Tag: m.Tag, Size: r.w.cfg.ControlBytes, kind: kindCTS, x: x}
+		r.transmitControl(&x.cts)
+		data := r.waitOn(p, &x.dataWait).(*Message)
 		r.byteWork(p, data.Size)
 		r.stats.MsgsRecv++
 		r.stats.BytesRecv += data.Size
@@ -203,21 +210,17 @@ func (r *Rank) completeRecv(p *sim.Proc, m *Message) *Message {
 	}
 }
 
-// Request tracks an outstanding Isend or Irecv.
+// Request tracks an outstanding Isend or Irecv. A request that Isend,
+// Comm.Isend or Irecv returns is the caller's and is never recycled;
+// the library's own sends take theirs from a free list (isendPooled).
 type Request struct {
 	done bool
-	cond *sim.Cond
+	cond sim.Cond
 	msg  *Message
 }
 
 // Done reports whether the operation has completed.
 func (q *Request) Done() bool { return q.done }
-
-// newRequest returns a request the caller keeps: Isend and Irecv hand
-// it out, so it is never recycled.
-func (r *Rank) newRequest() *Request {
-	return &Request{cond: sim.NewCond(r.eng())}
-}
 
 // Isend starts a send in the background and returns a Request for
 // Wait. Its CPU costs hit this node, at the same instants as a helper
@@ -225,7 +228,7 @@ func (r *Rank) newRequest() *Request {
 func (r *Rank) Isend(p *sim.Proc, dst, tag int, size int64, payload any) *Request {
 	r.checkRank(dst)
 	checkUserTag(tag)
-	q := r.newRequest()
+	q := new(Request)
 	r.isend(p, q, dst, tag, size, payload)
 	return q
 }
@@ -343,7 +346,7 @@ func (s *sendRec) finish() {
 func (r *Rank) isendPooled(p *sim.Proc, dst, tag int, size int64, payload any) *Request {
 	q := pop(&r.reqs)
 	if q == nil {
-		q = r.newRequest()
+		q = new(Request)
 	}
 	r.isend(p, q, dst, tag, size, payload)
 	return q
@@ -364,7 +367,8 @@ func (r *Rank) Irecv(p *sim.Proc, src, tag int) *Request {
 	if src != AnySource {
 		r.checkRank(src)
 	}
-	q := r.newRequest()
+	checkRecvTag(tag)
+	q := new(Request)
 	pr := r.postRecv(src, tag)
 	r.eng().Spawn(r.irecvName, func(hp *sim.Proc) {
 		r.overhead(hp, r.w.cfg.RecvOverheadCycles)
@@ -379,7 +383,7 @@ func (r *Rank) Irecv(p *sim.Proc, src, tag int) *Request {
 // (nil for sends).
 func (r *Rank) Wait(p *sim.Proc, q *Request) *Message {
 	if !q.done {
-		r.waitOn(p, q.cond)
+		r.waitOn(p, &q.cond)
 	}
 	return q.msg
 }
@@ -412,6 +416,7 @@ func (r *Rank) checkRank(id int) {
 // without receiving it, and if so returns its envelope (source and
 // size). It charges a small progress-poll cost.
 func (r *Rank) Iprobe(p *sim.Proc, src, tag int) (m *Message, ok bool) {
+	checkRecvTag(tag)
 	r.overhead(p, r.w.cfg.RecvOverheadCycles/8)
 	for _, u := range r.unexpected {
 		if matches(src, tag, u) {

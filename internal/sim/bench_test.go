@@ -60,7 +60,7 @@ func BenchmarkCondPingPong(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
 	defer e.Close()
-	ping, pong := NewCond(e), NewCond(e)
+	ping, pong := new(Cond), new(Cond)
 	token := new(int)
 	// pong is spawned first so it is already parked on its Cond when
 	// ping's first Signal fires.

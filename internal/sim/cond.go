@@ -5,13 +5,14 @@ package sim
 // callback) releases them with Signal or Broadcast. A value can be handed
 // to the woken process, which is how the MPI matching layer transfers
 // messages without an extra queue hop.
+//
+// The zero value is an empty queue ready for use, so a Cond can live by
+// value inside the record whose wait it is. A waiter resumes at its own
+// engine's clock, which is the signaller's: signal a Cond only on the
+// shard its waiters run on. A Cond must not be copied after first use.
 type Cond struct {
-	eng     *Engine
 	waiters []*Proc
 }
-
-// NewCond returns an empty wait queue bound to e.
-func NewCond(e *Engine) *Cond { return &Cond{eng: e} }
 
 // Len reports the number of processes currently waiting.
 func (c *Cond) Len() int { return len(c.waiters) }
@@ -33,7 +34,7 @@ func (c *Cond) Signal(val any) bool {
 	p := c.waiters[0]
 	copy(c.waiters, c.waiters[1:])
 	c.waiters = c.waiters[:len(c.waiters)-1]
-	p.deliverAt(c.eng.now, val)
+	p.deliverAt(p.eng.now, val)
 	return true
 }
 
@@ -42,7 +43,7 @@ func (c *Cond) Signal(val any) bool {
 func (c *Cond) Broadcast() int {
 	n := len(c.waiters)
 	for _, p := range c.waiters {
-		p.deliverAt(c.eng.now, nil)
+		p.deliverAt(p.eng.now, nil)
 	}
 	c.waiters = c.waiters[:0]
 	return n

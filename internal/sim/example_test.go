@@ -10,7 +10,7 @@ import (
 // each value to the consumer waiting on a Cond.
 func Example() {
 	e := sim.NewEngine()
-	ready := sim.NewCond(e)
+	ready := new(sim.Cond)
 
 	e.Spawn("producer", func(p *sim.Proc) {
 		for i := 1; i <= 3; i++ {

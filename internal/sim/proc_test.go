@@ -51,7 +51,7 @@ func TestSpawnReusesCoroutine(t *testing.T) {
 func TestRunReleasesFinishedCoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := NewEngine()
-	ping, pong := NewCond(e), NewCond(e)
+	ping, pong := new(Cond), new(Cond)
 	e.Spawn("pong", func(p *Proc) {
 		for i := 0; i < 3; i++ {
 			pong.Wait(p)
@@ -96,7 +96,7 @@ func TestGroupRunReleasesFinishedCoroutines(t *testing.T) {
 func TestCloseReleasesCoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := NewEngine()
-	c := NewCond(e)
+	c := new(Cond)
 	var unwound []string
 	e.SpawnAt(Time(100*Microsecond), "created", func(p *Proc) {
 		t.Error("a process that never started ran its body")

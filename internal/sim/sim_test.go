@@ -229,7 +229,7 @@ func TestManyProcsDeterministic(t *testing.T) {
 
 func TestCondSignalFIFO(t *testing.T) {
 	e := NewEngine()
-	c := NewCond(e)
+	c := new(Cond)
 	var got []string
 	for _, name := range []string{"a", "b", "c"} {
 		name := name
@@ -257,7 +257,7 @@ func TestCondSignalFIFO(t *testing.T) {
 
 func TestCondBroadcastAndRemove(t *testing.T) {
 	e := NewEngine()
-	c := NewCond(e)
+	c := new(Cond)
 	woken := 0
 	var procs []*Proc
 	for i := 0; i < 3; i++ {
@@ -317,7 +317,7 @@ func TestProcPanicReportedByRun(t *testing.T) {
 
 func TestCloseReapsCreatedAndParked(t *testing.T) {
 	e := NewEngine()
-	c := NewCond(e)
+	c := new(Cond)
 	e.Spawn("parked", func(p *Proc) { c.Wait(p) })
 	_, err := e.Run(0)
 	if !errors.Is(err, ErrDeadlock) {
@@ -349,7 +349,7 @@ func TestCloseReapsCreatedAndParked(t *testing.T) {
 func TestDeferredCleanupRunsOnKill(t *testing.T) {
 	e := NewEngine()
 	cleaned := false
-	c := NewCond(e)
+	c := new(Cond)
 	e.Spawn("p", func(p *Proc) {
 		defer func() { cleaned = true }()
 		c.Wait(p)
@@ -365,7 +365,7 @@ func TestDeferredCleanupRunsOnKill(t *testing.T) {
 
 func TestBlockedCounter(t *testing.T) {
 	e := NewEngine()
-	c := NewCond(e)
+	c := new(Cond)
 	for i := 0; i < 3; i++ {
 		e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) { c.Wait(p) })
 	}
@@ -571,7 +571,7 @@ func TestRunAfterCallbackPanic(t *testing.T) {
 func TestFiredCountsEveryEventKind(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(Time(10), func() {})
-	c := NewCond(e)
+	c := new(Cond)
 	e.Spawn("sleeper", func(p *Proc) { // start
 		p.Sleep(5) // wake
 		c.Wait(p)  // deliver

@@ -12,6 +12,9 @@
 // processes still parked. A body that calls runtime.Goexit (t.FailNow
 // in a test) unwinds the goroutine that called Run.
 //
+// A Cond's zero value is ready to use; signal it only on its waiters'
+// shard, and do not copy it after first use.
+//
 // The kernel is the substrate for the cluster, network, MPI, and power
 // models in this repository. All of those express behaviour as processes
 // that consume virtual time; none of them use wall-clock time, so every
