@@ -1,8 +1,9 @@
 // benchdiff.go implements the `repolint benchdiff` subcommand: the
 // benchmark-regression gate over the NDJSON archive `make bench`
 // writes. See internal/lint/benchdiff for the comparison semantics
-// (allocs/op and B/op exact, ns/op within a percentage band, minimum
-// over -count repetitions) and the Makefile's benchdiff/bench-baseline
+// (allocs/op and B/op exact at a zero baseline and within a fixed 2%
+// of a nonzero one, ns/op within the -band percentage, minimum over
+// -count repetitions) and the Makefile's benchdiff/bench-baseline
 // targets for how CI drives it.
 package main
 
@@ -21,7 +22,7 @@ func benchdiffMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	baselinePath := fs.String("baseline", "BENCH_baseline.json", "committed baseline file to gate against (or rewrite with -update)")
-	band := fs.Float64("band", 25, "tolerance band in percent for ns/op and nonzero memory stats; a zero allocs/op or B/op baseline is always exact")
+	band := fs.Float64("band", 25, "tolerance band in percent for ns/op; allocs/op and B/op are always gated exactly at a zero baseline and within 2% of a nonzero one")
 	update := fs.Bool("update", false, "rewrite the baseline from the stream (normalized: sorted, timestamps stripped) instead of comparing")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: repolint benchdiff [-baseline file] [-band pct] [-update] [stream.json]\n\n"+

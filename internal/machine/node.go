@@ -299,7 +299,7 @@ func (n *Node) settleNIC() {
 // CoreDuration converts core-clocked cycles at the current operating
 // point into time, including the small bus-ratio stall penalty. Code
 // that charges work from event context rather than from a process (the
-// MPI library's eager Isend) converts with it when the charge starts
+// MPI library's Isend) converts with it when the charge starts
 // and brackets the charge with SetState and RestoreState, as the work
 // primitives do.
 func (n *Node) CoreDuration(cycles float64) sim.Duration {

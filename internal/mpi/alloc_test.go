@@ -88,11 +88,11 @@ func TestEagerMessageAllocations(t *testing.T) {
 }
 
 // TestRendezvousMessageAllocations pins the cost of a message above
-// EagerThreshold: one exchange record, which holds the RTS, CTS and
-// data envelopes and both waits, plus the first Wait on each of those
-// waits. An Isend's helper process (Proc and closure) adds two more,
-// which the Alltoall's sends pay. The patterns are a blocking 1 MB
-// Send/Recv ping-pong and an 8-rank 1 MB Alltoall.
+// EagerThreshold: the one exchange record, which holds the RTS, CTS and
+// data envelopes and both waits. A wait with one waiter holds it
+// inline, and an Isend runs on a pooled send record, so neither adds
+// an allocation. The patterns are a blocking 1 MB Send/Recv ping-pong
+// and an 8-rank 1 MB Alltoall, whose sends are Isends.
 func TestRendezvousMessageAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counts need whole simulations")
@@ -135,8 +135,8 @@ func TestRendezvousMessageAllocations(t *testing.T) {
 		max          float64
 		run          func(t *testing.T, rounds int)
 	}{
-		{"pingpong", 100, 2, 3, pingPong},
-		{"alltoall8", 4, 8 * 7, 5, alltoall},
+		{"pingpong", 100, 2, 1, pingPong},
+		{"alltoall8", 4, 8 * 7, 1, alltoall},
 	}
 	for _, c := range cases {
 		got := allocsPerMessage(t, c.k, c.msgsPerRound, c.run)

@@ -61,6 +61,25 @@ func BenchmarkRendezvousPingPong(b *testing.B) {
 	}
 }
 
+// BenchmarkRendezvousAlltoall8 is one 8-rank Alltoall of 1 MB per
+// peer, the shape of FT class B's transpose on the paper's 8 nodes: 56
+// rendezvous Isends per op, on one world that lives across all ops.
+func BenchmarkRendezvousAlltoall8(b *testing.B) {
+	g, w := testWorld(8, nil)
+	defer g.Close()
+	ops := b.N
+	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
+		for i := 0; i < ops; i++ {
+			r.Alltoall(p, 1<<20)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := g.Run(0); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkAlltoall16 is one 16-rank Alltoall of 2 KB per peer: 240
 // eager messages per op.
 func BenchmarkAlltoall16(b *testing.B) { benchAlltoall(b, 16) }

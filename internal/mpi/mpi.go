@@ -138,7 +138,6 @@ func NewWorld(g *sim.Group, nodes []*machine.Node, sw netsim.Fabric, cfg Config)
 			node:      n,
 			sendSeq:   make([]int64, len(nodes)),
 			expectSeq: make([]int64, len(nodes)),
-			isendName: fmt.Sprintf("rank%d.isend", i),
 			irecvName: fmt.Sprintf("rank%d.irecv", i),
 		}
 		r.spin = n.Engine().NewTimer(func() {
@@ -231,8 +230,9 @@ const (
 // sender's, the data wait on the receiver's.
 type exchange struct {
 	rts, cts, data Message
-	ctsWait        sim.Cond // the sender waits here for the CTS
+	ctsWait        sim.Cond // a blocking sender waits here for the CTS
 	dataWait       sim.Cond // the receiver waits here for the payload
+	send           *sendRec // the Isend record awaiting the CTS; nil for a blocking send
 }
 
 // Stats aggregates a rank's traffic counters.
@@ -268,7 +268,7 @@ type Rank struct {
 	// on this rank's shard. A list grows to the peak number of its
 	// records in use at once and then recycles them. flights holds
 	// in-flight records: transmit takes one here and the delivery
-	// returns it to the receiving rank's list. sends holds eager Isend
+	// returns it to the receiving rank's list. sends holds Isend
 	// records, reqs the requests of the library's own Isends
 	// (collectives and Sendrecv), and recvs posted receives.
 	flights []*flight
@@ -284,9 +284,9 @@ type Rank struct {
 	spin      *sim.Timer
 	spinToken uint64
 
-	// Helper-process names, built once: they appear only in panic
-	// text.
-	isendName, irecvName string
+	// The Irecv helper process's name, built once: it appears only in
+	// panic text.
+	irecvName string
 
 	stats Stats
 }
@@ -352,7 +352,11 @@ func (r *Rank) deliver(m *Message) {
 			r.admitStashed(m.Src)
 		}
 	case kindCTS:
-		m.x.ctsWait.Signal(m)
+		if s := m.x.send; s != nil {
+			s.ctsIn()
+		} else {
+			m.x.ctsWait.Signal(m)
+		}
 	case kindRData:
 		m.x.dataWait.Signal(m)
 	}
@@ -511,17 +515,25 @@ func (r *Rank) transmitControl(m *Message) sim.Time {
 // token and fall back after it, and a fallback armed in an ended epoch
 // is a no-op that re-arming merely drops.
 func (r *Rank) waitOn(p *sim.Proc, c *sim.Cond) any {
+	r.startSpin()
+	v := c.Wait(p)
+	r.node.SetState(machine.Idle)
+	return v
+}
+
+// startSpin starts a wait: the node enters Spin, and the rank's spin
+// timer is armed for the fallback if this wait starts a new spin epoch
+// (see waitOn). A process wait and an Isend record's CTS wait both
+// start here.
+func (r *Rank) startSpin() {
 	n := r.node
 	n.SetState(machine.Spin)
 	if thr := r.w.cfg.SpinThreshold; thr >= 0 {
 		if token := n.StateToken(); token != r.spinToken {
 			r.spinToken = token
-			r.spin.Reset(p.Now().Add(thr))
+			r.spin.Reset(r.eng().Now().Add(thr))
 		}
 	}
-	v := c.Wait(p)
-	n.SetState(machine.Idle)
-	return v
 }
 
 // byteWork charges the per-byte software cost (copies + checksums) for

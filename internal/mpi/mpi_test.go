@@ -1,8 +1,10 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/machine"
@@ -525,6 +527,81 @@ func TestUserTagValidation(t *testing.T) {
 		}
 	})
 	mustRun(t, g)
+}
+
+// TestSourceRankValidation pins that every receive-side call aborts on
+// a source rank outside the world, as Send does on a destination:
+// Iprobe must not report "nothing yet" and Probe must not park for a
+// sender that cannot exist. AnySource stays valid.
+func TestSourceRankValidation(t *testing.T) {
+	g, w := testWorld(2, nil)
+	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
+		if r.ID() != 0 {
+			return
+		}
+		mustPanic := func(op string, src int, f func()) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s from rank %d: expected panic", op, src)
+				}
+			}()
+			f()
+		}
+		for _, src := range []int{2, 5, -2, -7} {
+			mustPanic("Recv", src, func() { r.Recv(p, src, 0) })
+			mustPanic("Irecv", src, func() { r.Irecv(p, src, 0) })
+			mustPanic("Iprobe", src, func() { r.Iprobe(p, src, 0) })
+			mustPanic("Probe", src, func() { r.Probe(p, src, 0) })
+		}
+		if _, ok := r.Iprobe(p, AnySource, 0); ok {
+			t.Error("Iprobe(AnySource) found a message nobody sent")
+		}
+	})
+	mustRun(t, g)
+}
+
+// TestOrphanedIsend pins what an Isend that no rank receives leaves
+// behind. A rendezvous one waits for a CTS that never comes, so Run
+// ends in a deadlock with the send counted as one blocked waiter and a
+// Wait on its request as a second; an eager one completes on its own.
+// An Isend in flight adds no process to the engine.
+func TestOrphanedIsend(t *testing.T) {
+	cases := []struct {
+		size int64
+		wait bool
+		want string // the deadlock's count, or "" for a clean run
+	}{
+		{1 << 20, false, "(1 blocked)"},
+		{1 << 20, true, "(2 blocked)"},
+		{2048, false, ""},
+		{2048, true, ""},
+	}
+	for _, c := range cases {
+		name := fmt.Sprintf("size=%d/wait=%v", c.size, c.wait)
+		g, w := testWorld(2, nil)
+		live := -1
+		w.SpawnRanks(func(p *sim.Proc, r *Rank) {
+			if r.ID() != 0 {
+				return
+			}
+			q := r.Isend(p, 1, 0, c.size, nil)
+			live = p.Engine().Live()
+			if c.wait {
+				r.Wait(p, q)
+			}
+		})
+		_, err := g.Run(0)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: %v", name, err)
+		case c.want != "" && (!errors.Is(err, sim.ErrDeadlock) || !strings.HasSuffix(err.Error(), c.want)):
+			t.Errorf("%s: Run returned %v, want ErrDeadlock %s", name, err, c.want)
+		}
+		if live != w.Size() {
+			t.Errorf("%s: %d processes live after Isend, want the %d ranks", name, live, w.Size())
+		}
+		g.Close()
+	}
 }
 
 // TestAnyTagSkipsCollectiveTraffic pins that a wildcard receive posted

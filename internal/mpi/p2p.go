@@ -38,10 +38,24 @@ func checkRecvTag(tag int) {
 }
 
 // send is Send without the tag guard, shared with the collectives
-// (which use the reserved tag space). The envelope sequence number is
-// claimed on entry so posting order defines matching order.
+// (which use the reserved tag space): the overhead and byte charges,
+// then the hand-off and, for a rendezvous message, the wait for the CTS
+// and the payload's drain. The envelope sequence number is claimed on
+// entry so posting order defines matching order.
 func (r *Rank) send(p *sim.Proc, dst, tag int, size int64, payload any) {
-	r.sendSeqed(p, r.claimSeq(dst), dst, tag, size, payload, nil)
+	seq := r.claimSeq(dst)
+	r.overhead(p, r.w.cfg.SendOverheadCycles)
+	r.byteWork(p, size)
+	x := r.handOff(seq, dst, tag, size, payload)
+	if x == nil {
+		return
+	}
+	r.waitOn(p, &x.ctsWait)
+	// The sender's progress engine actively pushes the payload through
+	// the socket until the last byte leaves its transmit link; it polls
+	// (and eventually blocks) exactly like a receive-side wait. The
+	// drain time is sender-local, so it needs no cross-shard state.
+	r.spinUntil(p, r.sendData(x, payload))
 }
 
 // claimSeq reserves the next envelope sequence number toward dst.
@@ -51,62 +65,36 @@ func (r *Rank) claimSeq(dst int) int64 {
 	return seq
 }
 
-// sendSeqed is the send body with a pre-claimed sequence number
-// (Isend claims at call time, before its helper process runs): the
-// overhead and byte charges, then sendCharged. A blocking send passes a
-// nil q.
-func (r *Rank) sendSeqed(p *sim.Proc, seq int64, dst, tag int, size int64, payload any, q *Request) {
-	r.overhead(p, r.w.cfg.SendOverheadCycles)
-	r.byteWork(p, size)
-	r.sendCharged(p, seq, dst, tag, size, payload, q)
-}
-
-// eagerOrSelf reports whether a send of size bytes to dst completes
-// without waiting for the receiver: a self-send or an eager message.
-func (r *Rank) eagerOrSelf(dst int, size int64) bool {
-	return dst == r.id || size <= r.w.cfg.EagerThreshold
-}
-
-// sendCharged runs what follows a send's two charges, for blocking
-// sends, Isend helpers and eager Isend records alike: the traffic
-// counters, then self-delivery, the eager transmit or the rendezvous
-// exchange, then the completion of q unless it is nil. Only the
-// rendezvous exchange waits, so an eager or self send may pass a nil p.
-func (r *Rank) sendCharged(p *sim.Proc, seq int64, dst, tag int, size int64, payload any, q *Request) {
+// handOff runs what follows a send's two charges, for blocking sends
+// and Isend records alike: the traffic counters, then self-delivery,
+// the eager transmit or, for a rendezvous message (one to another rank
+// above EagerThreshold), its exchange record and RTS. It returns that
+// record, whose CTS the sender must await, or nil when the send is
+// complete.
+func (r *Rank) handOff(seq int64, dst, tag int, size int64, payload any) *exchange {
 	r.stats.MsgsSent++
 	r.stats.BytesSent += size
-	if r.eagerOrSelf(dst, size) {
-		m := &Message{Src: r.id, Dst: dst, Tag: tag, Size: size, Payload: payload, kind: kindEager, seq: seq} //lint:allow hotalloc (the one allocation per message: the envelope Recv hands to its caller)
-		if dst == r.id {
-			// Self-send: local copy only, delivered immediately.
-			r.deliver(m)
-		} else {
-			r.transmit(m, size, size >= 1024)
-		}
+	if dst != r.id && size > r.w.cfg.EagerThreshold {
+		x := &exchange{} //lint:allow hotalloc (the one record per message above EagerThreshold; its data envelope is what Recv hands to its caller)
+		x.rts = Message{Src: r.id, Dst: dst, Tag: tag, Size: size, kind: kindRTS, x: x, seq: seq}
+		r.transmitControl(&x.rts)
+		return x
+	}
+	m := &Message{Src: r.id, Dst: dst, Tag: tag, Size: size, Payload: payload, kind: kindEager, seq: seq} //lint:allow hotalloc (the one allocation per message: the envelope Recv hands to its caller)
+	if dst == r.id {
+		// Self-send: local copy only, delivered immediately.
+		r.deliver(m)
 	} else {
-		r.sendRendezvous(p, seq, dst, tag, size, payload)
+		r.transmit(m, size, size >= 1024)
 	}
-	if q != nil {
-		q.done = true
-		q.cond.Broadcast()
-	}
+	return nil
 }
 
-// sendRendezvous runs the rendezvous exchange: RTS → wait for CTS →
-// stream payload → wait for drain.
-func (r *Rank) sendRendezvous(p *sim.Proc, seq int64, dst, tag int, size int64, payload any) {
-	x := &exchange{} //lint:allow hotalloc (the one record per message above EagerThreshold; its data envelope is what Recv hands to its caller)
-	x.rts = Message{Src: r.id, Dst: dst, Tag: tag, Size: size, kind: kindRTS, x: x, seq: seq}
-	r.transmitControl(&x.rts)
-	r.waitOn(p, &x.ctsWait)
-
-	x.data = Message{Src: r.id, Dst: dst, Tag: tag, Size: size, Payload: payload, kind: kindRData, x: x}
-	txDone := r.transmit(&x.data, size, true)
-	// The sender's progress engine actively pushes the payload through
-	// the socket until the last byte leaves its transmit link; it polls
-	// (and eventually blocks) exactly like a receive-side wait. The
-	// drain time is sender-local, so it needs no cross-shard state.
-	r.spinUntil(p, txDone)
+// sendData streams the payload of rendezvous x once its CTS has
+// arrived, and returns when the last byte leaves the sender.
+func (r *Rank) sendData(x *exchange, payload any) sim.Time {
+	x.data = Message{Src: r.id, Dst: x.rts.Dst, Tag: x.rts.Tag, Size: x.rts.Size, Payload: payload, kind: kindRData, x: x}
+	return r.transmit(&x.data, x.data.Size, true)
 }
 
 // spinUntil holds the node in the spin-then-block wait pattern until
@@ -233,111 +221,158 @@ func (r *Rank) Isend(p *sim.Proc, dst, tag int, size int64, payload any) *Reques
 	return q
 }
 
-// isend starts a send that completes q. An eager or self send runs as
-// the three events of a pooled send record; a rendezvous send runs in a
-// helper process, because it must wait for the CTS. Either way the
-// envelope sequence number is claimed here, so posting order, not
-// execution order, defines matching order.
+// isend starts a send that completes q. It runs as the events of a
+// pooled send record, and the envelope sequence number is claimed
+// here, so posting order, not execution order, defines matching order.
 //
 //lint:hotpath Isend and the collectives' sends run here once per message
 func (r *Rank) isend(_ *sim.Proc, q *Request, dst, tag int, size int64, payload any) {
 	seq := r.claimSeq(dst)
-	if r.eagerOrSelf(dst, size) {
-		r.takeSend().start(q, seq, dst, tag, size, payload)
-		return
+	s := pop(&r.sends)
+	if s == nil {
+		s = &sendRec{r: r} //lint:allow hotalloc (pool miss: the free list grows to the peak number of Isends in flight)
+		s.onStep = s.run
 	}
-	r.eng().Spawn(r.isendName, func(hp *sim.Proc) { //lint:allow hotalloc (one helper process per rendezvous Isend, which must wait for the CTS)
-		r.sendSeqed(hp, seq, dst, tag, size, payload, q)
-	})
+	s.q, s.seq, s.dst, s.tag, s.size, s.payload = q, seq, dst, tag, size, payload
+	s.next(stepStart, r.eng().Now())
 }
 
-// sendRec runs one eager or self Isend as events: the start at the
-// Isend instant, the end of the send overhead and, for a nonempty
-// message, the end of the byte work. They carry the keys of the three
-// events a helper process running sendSeqed would fire, so the choice
-// between the two changes no output. Each charge's duration is taken
-// when the charge starts, as the node's work primitives take it, so a
-// DVS change between the two charges lands as it would for a process.
-// The handlers are method values bound once, when the record is made;
-// the record goes back to its rank's free list when the send
-// completes.
+// sendRec runs one Isend as events. They carry the keys of the events a
+// helper process running the blocking send would fire: its start at the
+// Isend instant, the ends of the overhead and byte-work charges, and
+// for a rendezvous message the CTS wake and the drain's spin-then-block
+// steps. So the choice between the two changes no output. Each charge's
+// duration is taken when the charge starts, as the node's work
+// primitives take it, so a DVS change between the two charges lands as
+// it would for a process. The record's one handler is a method value
+// bound when the record is made; the record goes back to its rank's
+// free list when the send completes.
 type sendRec struct {
 	r        *Rank
 	q        *Request
 	payload  any
+	x        *exchange // the rendezvous in progress, from the RTS on
 	size     int64
 	seq      int64
 	dst, tag int
-	token    uint64 // node state token of the charge in progress
+	until    sim.Time // the end of the payload's drain
+	token    uint64   // node state token of the charge or drain step in progress
+	step     sendStep // what the next event runs
 
-	onStart, onOverhead, onCopy func()
+	onStep func()
 }
 
-// takeSend returns a free send record of this rank.
-func (r *Rank) takeSend() *sendRec {
-	s := pop(&r.sends)
-	if s == nil {
-		s = &sendRec{r: r} //lint:allow hotalloc (pool miss: the free list grows to the peak number of eager Isends in flight)
-		s.onStart = s.overhead
-		s.onOverhead = s.overheadEnd
-		s.onCopy = s.copyEnd
+// sendStep names the event a send record runs next.
+type sendStep uint8
+
+const (
+	stepStart       sendStep = iota // charge the send overhead
+	stepOverheadEnd                 // charge the byte work
+	stepCopyEnd                     // hand the message off
+	stepCTS                         // the CTS is in: stream the payload
+	stepSpun                        // the drain spun SpinThreshold long: block
+	stepDrained                     // the last byte left: complete
+)
+
+// next schedules the record's handler to run step at t.
+func (s *sendRec) next(step sendStep, t sim.Time) {
+	s.step = step
+	s.r.eng().Schedule(t, s.onStep)
+}
+
+// run is the record's event handler: it runs the step that the
+// record's last scheduling named.
+//
+//lint:hotpath runs once per event of every Isend
+func (s *sendRec) run() {
+	r, n := s.r, s.r.node
+	switch s.step {
+	case stepStart:
+		s.charge(machine.Compute, r.w.cfg.SendOverheadCycles, stepOverheadEnd)
+	case stepOverheadEnd:
+		n.RestoreState(s.token, machine.Idle)
+		if s.size <= 0 {
+			s.handOff()
+			return
+		}
+		s.charge(machine.Copy, r.byteCycles(s.size), stepCopyEnd)
+	case stepCopyEnd:
+		n.RestoreState(s.token, machine.Idle)
+		s.handOff()
+	case stepCTS:
+		n.SetState(machine.Idle)
+		s.drain(r.sendData(s.x, s.payload))
+	case stepSpun:
+		n.RestoreState(s.token, machine.Blocked)
+		s.token = n.StateToken()
+		s.next(stepDrained, s.until)
+	case stepDrained:
+		n.RestoreState(s.token, machine.Idle)
+		s.finish()
 	}
-	return s
-}
-
-// start fills the record and schedules its first event at the current
-// instant.
-func (s *sendRec) start(q *Request, seq int64, dst, tag int, size int64, payload any) {
-	s.q, s.seq, s.dst, s.tag, s.size, s.payload = q, seq, dst, tag, size, payload
-	eng := s.r.eng()
-	eng.Schedule(eng.Now(), s.onStart)
 }
 
 // charge puts the node in state st for cycles of core-clocked work and
-// schedules next at the charge's end.
-func (s *sendRec) charge(st machine.State, cycles float64, next func()) {
+// schedules step at the charge's end.
+func (s *sendRec) charge(st machine.State, cycles float64, step sendStep) {
 	n := s.r.node
 	d := n.CoreDuration(cycles)
 	n.SetState(st)
 	s.token = n.StateToken()
-	eng := s.r.eng()
-	eng.Schedule(eng.Now().Add(d), next)
+	s.next(step, s.r.eng().Now().Add(d))
 }
 
-// overhead charges the send overhead.
-//
-//lint:hotpath runs once per eager Isend
-func (s *sendRec) overhead() {
-	s.charge(machine.Compute, s.r.w.cfg.SendOverheadCycles, s.onOverhead)
-}
-
-// overheadEnd ends the overhead charge, then charges the byte work or,
-// for an empty message, completes the send.
-//
-//lint:hotpath runs once per eager Isend
-func (s *sendRec) overheadEnd() {
-	s.r.node.RestoreState(s.token, machine.Idle)
-	if s.size <= 0 {
+// handOff sends the charged message. An eager or self send is then
+// complete; a rendezvous one starts its wait for the CTS, as waitOn
+// starts a process's, and counts as blocked until ctsIn wakes it.
+func (s *sendRec) handOff() {
+	r := s.r
+	s.x = r.handOff(s.seq, s.dst, s.tag, s.size, s.payload)
+	if s.x == nil {
 		s.finish()
 		return
 	}
-	s.charge(machine.Copy, s.r.byteCycles(s.size), s.onCopy)
+	s.x.send = s
+	r.startSpin()
+	r.eng().Block()
 }
 
-// copyEnd ends the byte-work charge and completes the send.
-//
-//lint:hotpath runs once per nonempty eager Isend
-func (s *sendRec) copyEnd() {
-	s.r.node.RestoreState(s.token, machine.Idle)
-	s.finish()
+// ctsIn wakes the record when its CTS is delivered, as Cond.Signal
+// wakes a waiting process: at the current instant, after the events
+// already queued there.
+func (s *sendRec) ctsIn() {
+	eng := s.r.eng()
+	eng.Unblock()
+	s.next(stepCTS, eng.Now())
 }
 
-// finish completes the send and returns the record to the free list.
+// drain holds the node in the spin-then-block pattern until the payload
+// has left at t, as spinUntil holds a process, then completes the send.
+func (s *sendRec) drain(t sim.Time) {
+	now := s.r.eng().Now()
+	if t <= now {
+		s.finish()
+		return
+	}
+	n := s.r.node
+	n.SetState(machine.Spin)
+	s.token = n.StateToken()
+	s.until = t
+	if thr := s.r.w.cfg.SpinThreshold; thr >= 0 && t.Sub(now) > thr {
+		s.next(stepSpun, now.Add(thr))
+		return
+	}
+	s.next(stepDrained, t)
+}
+
+// finish completes the send's request and returns the record to the
+// free list.
 func (s *sendRec) finish() {
-	r := s.r
-	r.sendCharged(nil, s.seq, s.dst, s.tag, s.size, s.payload, s.q)
-	s.q, s.payload = nil, nil
-	r.sends = append(r.sends, s) //lint:allow hotalloc (amortized growth to the peak number of eager Isends in flight, then reused)
+	r, q := s.r, s.q
+	s.q, s.payload, s.x = nil, nil, nil
+	q.done = true
+	q.cond.Broadcast()
+	r.sends = append(r.sends, s) //lint:allow hotalloc (amortized growth to the peak number of Isends in flight, then reused)
 }
 
 // isendPooled is isend with a request from the rank's free list, for
@@ -416,6 +451,9 @@ func (r *Rank) checkRank(id int) {
 // without receiving it, and if so returns its envelope (source and
 // size). It charges a small progress-poll cost.
 func (r *Rank) Iprobe(p *sim.Proc, src, tag int) (m *Message, ok bool) {
+	if src != AnySource {
+		r.checkRank(src)
+	}
 	checkRecvTag(tag)
 	r.overhead(p, r.w.cfg.RecvOverheadCycles/8)
 	for _, u := range r.unexpected {

@@ -7,20 +7,33 @@ package sim
 // messages without an extra queue hop.
 //
 // The zero value is an empty queue ready for use, so a Cond can live by
-// value inside the record whose wait it is. A waiter resumes at its own
-// engine's clock, which is the signaller's: signal a Cond only on the
-// shard its waiters run on. A Cond must not be copied after first use.
+// value inside the record whose wait it is. The longest-waiting process
+// is held inline and only the waiters behind it go in a slice, so a Cond
+// that never holds two waiters at once allocates nothing. A waiter
+// resumes at its own engine's clock, which is the signaller's: signal a
+// Cond only on the shard its waiters run on. A Cond must not be copied
+// after first use.
 type Cond struct {
-	waiters []*Proc
+	head *Proc   // the longest-waiting process; nil when none waits
+	rest []*Proc // the waiters behind head, in arrival order
 }
 
 // Len reports the number of processes currently waiting.
-func (c *Cond) Len() int { return len(c.waiters) }
+func (c *Cond) Len() int {
+	if c.head == nil {
+		return 0
+	}
+	return 1 + len(c.rest)
+}
 
 // Wait parks the calling process until a Signal or Broadcast releases it,
 // and returns the value the waker attached (nil for Broadcast).
 func (c *Cond) Wait(p *Proc) any {
-	c.waiters = append(c.waiters, p)
+	if c.head == nil {
+		c.head = p
+	} else {
+		c.rest = append(c.rest, p)
+	}
 	return p.yield(true)
 }
 
@@ -28,24 +41,40 @@ func (c *Cond) Wait(p *Proc) any {
 // whether anyone was waiting. The woken process resumes at the current
 // virtual time, after already-queued events.
 func (c *Cond) Signal(val any) bool {
-	if len(c.waiters) == 0 {
+	p := c.head
+	if p == nil {
 		return false
 	}
-	p := c.waiters[0]
-	copy(c.waiters, c.waiters[1:])
-	c.waiters = c.waiters[:len(c.waiters)-1]
+	c.popHead()
 	p.deliverAt(p.eng.now, val)
 	return true
+}
+
+// popHead drops the head waiter; the next in line, if any, takes its
+// place.
+func (c *Cond) popHead() {
+	if len(c.rest) == 0 {
+		c.head = nil
+		return
+	}
+	c.head = c.rest[0]
+	copy(c.rest, c.rest[1:])
+	c.rest = c.rest[:len(c.rest)-1]
 }
 
 // Broadcast wakes every waiting process (each receives nil) and returns
 // the number woken.
 func (c *Cond) Broadcast() int {
-	n := len(c.waiters)
-	for _, p := range c.waiters {
+	if c.head == nil {
+		return 0
+	}
+	c.head.deliverAt(c.head.eng.now, nil)
+	for _, p := range c.rest {
 		p.deliverAt(p.eng.now, nil)
 	}
-	c.waiters = c.waiters[:0]
+	n := 1 + len(c.rest)
+	c.head = nil
+	c.rest = c.rest[:0]
 	return n
 }
 
@@ -54,9 +83,13 @@ func (c *Cond) Broadcast() int {
 // process is parked on several queues conceptually and the winning waker
 // must cancel the others before delivery.
 func (c *Cond) Remove(p *Proc) bool {
-	for i, w := range c.waiters {
+	if p != nil && c.head == p {
+		c.popHead()
+		return true
+	}
+	for i, w := range c.rest {
 		if w == p {
-			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
+			c.rest = append(c.rest[:i], c.rest[i+1:]...)
 			return true
 		}
 	}

@@ -8,7 +8,7 @@ import (
 
 // ErrDeadlock is returned by Run when the event queue drains while
 // simulated processes are still blocked on conditions that nothing will
-// ever signal.
+// ever signal, or records counted with Engine.Block still wait.
 var ErrDeadlock = errors.New("sim: deadlock: no pending events but processes remain blocked")
 
 // errReentrant is what Group.Run, and so Engine.Run, returns when
@@ -28,7 +28,7 @@ type Engine struct {
 	queue   eventHeap
 	procs   map[*Proc]struct{} // all live (not yet terminated) processes
 	idle    []*coro            // coroutines whose last body ended, reused LIFO
-	blocked int                // live processes currently parked on a primitive
+	blocked int                // parked live processes plus Block's waits (see Blocked)
 	fired   uint64             // events fired so far (see Fired)
 	horizon Time               // runUntil's bound; see runUntil
 	running bool
@@ -243,10 +243,20 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Pending reports the number of events waiting in the queue.
 func (e *Engine) Pending() int { return e.queue.Len() }
 
-// Blocked reports how many live processes are parked on a primitive with
-// nothing scheduled to wake them right now. It is meaningful after Run
+// Blocked reports how many waiters have nothing scheduled to wake them
+// right now: live processes parked on a primitive, and event-driven
+// records that Block counts while they wait. It is meaningful after Run
 // returns.
 func (e *Engine) Blocked() int { return e.blocked }
+
+// Block counts one waiter that is not a process, such as a record whose
+// next event is scheduled only when a message arrives, as blocked, so
+// that Run reports a deadlock if the queues drain while it waits.
+// Unblock uncounts it once its wake is scheduled.
+func (e *Engine) Block() { e.blocked++ }
+
+// Unblock ends a wait that Block counted.
+func (e *Engine) Unblock() { e.blocked-- }
 
 // Live reports the number of processes that have been spawned and have
 // not yet terminated.

@@ -255,6 +255,71 @@ func TestCondSignalFIFO(t *testing.T) {
 	}
 }
 
+// TestCondOneWaiterAllocatesNothing pins that a Cond holds its
+// longest-waiting process inline: Wait and Signal on a fresh Cond that
+// never has two waiters allocate nothing, so a record that embeds such
+// a Cond costs only the record. The difference between runs of k and
+// 2k rounds cancels the engine's and the processes' own set-up.
+func TestCondOneWaiterAllocatesNothing(t *testing.T) {
+	run := func(rounds int) float64 {
+		return testing.AllocsPerRun(1, func() {
+			e := NewEngine()
+			defer e.Close()
+			conds := make([]Cond, rounds)
+			e.Spawn("waiter", func(p *Proc) {
+				for i := range conds {
+					conds[i].Wait(p)
+				}
+			})
+			e.Spawn("signaller", func(p *Proc) {
+				for i := range conds {
+					p.Sleep(Microsecond)
+					conds[i].Signal(nil)
+				}
+			})
+			if _, err := e.Run(0); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const k = 500
+	if got := (run(2*k) - run(k)) / k; got > 0 {
+		t.Fatalf("%.2f allocations per one-waiter Wait/Signal, want 0", got)
+	}
+}
+
+// TestCondRemoveHead pins that removing the longest waiter hands its
+// place to the next one in line.
+func TestCondRemoveHead(t *testing.T) {
+	e := NewEngine()
+	defer e.Close()
+	c := new(Cond)
+	var got []string
+	var procs []*Proc
+	for _, name := range []string{"a", "b", "c"} {
+		name := name
+		procs = append(procs, e.Spawn(name, func(p *Proc) {
+			c.Wait(p)
+			got = append(got, name)
+		}))
+	}
+	e.Schedule(Time(5), func() {
+		if !c.Remove(procs[0]) || c.Len() != 2 {
+			t.Errorf("Remove of the head: Len = %d", c.Len())
+		}
+		c.Signal(nil)
+		if !c.Remove(procs[2]) || c.Len() != 0 || c.Remove(procs[2]) {
+			t.Errorf("Remove of the last waiter: Len = %d", c.Len())
+		}
+	})
+	if _, err := e.Run(0); !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("expected deadlock (removed waiters never wake), got %v", err)
+	}
+	if strings.Join(got, ",") != "b" {
+		t.Fatalf("woken %q, want b", strings.Join(got, ","))
+	}
+}
+
 func TestCondBroadcastAndRemove(t *testing.T) {
 	e := NewEngine()
 	c := new(Cond)

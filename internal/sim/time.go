@@ -12,8 +12,10 @@
 // processes still parked. A body that calls runtime.Goexit (t.FailNow
 // in a test) unwinds the goroutine that called Run.
 //
-// A Cond's zero value is ready to use; signal it only on its waiters'
-// shard, and do not copy it after first use.
+// A Cond's zero value is ready to use, and its first waiter needs no
+// allocation; signal it only on its waiters' shard, and do not copy it
+// after first use. Code that waits as events rather than as a process
+// counts the wait with Engine.Block, so a deadlock still shows.
 //
 // The kernel is the substrate for the cluster, network, MPI, and power
 // models in this repository. All of those express behaviour as processes

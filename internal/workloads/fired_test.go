@@ -42,10 +42,10 @@ func firedEvents(t *testing.T, shards, n int, body func(ctx Ctx)) (fired, window
 }
 
 // TestFiredEventCounts pins the number of events the event core fires
-// for an eager all-to-all and for one FT iteration, whose transpose is
-// rendezvous-sized. A change to the message path that keeps every event
-// key keeps these totals; a change that adds or drops events moves
-// them. The totals must not depend on the shard count. The windows do:
+// for an eager and a rendezvous all-to-all, a rendezvous Sendrecv ring
+// and one FT iteration, whose transpose is rendezvous-sized. A change
+// to the message path that keeps every event key keeps these totals; a
+// change that adds or drops events moves them. The totals must not depend on the shard count. The windows do:
 // with no global to stop at, one shard runs in a single window, while
 // two shards advance one lookahead window at a time.
 func TestFiredEventCounts(t *testing.T) {
@@ -58,6 +58,8 @@ func TestFiredEventCounts(t *testing.T) {
 		windows [2]uint64 // on 1 and 2 shards
 	}{
 		{"alltoall16", func(ctx Ctx) { ctx.Rank.Alltoall(ctx.P, 2048) }, 1952, [2]uint64{1, 32}},
+		{"alltoall16-1MB", func(ctx Ctx) { ctx.Rank.Alltoall(ctx.P, 1<<20) }, 3152, [2]uint64{1, 107}},
+		{"ring16-1MB", sendrecvRing, 240, [2]uint64{1, 9}},
 		{"ftA16", ft.Run, 3889, [2]uint64{1, 151}},
 	}
 	for _, c := range cases {
@@ -68,4 +70,12 @@ func TestFiredEventCounts(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sendrecvRing passes 1 MB one step around the ring of ranks with
+// Sendrecv: one rendezvous Isend and one blocking receive per rank.
+func sendrecvRing(ctx Ctx) {
+	r := ctx.Rank
+	n := r.Size()
+	r.Sendrecv(ctx.P, (r.ID()+1)%n, 0, 1<<20, nil, (r.ID()+n-1)%n, 0)
 }
