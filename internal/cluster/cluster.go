@@ -73,7 +73,8 @@ type Config struct {
 	// tree books its shared uplinks from the sender's shard.
 	Shards int
 
-	// Reps is how many times each experiment repeats (paper: ≥3).
+	// Reps is how many times each experiment repeats (paper: ≥3); 0
+	// runs it once, and a negative count fails Validate.
 	Reps int
 	// Parallelism bounds how many independent simulations run
 	// concurrently. Run, Sweep and RunCells fan out once, over every
@@ -235,6 +236,8 @@ func (c Config) Validate() error {
 		return errors.New("cluster: negative start stagger")
 	case c.MaxSimTime <= c.Settle:
 		return errors.New("cluster: MaxSimTime must exceed the settle time")
+	case c.Reps < 0:
+		return errors.New("cluster: negative repetition count")
 	case c.OutlierK < 0:
 		return errors.New("cluster: negative outlier cutoff")
 	case c.Parallelism < 0:

@@ -231,6 +231,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.StartStagger = -1 },
 		func(c *Config) { c.MaxSimTime = c.Settle },
 		func(c *Config) { c.OutlierK = -1 },
+		func(c *Config) { c.Reps = -1 },
 		func(c *Config) { c.TraceInterval = -1 },
 		func(c *Config) {
 			c.TraceInterval = 0

@@ -17,10 +17,10 @@ import (
 // spinFallbackDigests holds the SHA-256 of each run's Result JSON,
 // keyed workload/strategy/threshold. They were recorded when every
 // wait still queued its own spin-threshold closure, so they pin that
-// the per-rank re-armable timer is exact: same Blocked time, same
-// energies, same everything, at both shard counts. The spin-forever
-// (negative threshold) digests were recorded while a rendezvous Isend
-// still ran in a helper process.
+// the node's lazily applied fall (machine.Node.SpinFor) is exact: same
+// Blocked time, same energies, same everything, at both shard counts.
+// The spin-forever (negative threshold) digests were recorded while a
+// rendezvous Isend still ran in a helper process.
 var spinFallbackDigests = map[string]string{
 	"ft.A16/static/0.000000s":         "032d7d24cd18ef1edf6e0f29af7c3dc859bd1a529f71f7a74a7e7cbc6f8e6767",
 	"ft.A16/static/0.000200s":         "f45cc6a15c9ab477ac5e92a6547beed7cbdd08c86c60d57f3266561396f70754",

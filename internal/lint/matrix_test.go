@@ -89,7 +89,7 @@ var uniqueCatches = map[string]int{
 	"floateq":    3,
 	"hotalloc":   8,
 	"panicfree":  3,
-	"rangecheck": 25,
+	"rangecheck": 24,
 	"shardown":   24,
 	"typestate":  17,
 	"unitsafety": 8,

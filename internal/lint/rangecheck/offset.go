@@ -21,9 +21,9 @@ package rangecheck
 //     the same function with a known lookahead L, the conservative
 //     discipline is enforced in full: an offset provably below L is
 //     reported against L itself.
-//   - sim.Engine.Schedule, sim.Engine.PostArrival, sim.Timer.Reset,
-//     and the mpi World.post gateway reject events provably before
-//     now (offset < 0) — the engine's past-event guard panics there.
+//   - sim.Engine.Schedule, sim.Engine.PostArrival and the mpi
+//     World.post gateway reject events provably before now
+//     (offset < 0) — the engine's past-event guard panics there.
 //   - netsim Send/Accept/Control (Tree or the Fabric interface)
 //     reject booking times provably before now.
 
@@ -68,7 +68,6 @@ var sites = map[string]site{
 	simPath + ".Group.ScheduleGlobal": {0, true, "(sim.Group).ScheduleGlobal"},
 	simPath + ".Engine.Schedule":      {0, false, "(sim.Engine).Schedule"},
 	simPath + ".Engine.PostArrival":   {0, false, "(sim.Engine).PostArrival"},
-	simPath + ".Timer.Reset":          {0, false, "(sim.Timer).Reset"},
 	"repro/internal/mpi.World.post":   {2, false, "the mpi cross-rank gateway (World).post"},
 
 	"repro/internal/netsim.Tree.Send":      {3, false, "(netsim.Tree).Send"},

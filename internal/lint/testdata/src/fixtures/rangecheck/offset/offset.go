@@ -61,12 +61,6 @@ func viaHelper(e *sim.Engine) {
 	e.Schedule(backdated(e), func() {}) // want `\(sim\.Engine\)\.Schedule schedules an event provably before Now\(\)`
 }
 
-func rearmPast(e *sim.Engine) {
-	tm := e.NewTimer(func() {})
-	tm.Reset(e.Now().Add(-4)) // want `\(sim\.Timer\)\.Reset schedules an event provably before Now\(\) \(offset interval \[-4, -4\]\)`
-	tm.Reset(e.Now().Add(4))  // clean: a timeout re-armed ahead of now
-}
-
 func convertedStamp(e *sim.Engine, raw int64) {
 	if raw < 0 {
 		e.Schedule(sim.Time(raw), func() {}) // want `\(sim\.Engine\)\.Schedule schedules an event provably before Now\(\)`

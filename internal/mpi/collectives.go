@@ -243,10 +243,19 @@ func gatherV(v view, root int, sizes func(pos int) int64, payload any) []any {
 	return out
 }
 
+// scatterPart is one position's payload and byte count in a scatter
+// bundle.
+type scatterPart struct {
+	payload any
+	size    int64
+}
+
 // scatterV: binomial-tree scatter from root — gatherV's mirror. Each
 // parent forwards a child's whole subtree bundle in one message,
 // largest subtree first, so the root completes ceil(log2 P) sends
-// instead of P-1.
+// instead of P-1. sizes is read only at root, as MPI reads the counts:
+// root ships each position's size with its payload, and a forward
+// carries the sum of its subtree's sizes.
 func scatterV(v view, root int, sizes func(pos int) int64, payloads []any) any {
 	v.begin()
 	v.checkPos(root)
@@ -254,18 +263,20 @@ func scatterV(v view, root int, sizes func(pos int) int64, payloads []any) any {
 	tag := v.tag(0)
 	rel := (v.me - root + n) % n
 
-	var bundle []any // this rank's subtree payloads; bundle[0] is its own
-	span := 0        // subtree width in positions (power of two, may overhang n)
+	var bundle []scatterPart // this rank's subtree; bundle[0] is its own
+	span := 0                // subtree width in positions (power of two, may overhang n)
 	if v.me == root {
 		if payloads != nil && len(payloads) != n {
 			panic("mpi: scatter payloads length mismatch") //lint:allow panicfree (models MPI_Abort; rank/tag/count errors abort the MPI job)
 		}
 		for span = 1; span < n; span <<= 1 {
 		}
-		bundle = make([]any, n)
+		bundle = make([]scatterPart, n)
 		for i := range bundle {
+			pos := (root + i) % n
+			bundle[i].size = sizes(pos)
 			if payloads != nil {
-				bundle[i] = payloads[(root+i)%n]
+				bundle[i].payload = payloads[pos]
 			}
 		}
 	} else {
@@ -273,7 +284,7 @@ func scatterV(v view, root int, sizes func(pos int) int64, payloads []any) any {
 		}
 		parent := (rel&^span + root) % n
 		m := v.recv(parent, tag)
-		bundle = m.Payload.([]any)
+		bundle = m.Payload.([]scatterPart)
 	}
 	for mask := span >> 1; mask >= 1; mask >>= 1 {
 		childRel := rel + mask
@@ -284,13 +295,14 @@ func scatterV(v view, root int, sizes func(pos int) int64, payloads []any) any {
 		if hi > n {
 			hi = n
 		}
+		sub := bundle[mask : hi-rel]
 		var bytes int64
-		for q := childRel; q < hi; q++ {
-			bytes += sizes((q + root) % n)
+		for _, part := range sub {
+			bytes += part.size
 		}
-		v.send((childRel+root)%n, tag, bytes, bundle[mask:hi-rel])
+		v.send((childRel+root)%n, tag, bytes, sub)
 	}
-	return bundle[0]
+	return bundle[0].payload
 }
 
 // allreduceRD: recursive-doubling allreduce — the large-message path.
@@ -443,19 +455,20 @@ func (r *Rank) Alltoallv(p *sim.Proc, sizes []int64) {
 	alltoallV(r.worldView(p), func(pos int) int64 { return sizes[pos] })
 }
 
-// Gather collects size bytes from every rank at root (linear: each
-// leaf sends directly; arrivals serialize on root's receive link —
-// the bottleneck the parallel transpose exhibits in step 3). It
-// returns, at root, the payloads indexed by rank.
+// Gather collects size bytes from every rank at root along a binomial
+// tree (gatherV): each subtree leader forwards its subtree's bundle in
+// one message, and every byte still arrives over root's receive link —
+// the bottleneck the parallel transpose exhibits in step 3. It returns,
+// at root, the payloads indexed by rank.
 //
 //lint:range size [0,inf]
 func (r *Rank) Gather(p *sim.Proc, root int, size int64, payload any) []any {
 	return gatherV(r.worldView(p), root, func(int) int64 { return size }, payload)
 }
 
-// Scatter distributes size bytes from root to each rank (linear) and
-// returns the payload for this rank. payloads is only read at root and
-// must have one entry per rank.
+// Scatter distributes size bytes from root to each rank along a
+// binomial tree (scatterV) and returns the payload for this rank.
+// payloads is only read at root and must have one entry per rank.
 //
 //lint:range size [0,inf]
 func (r *Rank) Scatter(p *sim.Proc, root int, size int64, payloads []any) any {

@@ -7,10 +7,10 @@ package mpi
 
 import "repro/internal/sim"
 
-// Gatherv collects a variable amount from every rank at root (linear,
-// rank order). sizes must be consistent on all ranks: sizes[i] is what
-// rank i contributes. It returns, at root, the payloads indexed by
-// rank; nil elsewhere.
+// Gatherv collects a variable amount from every rank at root along a
+// binomial tree (gatherV). sizes must be consistent on all ranks:
+// sizes[i] is what rank i contributes. It returns, at root, the
+// payloads indexed by rank; nil elsewhere.
 func (r *Rank) Gatherv(p *sim.Proc, root int, sizes []int64, payload any) []any {
 	if len(sizes) != r.Size() {
 		panic("mpi: Gatherv sizes length mismatch") //lint:allow panicfree (models MPI_Abort; rank/tag/count errors abort the MPI job)
@@ -18,22 +18,18 @@ func (r *Rank) Gatherv(p *sim.Proc, root int, sizes []int64, payload any) []any 
 	return gatherV(r.worldView(p), root, func(pos int) int64 { return sizes[pos] }, payload)
 }
 
-// Scatterv distributes a variable amount from root to each rank
-// (linear) and returns this rank's payload. sizes and payloads are only
-// read at root.
+// Scatterv distributes a variable amount from root to each rank along
+// a binomial tree (scatterV) and returns this rank's payload: sizes[i]
+// bytes reach rank i. sizes and payloads are only read at root, which
+// ships each rank's size with its payload, so every forward down the
+// tree carries its subtree's bytes.
 func (r *Rank) Scatterv(p *sim.Proc, root int, sizes []int64, payloads []any) any {
 	if r.id == root {
 		if len(sizes) != r.Size() || len(payloads) != r.Size() {
 			panic("mpi: Scatterv sizes/payloads length mismatch") //lint:allow panicfree (models MPI_Abort; rank/tag/count errors abort the MPI job)
 		}
 	}
-	var sizeFn func(pos int) int64
-	if r.id == root {
-		sizeFn = func(pos int) int64 { return sizes[pos] }
-	} else {
-		sizeFn = func(int) int64 { return 0 } // unused off-root
-	}
-	return scatterV(r.worldView(p), root, sizeFn, payloads)
+	return scatterV(r.worldView(p), root, func(pos int) int64 { return sizes[pos] }, payloads)
 }
 
 // Scan computes the inclusive prefix reduction: rank i returns

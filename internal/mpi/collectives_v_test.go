@@ -63,6 +63,16 @@ func TestScattervDistributesVariableSizes(t *testing.T) {
 			t.Fatalf("rank %d got %v", i, v)
 		}
 	}
+	// The counts are read only at root, yet each forward down the
+	// binomial tree (0 → 2 → 3, 0 → 1) carries its subtree's bytes.
+	var sent, recv []int64
+	for i := 0; i < n; i++ {
+		st := w.Rank(i).Stats()
+		sent, recv = append(sent, st.BytesSent), append(recv, st.BytesRecv)
+	}
+	if got, want := fmt.Sprint(sent, recv), "[900 0 400 0] [0 200 700 400]"; got != want {
+		t.Fatalf("bytes sent, received per rank %s, want %s", got, want)
+	}
 }
 
 func TestScanPrefixSums(t *testing.T) {

@@ -132,20 +132,14 @@ func NewWorld(g *sim.Group, nodes []*machine.Node, sw netsim.Fabric, cfg Config)
 		if w.shard[i] < 0 {
 			panic(fmt.Sprintf("mpi: node %d not on a group shard", i)) //lint:allow panicfree (models MPI_Abort; rank/tag/count errors abort the MPI job)
 		}
-		r := &Rank{
+		w.ranks = append(w.ranks, &Rank{
 			w:         w,
 			id:        i,
 			node:      n,
 			sendSeq:   make([]int64, len(nodes)),
 			expectSeq: make([]int64, len(nodes)),
 			irecvName: fmt.Sprintf("rank%d.irecv", i),
-		}
-		r.spin = n.Engine().NewTimer(func() {
-			// Still in the same uninterrupted spin: fall back to a
-			// blocking kernel wait (idle in /proc/stat).
-			n.RestoreState(r.spinToken, machine.Blocked)
 		})
-		w.ranks = append(w.ranks, r)
 	}
 	return w
 }
@@ -277,12 +271,6 @@ type Rank struct {
 	recvs   []*postedRecv
 
 	collSeq int // per-rank collective sequence (SPMD-aligned)
-
-	// spin is the spin-then-block fallback timer and spinToken the node
-	// state token it was last armed for (see waitOn). Zero is never
-	// armed: the node starts Idle, so entering Spin bumps its token.
-	spin      *sim.Timer
-	spinToken uint64
 
 	// The Irecv helper process's name, built once: it appears only in
 	// panic text.
@@ -506,34 +494,13 @@ func (r *Rank) transmitControl(m *Message) sim.Time {
 
 // waitOn parks the process on c with the library's spin-then-block
 // behaviour, leaving the node Idle afterwards and returning the value
-// the waker delivered.
-//
-// The fallback is the rank's one spin timer, re-armed only when this
-// wait starts a new spin epoch, i.e. the node's state token differs
-// from the armed one. That is exact: within one epoch only the first
-// wait's fallback can ever apply, because later waits carry the same
-// token and fall back after it, and a fallback armed in an ended epoch
-// is a no-op that re-arming merely drops.
+// the waker delivered. The node falls back from Spin to Blocked after
+// SpinThreshold unless the wait ends first (machine.Node.SpinFor).
 func (r *Rank) waitOn(p *sim.Proc, c *sim.Cond) any {
-	r.startSpin()
+	r.node.SpinFor(r.w.cfg.SpinThreshold)
 	v := c.Wait(p)
 	r.node.SetState(machine.Idle)
 	return v
-}
-
-// startSpin starts a wait: the node enters Spin, and the rank's spin
-// timer is armed for the fallback if this wait starts a new spin epoch
-// (see waitOn). A process wait and an Isend record's CTS wait both
-// start here.
-func (r *Rank) startSpin() {
-	n := r.node
-	n.SetState(machine.Spin)
-	if thr := r.w.cfg.SpinThreshold; thr >= 0 {
-		if token := n.StateToken(); token != r.spinToken {
-			r.spinToken = token
-			r.spin.Reset(r.eng().Now().Add(thr))
-		}
-	}
 }
 
 // byteWork charges the per-byte software cost (copies + checksums) for

@@ -333,7 +333,7 @@ func (s *sendRec) handOff() {
 		return
 	}
 	s.x.send = s
-	r.startSpin()
+	r.node.SpinFor(r.w.cfg.SpinThreshold)
 	r.eng().Block()
 }
 

@@ -135,12 +135,12 @@ func BenchmarkHeapChurn(b *testing.B) {
 // BenchmarkEngineChurn measures one fired event of a queue shaped like
 // a 256-rank FT run's, through the production loop rather than the bare
 // heap: Engine.Run is its one-shard group's Run, whose window fires the
-// events in runUntil. Far ahead sit 256 spin-fallback timers, which the
-// near callbacks keep re-arming to +4 s so that they fire only once the
-// run drains, and 256 pollers that re-schedule themselves every 15 s.
-// About 220 near callbacks each schedule 0, 1 or 2 follow-ups (in the
-// ratio 1:5:1, within a population of 200 to 240) at offsets of 0 to
-// 216 µs, and re-arm one timer. One op is one near callback.
+// events in runUntil. Far ahead sit 256 pollers that re-schedule
+// themselves every 15 s. About 220 near callbacks each schedule 0, 1
+// or 2 follow-ups (in the ratio 1:5:1, within a population of 200 to
+// 240) at offsets of 0 to 216 µs. One op is one near callback. The
+// MPI spin fallbacks are node data, not events, so the queue holds no
+// timers.
 func BenchmarkEngineChurn(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
@@ -155,7 +155,6 @@ func BenchmarkEngineChurn(b *testing.B) {
 	}
 	const ranks = 256
 	offsets := [...]Duration{0, 3 * Microsecond, 18 * Microsecond, 45 * Microsecond, 216 * Microsecond}
-	var timers [ranks]*Timer
 	n, live := 0, 220
 	var near, poll func()
 	near = func() {
@@ -164,7 +163,6 @@ func BenchmarkEngineChurn(b *testing.B) {
 		if n >= b.N {
 			return
 		}
-		timers[n%ranks].Reset(e.Now().Add(4 * Second))
 		k := 1
 		switch rnd() % 7 {
 		case 0:
@@ -185,47 +183,13 @@ func BenchmarkEngineChurn(b *testing.B) {
 			e.After(15*Second, poll)
 		}
 	}
-	for i := range timers {
-		timers[i] = e.NewTimer(func() {})
-		timers[i].Reset(Time(4 * Second))
+	for i := 0; i < ranks; i++ {
 		e.Schedule(Time(i)*Time(15*Second)/ranks, poll)
 	}
 	for i := 0; i < live; i++ {
 		e.After(offsets[rnd()%uint64(len(offsets))], near)
 	}
 	b.ResetTimer()
-	if _, err := e.Run(0); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkTimerReset measures the re-armable timer on both of its
-// re-arm paths, once each per iteration: a tick re-arms the timer
-// while its entry is still queued (the entry is re-filed when it
-// reaches the front, as when an MPI wait opens a new spin epoch), and
-// the timer, once fired, re-arms itself from its callback. Re-arming
-// reuses the queue's capacity, so the gate is zero allocations.
-func BenchmarkTimerReset(b *testing.B) {
-	b.ReportAllocs()
-	e := NewEngine()
-	defer e.Close()
-	n := 0
-	var tm *Timer
-	tm = e.NewTimer(func() {
-		if n < b.N {
-			tm.Reset(e.Now().Add(6))
-		}
-	})
-	var tick func()
-	tick = func() {
-		n++
-		tm.Reset(e.Now().Add(7))
-		if n < b.N {
-			e.After(10, tick)
-		}
-	}
-	b.ResetTimer()
-	e.Schedule(0, tick)
 	if _, err := e.Run(0); err != nil {
 		b.Fatal(err)
 	}

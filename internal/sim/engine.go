@@ -174,13 +174,11 @@ func (e *Engine) fire(ev *event) {
 		e.now = ev.t
 	}
 	e.fired++
-	kind, fn, p, tm := ev.kind, ev.fn, ev.p, ev.tm
+	kind, fn, p := ev.kind, ev.fn, ev.p
 	e.queue.vacated = true
 	switch kind {
 	case evCall: // fast path: no dispatch call for plain events
 		fn()
-	case evTimer:
-		tm.fire()
 	default:
 		e.resumeProc(kind, p)
 	}

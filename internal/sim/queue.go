@@ -20,8 +20,6 @@ const (
 	// The handed-over value is stored on the process by deliverAt, not
 	// on the event, keeping the event payload-free and small.
 	evDeliver
-	// evTimer fires the re-armable Timer in tm (see timer.go).
-	evTimer
 )
 
 // event is a scheduled occurrence at time t. Events with equal times
@@ -33,16 +31,15 @@ const (
 // own per-port sequence number — a total order that does not depend on
 // which shard ran first or how inter-shard inboxes were drained, which
 // is what makes sharded runs byte-identical to sequential ones. For
-// process events the target is stored intrusively in p, for timer
-// events in tm; fn is set only for evCall. Keys are unique, so the
-// order is total and any two correct queues pop the same sequence.
+// process events the target is stored intrusively in p; fn is set only
+// for evCall. Keys are unique, so the order is total and any two
+// correct queues pop the same sequence.
 type event struct {
 	t    Time
 	pri  uint64
 	seq  uint64
 	fn   func()
 	p    *Proc
-	tm   *Timer
 	kind eventKind
 }
 
@@ -75,8 +72,8 @@ const arrivalClass = uint64(1) << 63
 // A firing event keeps the root, vacated (see Engine.fire), and the
 // first event pushed meanwhile takes it with one sift down instead of
 // a leaf's sift down and its own sift up. A vacated root is no event:
-// Len does not count it, and next and rekey remove it first. pop and
-// peek, which serve a Group's global queue, never see one.
+// Len does not count it, and next removes it first. pop and peek,
+// which serve a Group's global queue, never see one.
 type eventHeap struct {
 	items   []event
 	vacated bool
@@ -90,22 +87,11 @@ func (h *eventHeap) Len() int {
 	return len(h.items)
 }
 
-// next returns the earliest live event without removing it; Len must
-// be positive. A timer entry left behind by a later Reset is re-filed
-// in place at its timer's armed key, which is later than the entry's,
-// so next never reports a time at which nothing fires.
+// next returns the earliest event without removing it; Len must be
+// positive.
 func (h *eventHeap) next() *event {
 	h.settle()
-	for {
-		ev := &h.items[0]
-		if ev.kind != evTimer || (ev.t == ev.tm.at && ev.seq == ev.tm.seq) {
-			return ev
-		}
-		stale := *ev
-		stale.t, stale.seq = stale.tm.at, stale.tm.seq
-		stale.tm.queuedAt = stale.t
-		h.siftDown(0, &stale)
-	}
+	return &h.items[0]
 }
 
 func (h *eventHeap) push(ev *event) {
@@ -193,19 +179,4 @@ func (h *eventHeap) siftDown(i int, ev *event) {
 		i = least
 	}
 	items[i] = *ev
-}
-
-// rekey moves tm's entry up to the earlier key (t, seq). The entry is
-// found by a linear scan: only a Reset earlier than the queued entry
-// needs it, and a timeout re-armed as the clock advances never does.
-func (h *eventHeap) rekey(tm *Timer, t Time, seq uint64) {
-	h.settle()
-	for i := range h.items {
-		if h.items[i].tm == tm {
-			ev := h.items[i]
-			ev.t, ev.seq = t, seq
-			h.siftUp(i, &ev)
-			return
-		}
-	}
 }

@@ -1,7 +1,7 @@
 // Package sim implements a deterministic process-oriented discrete-event
 // simulation kernel. It provides a virtual clock, an event queue, and
 // lightweight simulated processes, plus their coordination primitives:
-// sleeping, timers and conditions.
+// sleeping and conditions.
 //
 // Each process body runs on an iter.Pull coroutine, one at a time under
 // the engine's control: the engine resumes a body and the body hands

@@ -43,9 +43,7 @@ func harnessWorld(t *testing.T, w Workload) ([]*powerpack.NodeCtx, []*machine.No
 			}
 		})
 	}
-	// Run to exhaustion: the queue includes stale spin-downgrade timers
-	// that fire after completion, so "end" is the last rank's finish,
-	// not the engine's final event.
+	// Run to exhaustion; "end" is the last rank's finish.
 	if _, err := g.Run(0); err != nil {
 		t.Fatal(err)
 	}
