@@ -14,6 +14,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 
 	"repro"
 	"repro/internal/cluster"
@@ -57,15 +58,28 @@ func replayTrace(w io.Writer, path, csvOut string) error {
 	return err
 }
 
-// checkCounts rejects a workload scale or a repetition count below 1.
-func checkCounts(scale, reps int) error {
+// checkFlags rejects a workload scale or a repetition count below 1, a
+// negative -j, and an -mhz that names no operating point of table, as a
+// campaign's points_mhz does. It returns -mhz's index in table.
+func checkFlags(table repro.OPTable, mhz, scale, reps, jobs int) (int, error) {
 	if scale < 1 {
-		return fmt.Errorf("-scale %d: the workload size multiplier must be at least 1", scale)
+		return 0, fmt.Errorf("-scale %d: the workload size multiplier must be at least 1", scale)
 	}
 	if reps < 1 {
-		return fmt.Errorf("-reps %d: the repetition count must be at least 1", reps)
+		return 0, fmt.Errorf("-reps %d: the repetition count must be at least 1", reps)
 	}
-	return nil
+	if jobs < 0 {
+		return 0, fmt.Errorf("-j %d: the parallelism must be 0 (one worker per CPU) or more", jobs)
+	}
+	idx := table.IndexOf(repro.Hz(mhz) * repro.MHz)
+	if idx < 0 {
+		var pts []string
+		for _, op := range table.Points() {
+			pts = append(pts, fmt.Sprint(int64(op.Freq/repro.MHz)))
+		}
+		return 0, fmt.Errorf("-mhz %d: no operating point at %d MHz (the table has %s)", mhz, mhz, strings.Join(pts, ", "))
+	}
+	return idx, nil
 }
 
 // catalog builds the named workloads at a given scale, at least 1.
@@ -129,7 +143,7 @@ func catalog(scale int) map[string]func() workloads.Workload {
 func main() {
 	workload := flag.String("workload", "ft.B", "workload name (see -list)")
 	strategy := flag.String("strategy", "static", "static | dynamic | cpuspeed | adaptive | slack")
-	mhz := flag.Int("mhz", 1400, "base operating point in MHz")
+	mhz := flag.Int("mhz", 1400, "base operating point in MHz (one of the DVFS table's)")
 	reps := flag.Int("reps", 1, "repetitions (outliers rejected)")
 	scale := flag.Int("scale", 1, "workload size multiplier")
 	exact := flag.Bool("exact", true, "report exact energy (false = ACPI battery protocol)")
@@ -140,7 +154,9 @@ func main() {
 	traceReplay := flag.String("trace-replay", "", "replay a binary trace archive: print per-node stats (no simulation); combine with -trace to re-encode it as CSV")
 	list := flag.Bool("list", false, "list workloads and exit")
 	flag.Parse()
-	if err := checkCounts(*scale, *reps); err != nil {
+	cfg := cluster.DefaultConfig()
+	baseIdx, err := checkFlags(cfg.Machine.Table, *mhz, *scale, *reps, *jobs)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "powersim: %v\n", err)
 		os.Exit(2)
 	}
@@ -192,7 +208,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg := cluster.DefaultConfig()
 	cfg.Reps = *reps
 	cfg.Settle = 30 * sim.Second
 	cfg.UseTrueEnergy = *exact
@@ -223,9 +238,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "powersim:", err)
 		os.Exit(1)
 	}
-
-	table := cfg.Machine.Table
-	baseIdx := table.IndexOf(table.ClosestTo(repro.Hz(*mhz) * repro.MHz).Freq)
 
 	agg, err := runner.Run(w, strat, baseIdx)
 	if err != nil {

@@ -20,8 +20,9 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// A scale or a repetition count below 1 exits 2 with a message naming
-// the flag, before any simulation runs, as an unknown workload does.
+// A scale or a repetition count below 1, a negative -j and an -mhz
+// that names no operating point exit 2 with a message naming the flag,
+// before any simulation runs, as an unknown workload does.
 func TestFlagExitStatus(t *testing.T) {
 	for _, c := range []struct {
 		args string
@@ -29,6 +30,7 @@ func TestFlagExitStatus(t *testing.T) {
 	}{
 		{"-scale 0", 2}, {"-scale -2", 2}, {"-reps 0", 2}, {"-reps -1", 2},
 		{"-workload nope", 2}, {"-scale 2 -reps 3 -list", 0},
+		{"-mhz 123", 2}, {"-mhz 0", 2}, {"-mhz -800", 2}, {"-j -1", 2}, {"-mhz 800 -list", 0},
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^$")
 		cmd.Env = append(os.Environ(), "POWERSIM_ARGS="+c.args)
