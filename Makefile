@@ -48,7 +48,7 @@ race:
 # Simulator throughput benchmarks, archived as NDJSON (one go test
 # -json event per line): the sim-kernel microbenches and the MPI
 # message-path benches (gated — pinned -benchtime, -count 3), the
-# streaming trace pipeline at 1×/4×/16×
+# streaming trace pipeline and the archive replay at 1×/4×/16×
 # duration (gated — allocs/op must stay flat as the trace grows), the
 # 8-cell campaign matrix at parallelism 1 vs 8 (their ratio is the
 # fan-out speedup on this machine), one end-to-end paper figure, the
@@ -67,7 +67,7 @@ bench:
 	: > $(BENCHOUT)
 	$(GO) test -json -run '^$$' -bench . -benchmem -benchtime $(GATED_BENCHTIME) -count $(GATED_COUNT) $(GATED_PKG) >> $(BENCHOUT)
 	$(GO) test -json -run '^$$' -bench . -benchmem -benchtime $(GATED_BENCHTIME) -count $(GATED_COUNT) $(MPI_PKG) >> $(BENCHOUT)
-	$(GO) test -json -run '^$$' -bench 'TraceStream' -benchmem -benchtime $(GATED_BENCHTIME) -count $(GATED_COUNT) ./internal/trace >> $(BENCHOUT)
+	$(GO) test -json -run '^$$' -bench 'TraceStream|TraceReplay' -benchmem -benchtime $(GATED_BENCHTIME) -count $(GATED_COUNT) ./internal/trace >> $(BENCHOUT)
 	$(GO) test -json -run '^$$' -bench 'Campaign8' -benchmem ./internal/campaign >> $(BENCHOUT)
 	$(GO) test -json -run '^$$' -bench 'Fig3FTClassB' -benchmem . >> $(BENCHOUT)
 	$(GO) test -json -run '^$$' -bench 'ShardedFT' -benchtime 1x -benchmem -memprofile $(CURDIR)/$(BIN)/shardedft_heap.mprof >> $(BENCHOUT)

@@ -628,18 +628,23 @@ func (n *Node) ComponentEnergyAt(c power.Component, t sim.Time) power.Joules {
 	return n.integ[c].EnergyAt(t)
 }
 
-// Power returns the node's instantaneous total draw.
+// Power returns the node's instantaneous total draw: the sum of
+// ComponentPowers in component order.
 func (n *Node) Power() power.Watts {
-	n.settle()
 	var sum power.Watts
-	for _, c := range power.Components() {
-		sum += n.integ[c].Power()
+	for _, w := range n.ComponentPowers() {
+		sum += w
 	}
 	return sum
 }
 
-// ComponentPower returns one component's instantaneous draw.
-func (n *Node) ComponentPower(c power.Component) power.Watts {
+// ComponentPowers settles the node once and returns every component's
+// instantaneous draw, indexed by power.Component.
+func (n *Node) ComponentPowers() [power.NumComponents]power.Watts {
 	n.settle()
-	return n.integ[c].Power()
+	var w [power.NumComponents]power.Watts
+	for c := range n.integ {
+		w[c] = n.integ[c].Power()
+	}
+	return w
 }

@@ -228,7 +228,7 @@ func TestNICBusy(t *testing.T) {
 					if st.busy {
 						want += par.NICActive
 					}
-					if got := n.ComponentPower(power.NIC); got != want {
+					if got := n.ComponentPowers()[power.NIC]; got != want {
 						t.Errorf("NIC draw at %dns = %v, want %v", st.at, got, want)
 					}
 					if d := float64(n.Power() - idleTotal - (want - par.NICIdle)); math.Abs(d) > 1e-9 {
@@ -522,18 +522,106 @@ func TestCopyBytesAndCycles(t *testing.T) {
 func TestComponentPower(t *testing.T) {
 	e, n := newTestNode(t)
 	e.Spawn("w", func(p *sim.Proc) {
+		w := n.ComponentPowers()
 		var sum power.Watts
 		for _, c := range power.Components() {
-			sum += n.ComponentPower(c)
+			sum += w[c]
 		}
 		if sum != n.Power() {
 			t.Errorf("component powers %v != total %v", sum, n.Power())
 		}
-		if n.ComponentPower(power.Board) != DefaultParams().BoardIdle {
+		if w[power.Board] != DefaultParams().BoardIdle {
 			t.Error("board power")
 		}
 	})
 	run(t, e)
+}
+
+// TestComponentPowersMatchesSeparateReads: ComponentPowers settles the
+// node once and must read what separately settling reads do: the same
+// draws, the same State, and an in-order sum equal to Power bit for
+// bit. Twin nodes run one script and are read once each at the same
+// instant, one through ComponentPowers and then State and Power, the
+// other through State, Power and one settled read per component, as
+// the trace recorder read a node before. The script books NIC windows
+// before, across, ending at and starting at the fall of a spin that
+// falls at 1,100 ns.
+func TestComponentPowersMatchesSeparateReads(t *testing.T) {
+	type reading struct {
+		state State
+		total power.Watts
+		draws [power.NumComponents]power.Watts
+	}
+	read := func(t *testing.T, at sim.Time, one bool) reading {
+		e, n := newTestNode(t)
+		var r reading
+		e.Spawn("w", func(p *sim.Proc) {
+			for _, w := range [][2]sim.Time{{50, 300}, {900, 1_500}, {1_050, 1_100}, {1_100, 1_150}} {
+				n.NICBusy(w[0], w[1])
+			}
+			p.SleepUntil(40)
+			n.SetState(Compute)
+			p.SleepUntil(100)
+			n.SpinFor(1_000)
+			p.SleepUntil(at)
+			if one {
+				r.draws = n.ComponentPowers()
+				r.state = n.State()
+				r.total = n.Power()
+				return
+			}
+			r.state = n.State()
+			r.total = n.Power()
+			for c := range r.draws {
+				n.settle()
+				r.draws[c] = n.integ[c].Power()
+			}
+		})
+		run(t, e)
+		return r
+	}
+	par := DefaultParams()
+	cases := []struct {
+		name    string
+		at      sim.Time
+		state   State
+		nicBusy bool
+	}{
+		{"at a NIC edge's own instant", 300, Spin, true},
+		{"strictly after a NIC edge", 301, Spin, false},
+		{"at the fall's own instant, on NIC edges", 1_100, Spin, true},
+		{"after a due spin fall", 1_101, Blocked, true},
+		{"after a due fall and the edges past it", 1_600, Blocked, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			one, sep := read(t, tc.at, true), read(t, tc.at, false)
+			if one.state != tc.state || sep.state != tc.state {
+				t.Errorf("state %v after ComponentPowers, %v from the separate reads; want %v", one.state, sep.state, tc.state)
+			}
+			for c, w := range one.draws {
+				if math.Float64bits(float64(w)) != math.Float64bits(float64(sep.draws[c])) {
+					t.Errorf("%v draw %v, want the separate read's %v", power.Component(c), w, sep.draws[c])
+				}
+			}
+			var sum power.Watts
+			for _, w := range one.draws {
+				sum += w
+			}
+			for _, total := range []power.Watts{one.total, sep.total} {
+				if math.Float64bits(float64(sum)) != math.Float64bits(float64(total)) {
+					t.Errorf("in-order sum %v (%#x), Power %v (%#x)", sum, math.Float64bits(float64(sum)), total, math.Float64bits(float64(total)))
+				}
+			}
+			nic := par.NICIdle
+			if tc.nicBusy {
+				nic += par.NICActive
+			}
+			if one.draws[power.NIC] != nic {
+				t.Errorf("NIC draw %v, want %v", one.draws[power.NIC], nic)
+			}
+		})
+	}
 }
 
 func TestZeroWorkIsFree(t *testing.T) {

@@ -505,7 +505,7 @@ func TestCommunicationEnergyAccrues(t *testing.T) {
 	// Every NIC window must have closed by the end.
 	for i := 0; i < 2; i++ {
 		n := w.Rank(i).Node()
-		if got, want := n.ComponentPower(power.NIC), n.Params().NICIdle; got != want {
+		if got, want := n.ComponentPowers()[power.NIC], n.Params().NICIdle; got != want {
 			t.Fatalf("node %d NIC draws %v after the run, want its idle %v", i, got, want)
 		}
 	}

@@ -46,7 +46,7 @@ func nicWindowReadings(t *testing.T, shards int) map[string]uint64 {
 			end := p.Now().Add(ser)
 			g.ScheduleGlobal(end, 0, func() {
 				for i, n := range nodes {
-					got[fmt.Sprintf("at-end.node%d.nic_w", i)] = math.Float64bits(float64(n.ComponentPower(power.NIC)))
+					got[fmt.Sprintf("at-end.node%d.nic_w", i)] = math.Float64bits(float64(n.ComponentPowers()[power.NIC]))
 					got[fmt.Sprintf("at-end.node%d.total_w", i)] = math.Float64bits(float64(n.Power()))
 				}
 			})

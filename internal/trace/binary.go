@@ -1,9 +1,10 @@
 // Compact binary trace format: a versioned header followed by
 // append-only tick records, varint-delta encoded in per-node columns.
-// The codec is dependency-free (stdlib encoding/binary varints, like
-// the profgate pprof codec) and byte-deterministic: the same tick
+// The codec is dependency-free and byte-deterministic: the same tick
 // stream always encodes to the same bytes, which is what the
-// sharded-vs-sequential equality gates compare.
+// sharded-vs-sequential equality gates compare. The Writer appends
+// encoding/binary varints; the Reader decodes them from a fixed 4 KB
+// window over its source, one-byte varints inline.
 //
 //	header:
 //	  magic     "PWTR" (4 bytes)
@@ -23,7 +24,6 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -162,8 +162,16 @@ func (w *Writer) fail(err error) error {
 // a reused row buffer; Replay drives a set of sinks through the whole
 // stream, so every streaming consumer works identically on live runs
 // and archives.
+//
+// The reader decodes from a fixed byte window over its source and
+// refills the window only when it holds fewer bytes than the longest
+// varint. A header's node count sizes the row and delta state, as it
+// must, and nothing else: the window never grows.
 type Reader struct {
-	br       *bufio.Reader
+	src      io.Reader
+	srcErr   error // the source's first error; it surfaces once the bytes before it are decoded
+	win      [windowSize]byte
+	pos, end int // win[pos:end] is read from the source but not yet decoded
 	meta     Meta
 	row      []Sample
 	prevT    sim.Time
@@ -171,32 +179,51 @@ type Reader struct {
 	prevBits []uint64
 }
 
+// windowSize is the reader's byte window, bufio's default buffer size.
+const windowSize = 4096
+
+// maxEmptyReads is how many (0, nil) reads in a row the reader accepts
+// from its source before it fails with io.ErrNoProgress, as bufio does.
+const maxEmptyReads = 100
+
+// nStates bounds a record's state column.
+var nStates = uint64(len(machine.States()))
+
+// errOverflow is encoding/binary's error, with its text, for a varint
+// that does not fit 64 bits.
+var errOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
 // NewReader parses the header and returns a reader positioned at the
 // first record.
 func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReader(r)
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
+	rd := &Reader{src: r}
+	rd.fill()
+	if rd.end < len(magic) {
+		err := rd.srcErr
+		if rd.end > 0 {
+			err = eofUnexpected(err)
+		}
 		return nil, fmt.Errorf("trace: short header: %w", err)
 	}
-	if m != magic {
-		return nil, fmt.Errorf("trace: bad magic %q", m[:])
+	if [4]byte(rd.win[:len(magic)]) != magic {
+		return nil, fmt.Errorf("trace: bad magic %q", rd.win[:len(magic)])
 	}
-	version, err := headerUvarint(br, "version")
+	rd.pos = len(magic)
+	version, err := rd.headerUvarint("version")
 	if err != nil {
 		return nil, err
 	}
 	if version != FormatVersion {
 		return nil, fmt.Errorf("trace: unsupported format version %d (want %d)", version, FormatVersion)
 	}
-	interval, err := headerUvarint(br, "interval")
+	interval, err := rd.headerUvarint("interval")
 	if err != nil {
 		return nil, err
 	}
 	if interval == 0 || interval > math.MaxInt64 {
 		return nil, fmt.Errorf("trace: corrupt header: interval %d", interval)
 	}
-	nnodes, err := headerUvarint(br, "node count")
+	nnodes, err := rd.headerUvarint("node count")
 	if err != nil {
 		return nil, err
 	}
@@ -206,35 +233,32 @@ func NewReader(r io.Reader) (*Reader, error) {
 	ids := make([]int, nnodes)
 	prev := int64(0)
 	for i := range ids {
-		d, err := headerVarint(br, "node id")
+		d, err := rd.headerUvarint("node id")
 		if err != nil {
 			return nil, err
 		}
-		prev += d
+		prev += unzigzag(d)
 		if prev < 0 {
 			return nil, fmt.Errorf("trace: corrupt header: negative node id %d", prev)
 		}
 		ids[i] = int(prev)
 	}
-	ncomp, err := headerUvarint(br, "component count")
+	ncomp, err := rd.headerUvarint("component count")
 	if err != nil {
 		return nil, err
 	}
 	if ncomp != uint64(power.NumComponents) {
 		return nil, fmt.Errorf("trace: %d power components in header, this build models %d", ncomp, power.NumComponents)
 	}
-	rd := &Reader{
-		br: br,
-		meta: Meta{
-			Version:    int(version),
-			Interval:   sim.Duration(interval),
-			NodeIDs:    ids,
-			Components: int(ncomp),
-		},
-		row:      make([]Sample, nnodes),
-		prevFreq: make([]int64, nnodes),
-		prevBits: make([]uint64, int(nnodes)*(1+int(ncomp))),
+	rd.meta = Meta{
+		Version:    int(version),
+		Interval:   sim.Duration(interval),
+		NodeIDs:    ids,
+		Components: int(ncomp),
 	}
+	rd.row = make([]Sample, nnodes)
+	rd.prevFreq = make([]int64, nnodes)
+	rd.prevBits = make([]uint64, int(nnodes)*(1+int(ncomp)))
 	for i, id := range ids {
 		rd.row[i].Node = id
 	}
@@ -249,68 +273,83 @@ func (r *Reader) Meta() Meta { return r.meta }
 // (the buffer is reused). It returns io.EOF — and only io.EOF — at a
 // clean end of stream; a stream truncated inside a record returns a
 // wrapping of io.ErrUnexpectedEOF instead.
+//
+// It runs once per tick of every replay, so each column decodes in its
+// own loop, one-byte varints inline, and it allocates nothing.
+//
+//lint:hotpath
 func (r *Reader) Next() ([]Sample, error) {
-	// A clean EOF is only legal before a record's first byte; peek one
-	// byte to tell it apart from truncation inside the record.
-	if _, err := r.br.ReadByte(); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, io.EOF
+	// A clean EOF is only legal before a record's first byte.
+	if r.pos == r.end {
+		r.fill()
+		if r.pos == r.end {
+			if errors.Is(r.srcErr, io.EOF) {
+				return nil, io.EOF
+			}
+			return nil, r.srcErr
 		}
-		return nil, err
 	}
-	if err := r.br.UnreadByte(); err != nil {
-		return nil, err
-	}
-	dt, err := r.recordUvarint("time delta")
+	dt, err := r.uvarint()
 	if err != nil {
-		return nil, err
+		return nil, recordErr("time delta", err)
 	}
 	if dt > math.MaxInt64 || sim.Duration(dt) < 0 {
-		return nil, fmt.Errorf("trace: corrupt record: time delta %d", dt)
+		return nil, fmt.Errorf("trace: corrupt record: time delta %d", dt) //lint:allow hotalloc (error path; healthy records never reach it)
 	}
 	at := r.prevT.Add(sim.Duration(dt))
 	if at < r.prevT {
-		return nil, fmt.Errorf("trace: corrupt record: time delta %d overflows the clock at %v", dt, r.prevT)
+		return nil, fmt.Errorf("trace: corrupt record: time delta %d overflows the clock at %v", dt, r.prevT) //lint:allow hotalloc (error path; healthy records never reach it)
 	}
 	r.prevT = at
-	nStates := int64(len(machine.States()))
 	for i := range r.row {
-		d, err := r.recordVarint("frequency")
-		if err != nil {
-			return nil, err
+		var v uint64
+		if p := r.pos; p < r.end && r.win[p] < 0x80 {
+			v, r.pos = uint64(r.win[p]), p+1
+		} else if v, err = r.uvarint(); err != nil {
+			return nil, recordErr("frequency", err)
 		}
-		r.prevFreq[i] += d
+		r.prevFreq[i] += unzigzag(v)
 		if r.prevFreq[i] < 0 {
-			return nil, fmt.Errorf("trace: corrupt record: negative frequency for node %d", r.row[i].Node)
+			return nil, fmt.Errorf("trace: corrupt record: negative frequency for node %d", r.row[i].Node) //lint:allow hotalloc (error path; healthy records never reach it)
 		}
 		r.row[i].At = at
 		r.row[i].Freq = dvfs.Hz(r.prevFreq[i])
 	}
 	for i := range r.row {
-		v, err := r.recordUvarint("state")
-		if err != nil {
-			return nil, err
+		var v uint64
+		if p := r.pos; p < r.end && r.win[p] < 0x80 {
+			v, r.pos = uint64(r.win[p]), p+1
+		} else if v, err = r.uvarint(); err != nil {
+			return nil, recordErr("state", err)
 		}
-		if int64(v) >= nStates {
-			return nil, fmt.Errorf("trace: corrupt record: state %d out of range", v)
+		if v >= nStates {
+			return nil, fmt.Errorf("trace: corrupt record: state %d out of range", v) //lint:allow hotalloc (error path; healthy records never reach it)
 		}
 		r.row[i].State = machine.State(v)
 	}
 	stride := 1 + r.meta.Components
 	for i := range r.row {
-		w, err := r.xorFloat(i * stride)
-		if err != nil {
-			return nil, err
+		var v uint64
+		if p := r.pos; p < r.end && r.win[p] < 0x80 {
+			v, r.pos = uint64(r.win[p]), p+1
+		} else if v, err = r.uvarint(); err != nil {
+			return nil, recordErr("power", err)
 		}
-		r.row[i].Total = power.Watts(w)
+		j := i * stride
+		r.prevBits[j] ^= v
+		r.row[i].Total = power.Watts(math.Float64frombits(r.prevBits[j]))
 	}
 	for c := 0; c < r.meta.Components; c++ {
 		for i := range r.row {
-			w, err := r.xorFloat(i*stride + 1 + c)
-			if err != nil {
-				return nil, err
+			var v uint64
+			if p := r.pos; p < r.end && r.win[p] < 0x80 {
+				v, r.pos = uint64(r.win[p]), p+1
+			} else if v, err = r.uvarint(); err != nil {
+				return nil, recordErr("power", err)
 			}
-			r.row[i].Component[c] = power.Watts(w)
+			j := i*stride + 1 + c
+			r.prevBits[j] ^= v
+			r.row[i].Component[c] = power.Watts(math.Float64frombits(r.prevBits[j]))
 		}
 	}
 	return r.row, nil
@@ -347,49 +386,75 @@ func (r *Reader) Replay(sinks ...Sink) error {
 	return nil
 }
 
-// xorFloat decodes one XOR-chained float64 column cell at delta-state
-// slot j.
-func (r *Reader) xorFloat(j int) (float64, error) {
-	v, err := r.recordUvarint("power")
-	if err != nil {
-		return 0, err
+// uvarint decodes one varint of any length from the window, refilling
+// it first when a whole varint might not fit. Next's loops decode a
+// one-byte varint themselves and call it for the rest. Out of bytes, it
+// returns the source's error; io.EOF there is the caller's to judge.
+func (r *Reader) uvarint() (uint64, error) {
+	if r.end-r.pos < binary.MaxVarintLen64 {
+		r.fill()
 	}
-	r.prevBits[j] ^= v
-	return math.Float64frombits(r.prevBits[j]), nil
+	v, n := binary.Uvarint(r.win[r.pos:r.end])
+	switch {
+	case n > 0:
+		r.pos += n
+		return v, nil
+	case n < 0 || r.end-r.pos >= binary.MaxVarintLen64:
+		// binary.Uvarint reports ten continuation bytes as too short
+		// when nothing follows them; binary.ReadUvarint calls that an
+		// overflow too.
+		return 0, errOverflow
+	default:
+		return 0, r.srcErr
+	}
 }
 
-// recordUvarint reads one record varint; EOF inside a record is
-// truncation, not a clean end.
-func (r *Reader) recordUvarint(what string) (uint64, error) {
-	v, err := binary.ReadUvarint(r.br)
-	if err != nil {
-		return 0, fmt.Errorf("trace: truncated record (%s): %w", what, eofUnexpected(err))
+// fill slides the undecoded bytes to the window's front and reads until
+// the window holds a whole varint's worth or the source fails. The
+// source's error waits in srcErr until the bytes before it are decoded,
+// as it does in bufio.
+func (r *Reader) fill() {
+	r.end = copy(r.win[:], r.win[r.pos:r.end])
+	r.pos = 0
+	empty := 0
+	for r.end < binary.MaxVarintLen64 && r.srcErr == nil {
+		n, err := r.src.Read(r.win[r.end:])
+		r.end += n
+		r.srcErr = err
+		switch {
+		case n > 0:
+			empty = 0
+		case err == nil:
+			if empty++; empty == maxEmptyReads {
+				r.srcErr = io.ErrNoProgress
+			}
+		}
 	}
-	return v, nil
 }
 
-func (r *Reader) recordVarint(what string) (int64, error) {
-	v, err := binary.ReadVarint(r.br)
-	if err != nil {
-		return 0, fmt.Errorf("trace: truncated record (%s): %w", what, eofUnexpected(err))
-	}
-	return v, nil
-}
-
-func headerUvarint(br *bufio.Reader, what string) (uint64, error) {
-	v, err := binary.ReadUvarint(br)
+// headerUvarint decodes one header varint.
+func (r *Reader) headerUvarint(what string) (uint64, error) {
+	v, err := r.uvarint()
 	if err != nil {
 		return 0, fmt.Errorf("trace: short header (%s): %w", what, eofUnexpected(err))
 	}
 	return v, nil
 }
 
-func headerVarint(br *bufio.Reader, what string) (int64, error) {
-	v, err := binary.ReadVarint(br)
-	if err != nil {
-		return 0, fmt.Errorf("trace: short header (%s): %w", what, eofUnexpected(err))
+// recordErr wraps an error inside a record, where running out of bytes
+// is truncation, not a clean end. It keeps the formatting out of Next's
+// loops.
+func recordErr(what string, err error) error {
+	return fmt.Errorf("trace: truncated record (%s): %w", what, eofUnexpected(err)) //lint:allow hotalloc (error path; healthy records never reach it)
+}
+
+// unzigzag undoes the zigzag sign encoding of binary.AppendVarint.
+func unzigzag(u uint64) int64 {
+	x := int64(u >> 1)
+	if u&1 != 0 {
+		x = ^x
 	}
-	return v, nil
+	return x
 }
 
 // eofUnexpected upgrades a bare io.EOF to io.ErrUnexpectedEOF: inside

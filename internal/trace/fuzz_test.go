@@ -3,9 +3,11 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/dvfs"
 	"repro/internal/machine"
@@ -49,10 +51,12 @@ func fuzzSeed(tb testing.TB, ticks int) []byte {
 
 // FuzzTraceReader drives the PWTR binary decoder over arbitrary
 // bytes. The decoder must never panic and never allocate beyond its
-// hardened header bounds, whatever the input; and any stream it
-// decodes cleanly must survive a re-encode/re-decode round trip with
-// identical samples — the byte-determinism property the
-// sharded-vs-sequential equality gates rest on.
+// hardened header bounds, whatever the input; it must decode the same
+// rows and end with the same error whether its source hands it the
+// bytes whole or one at a time; and any stream it decodes cleanly must
+// survive a re-encode/re-decode round trip with identical samples —
+// the byte-determinism property the sharded-vs-sequential equality
+// gates rest on.
 func FuzzTraceReader(f *testing.F) {
 	f.Add(fuzzSeed(f, 0))
 	f.Add(fuzzSeed(f, 1))
@@ -64,8 +68,21 @@ func FuzzTraceReader(f *testing.F) {
 	f.Add([]byte{'P', 'W', 'T', 'R', 1, 0xE8, 0x07, 0xFF, 0xFF, 0x7F}) // huge node count
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rows, meta, ok := decodeAll(t, bytes.NewReader(data))
-		if !ok {
+		rows, meta, err := decodeAll(t, bytes.NewReader(data))
+
+		// The same bytes one at a time make the window refill before
+		// nearly every varint: the outcome, the rows and the error
+		// must not move.
+		slow, _, slowErr := decodeAll(t, iotest.OneByteReader(bytes.NewReader(data)))
+		if (slowErr == io.EOF) != (err == io.EOF) ||
+			errors.Is(slowErr, io.ErrUnexpectedEOF) != errors.Is(err, io.ErrUnexpectedEOF) ||
+			fmt.Sprint(slowErr) != fmt.Sprint(err) {
+			t.Fatalf("one byte per read ends with %v, whole with %v", slowErr, err)
+		}
+		if !rowsEqual(slow, rows) {
+			t.Fatalf("one byte per read decodes %d rows unlike whole's %d", len(slow), len(rows))
+		}
+		if err != io.EOF {
 			return // rejected input: an error is the correct outcome
 		}
 
@@ -80,51 +97,58 @@ func FuzzTraceReader(f *testing.F) {
 				t.Fatalf("re-encode Tick %d: %v", i, err)
 			}
 		}
-		again, meta2, ok := decodeAll(t, &buf)
-		if !ok {
-			t.Fatalf("re-encoded stream did not decode")
-		}
-		if len(again) != len(rows) {
-			t.Fatalf("round trip changed tick count: %d != %d", len(again), len(rows))
+		again, meta2, err := decodeAll(t, &buf)
+		if err != io.EOF {
+			t.Fatalf("re-encoded stream did not decode: %v", err)
 		}
 		if len(meta2.NodeIDs) != len(meta.NodeIDs) {
 			t.Fatalf("round trip changed node count: %d != %d", len(meta2.NodeIDs), len(meta.NodeIDs))
 		}
-		for i := range rows {
-			for j := range rows[i] {
-				if !sampleEqual(rows[i][j], again[i][j]) {
-					t.Fatalf("round trip changed tick %d node %d: %+v != %+v", i, j, rows[i][j], again[i][j])
-				}
-			}
+		if !rowsEqual(again, rows) {
+			t.Fatalf("round trip changed the samples: %d ticks, was %d", len(again), len(rows))
 		}
 	})
 }
 
 // decodeAll drains a stream through the Reader, copying each reused
-// row. ok is false when the decoder (correctly) rejects the input;
-// non-EOF errors after a clean header are also rejections — the fuzz
-// target only asserts on streams the decoder fully accepts.
-func decodeAll(t *testing.T, r io.Reader) ([][]Sample, Meta, bool) {
+// row. It returns the rows decoded before the first error, the
+// geometry, and that error: NewReader's, or Next's, which is io.EOF
+// exactly when the decoder accepts the whole stream.
+func decodeAll(t *testing.T, r io.Reader) ([][]Sample, Meta, error) {
 	t.Helper()
 	rd, err := NewReader(r)
 	if err != nil {
-		return nil, Meta{}, false
+		return nil, Meta{}, err
 	}
 	var rows [][]Sample
 	for {
 		row, err := rd.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
 		if err != nil {
-			return nil, Meta{}, false
+			return rows, rd.Meta(), err
 		}
 		if len(row) != len(rd.Meta().NodeIDs) {
 			t.Fatalf("decoded row has %d samples, header declares %d nodes", len(row), len(rd.Meta().NodeIDs))
 		}
 		rows = append(rows, append([]Sample(nil), row...))
 	}
-	return rows, rd.Meta(), true
+}
+
+// rowsEqual compares decoded rows bit-exactly.
+func rowsEqual(a, b [][]Sample) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j := range a[i] {
+			if !sampleEqual(a[i][j], b[i][j]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // sampleEqual compares samples bit-exactly: the codec stores float64

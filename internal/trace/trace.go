@@ -157,6 +157,13 @@ func (r *Recorder) tick(g *sim.Group, at sim.Time, done func() bool) {
 // sample reads every node into the reused row buffer and streams it to
 // the sinks. After the first sink error the recorder goes inert; the
 // error surfaces from Close (and Err).
+//
+// It runs once per tick of every traced run, so it reads each node
+// once (ComponentPowers settles it) and allocates nothing. Total is
+// the components' sum in the order Node.Power adds them, so it equals
+// Power bit for bit.
+//
+//lint:hotpath
 func (r *Recorder) sample(at sim.Time) {
 	if r.err != nil || r.closed {
 		return
@@ -166,15 +173,17 @@ func (r *Recorder) sample(at sim.Time) {
 		s.At = at
 		s.Node = n.ID()
 		s.Freq = n.OperatingPoint().Freq
+		s.Component = n.ComponentPowers()
 		s.State = n.State()
-		s.Total = n.Power()
-		for c := 0; c < power.NumComponents; c++ {
-			s.Component[c] = n.ComponentPower(power.Component(c))
+		var total power.Watts
+		for _, w := range s.Component {
+			total += w
 		}
+		s.Total = total
 	}
 	for _, sk := range r.sinks {
 		if err := sk.Tick(at, r.row); err != nil {
-			r.err = fmt.Errorf("trace: tick: %w", err)
+			r.err = fmt.Errorf("trace: tick: %w", err) //lint:allow hotalloc (error path; a healthy sink never fails)
 			return
 		}
 	}

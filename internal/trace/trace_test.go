@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/csv"
 	"errors"
 	"io"
@@ -234,6 +235,25 @@ func TestReaderErrorPaths(t *testing.T) {
 	}
 	if !errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("clean end should be io.EOF, got %v", err)
+	}
+	// A state of 2^63 is out of range, not a negative machine.State.
+	var one bytes.Buffer
+	w := NewWriter(&one)
+	if err := w.Begin(Meta{Interval: 1000, NodeIDs: []int{0}, Components: power.NumComponents}); err != nil {
+		t.Fatal(err)
+	}
+	rec := binary.AppendUvarint(one.Bytes(), 1000) // time delta
+	rec = binary.AppendVarint(rec, 0)              // frequency
+	rec = binary.AppendUvarint(rec, 1<<63)         // state
+	for c := 0; c <= power.NumComponents; c++ {
+		rec = binary.AppendUvarint(rec, 0) // total, then each component
+	}
+	rd, err = NewReader(bytes.NewReader(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row, err := rd.Next(); err == nil || !strings.Contains(err.Error(), "state 9223372036854775808 out of range") {
+		t.Fatalf("state 2^63: row %v, error %v", row, err)
 	}
 }
 
