@@ -234,7 +234,7 @@ type Verdict string
 
 const (
 	OK         Verdict = "ok"         // within every gate
-	Improved   Verdict = "improved"   // a metric got better; consider refreshing the baseline
+	Improved   Verdict = "improved"   // a metric got better and none rose; consider refreshing the baseline
 	Regression Verdict = "REGRESSION" // a gated metric got worse
 	Missing    Verdict = "MISSING"    // in the baseline but absent from the stream
 	New        Verdict = "new"        // in the stream but not yet gated by the baseline
@@ -281,6 +281,9 @@ func Compare(baseline, current []Result, bandPct float64) (deltas []Delta, failu
 		}
 		var parts []string
 		verdict := OK
+		// A line is Improved when some field fell (ns/op past the band)
+		// and none rose above its baseline, even inside its band.
+		fell, rose := false, false
 
 		limit := b.NsPerOp * (1 + bandPct/100)
 		switch {
@@ -289,10 +292,11 @@ func Compare(baseline, current []Result, bandPct float64) (deltas []Delta, failu
 			parts = append(parts, fmt.Sprintf("ns/op %.4g -> %.4g (+%.1f%%, band %.0f%%)",
 				b.NsPerOp, c.NsPerOp, 100*(c.NsPerOp/b.NsPerOp-1), bandPct))
 		case c.NsPerOp < b.NsPerOp*(1-bandPct/100):
-			verdict = Improved
+			fell = true
 			parts = append(parts, fmt.Sprintf("ns/op %.4g -> %.4g (%.1f%%)",
 				b.NsPerOp, c.NsPerOp, 100*(c.NsPerOp/b.NsPerOp-1)))
 		default:
+			rose = c.NsPerOp > b.NsPerOp
 			parts = append(parts, fmt.Sprintf("ns/op %.4g -> %.4g", b.NsPerOp, c.NsPerOp))
 		}
 
@@ -317,16 +321,18 @@ func Compare(baseline, current []Result, bandPct float64) (deltas []Delta, failu
 				parts = append(parts, fmt.Sprintf("%s %d -> %d (+%.1f%%, band %d%%)",
 					m.unit, m.base, m.curr, 100*(float64(m.curr)/float64(m.base)-1), MemBandPct))
 			case m.curr != m.base:
-				if verdict == OK && m.curr < m.base {
-					verdict = Improved
-				}
+				fell = fell || m.curr < m.base
+				rose = rose || m.curr > m.base
 				parts = append(parts, fmt.Sprintf("%s %d -> %d", m.unit, m.base, m.curr))
 			default:
 				parts = append(parts, fmt.Sprintf("%s %d", m.unit, m.base))
 			}
 		}
-		if verdict == Regression {
+		switch {
+		case verdict == Regression:
 			failures++
+		case fell && !rose:
+			verdict = Improved
 		}
 		deltas = append(deltas, Delta{Key: b.Key(), Verdict: verdict, Detail: strings.Join(parts, "  ")})
 	}

@@ -91,6 +91,7 @@ func TestCompareGates(t *testing.T) {
 	}
 	cases := []struct {
 		name     string
+		baseline []Result // nil: the shared baseline above
 		current  []Result
 		failures int
 		verdicts map[string]Verdict
@@ -147,10 +148,37 @@ func TestCompareGates(t *testing.T) {
 				"repro/internal/sim.BenchmarkBrandNew": New,
 			},
 		},
+		{
+			// Memory fields gate within MemBandPct of a nonzero
+			// baseline, so a line can fall in one field and rise in
+			// another without failing; only a line with no field above
+			// its baseline is Improved.
+			name: "improved only when no field rose",
+			baseline: []Result{
+				mkResult("BenchmarkMailbox", 1138, 1000, 10),
+				mkResult("BenchmarkSchedule", 33.73, 1000, 10),
+				mkResult("BenchmarkSleepWake", 519.4, 1000, 10),
+			},
+			current: []Result{
+				mkResult("BenchmarkMailbox", 1260, 1000, 7),    // ns/op +10.7% inside the band, allocs/op down
+				mkResult("BenchmarkSchedule", 33.73, 1010, 7),  // B/op +1% inside MemBandPct, allocs/op down
+				mkResult("BenchmarkSleepWake", 519.4, 1000, 7), // ns/op flat, allocs/op down
+			},
+			failures: 0,
+			verdicts: map[string]Verdict{
+				"repro/internal/sim.BenchmarkMailbox":   OK,
+				"repro/internal/sim.BenchmarkSchedule":  OK,
+				"repro/internal/sim.BenchmarkSleepWake": Improved,
+			},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			deltas, failures := Compare(baseline, tc.current, 25)
+			base := baseline
+			if tc.baseline != nil {
+				base = tc.baseline
+			}
+			deltas, failures := Compare(base, tc.current, 25)
 			if failures != tc.failures {
 				t.Errorf("failures = %d, want %d; deltas: %+v", failures, tc.failures, deltas)
 			}

@@ -114,7 +114,6 @@ var builtinArgs = map[string]map[int]contract{
 	"repro/internal/machine.Node.MemoryRounds":           {1: {nonneg, "access count"}},
 	"repro/internal/machine.Node.L2Rounds":               {1: {nonneg, "access count"}},
 	"repro/internal/machine.Node.CopyBytes":              {1: {nonneg, "byte count"}},
-	"repro/internal/machine.Node.CopyCycles":             {1: {nonneg, "cycle count"}},
 	"repro/internal/machine.Node.IdleFor":                {1: {nonneg, "idle duration"}},
 	"repro/internal/machine.Node.SetOperatingPointIndex": {1: {nonneg, "operating-point index"}},
 

@@ -446,17 +446,6 @@ func (n *Node) CopyBytes(p *sim.Proc, bytes int64) {
 	n.inState(p, Copy, total)
 }
 
-// CopyCycles runs core-clocked work in the Copy state; the MPI layer
-// uses it for buffer copies and checksumming whose cost it expresses in
-// cycles directly. Every MPI message's byte cost funnels through here
-// (over 5% cumulative in the 256-rank profile), so like Compute it is
-// its own hotpath root.
-//
-//lint:hotpath
-func (n *Node) CopyCycles(p *sim.Proc, cycles float64) {
-	n.inState(p, Copy, n.CoreDuration(cycles))
-}
-
 // IdleFor parks the node idle for d.
 //
 //lint:range d [0,inf]

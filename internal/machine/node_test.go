@@ -507,11 +507,6 @@ func TestCopyBytesAndCycles(t *testing.T) {
 			t.Errorf("1MB copy took %v", d)
 		}
 		n.CopyBytes(p, 0) // no-op
-		start2 := p.Now()
-		n.CopyCycles(p, 1.4e6) // 1ms of cycle-priced copy work
-		if got := p.Now().Sub(start2); got < 990*sim.Microsecond || got > 1100*sim.Microsecond {
-			t.Errorf("CopyCycles took %v", got)
-		}
 	})
 	run(t, e)
 	if ct := n.StateTime(Copy); ct <= 0 {

@@ -1,7 +1,9 @@
 package mpi
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -18,6 +20,32 @@ func allocsPerMessage(t *testing.T, k, msgsPerRound int, run func(t *testing.T, 
 		return testing.AllocsPerRun(1, func() { run(t, rounds) })
 	}
 	return (count(2*k) - count(k)) / float64(k*msgsPerRound)
+}
+
+// bytesPerMessage is allocsPerMessage for the heap bytes allocated, by
+// the same k and 2k difference. Like testing.AllocsPerRun, it runs each
+// count once to warm up and measures the second run on one OS thread.
+func bytesPerMessage(t *testing.T, k, msgsPerRound int, run func(t *testing.T, rounds int)) float64 {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	count := func(rounds int) float64 {
+		run(t, rounds)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run(t, rounds)
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	return (count(2*k) - count(k)) / float64(k*msgsPerRound)
+}
+
+// TestExchangeSize pins the rendezvous record inside the allocator's
+// 240-byte size class: one word more moves it to the 256-byte class,
+// and every rendezvous message pays the difference.
+func TestExchangeSize(t *testing.T) {
+	if size := unsafe.Sizeof(exchange{}); size > 240 {
+		t.Errorf("exchange is %d bytes, want at most 240 (its size class)", size)
+	}
 }
 
 // TestEagerMessageAllocations pins that an eager message allocates only
@@ -89,10 +117,12 @@ func TestEagerMessageAllocations(t *testing.T) {
 
 // TestRendezvousMessageAllocations pins the cost of a message above
 // EagerThreshold: the one exchange record, which holds the RTS, CTS and
-// data envelopes and both waits. A wait with one waiter holds it
-// inline, and an Isend runs on a pooled send record, so neither adds
-// an allocation. The patterns are a blocking 1 MB Send/Recv ping-pong
-// and an 8-rank 1 MB Alltoall, whose sends are Isends.
+// data envelopes and points at the send and receive records that wait
+// on it. Those records are pooled (a rank's blocking receives share
+// one), so they add no allocation, and the exchange's 232 bytes take
+// one 240-byte size-class slot. The patterns are a blocking 1 MB
+// Send/Recv ping-pong and an 8-rank 1 MB Alltoall, whose sends are
+// Isends.
 func TestRendezvousMessageAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counts need whole simulations")
@@ -132,17 +162,20 @@ func TestRendezvousMessageAllocations(t *testing.T) {
 		name         string
 		k            int
 		msgsPerRound int
-		max          float64
 		run          func(t *testing.T, rounds int)
 	}{
-		{"pingpong", 100, 2, 1, pingPong},
-		{"alltoall8", 4, 8 * 7, 1, alltoall},
+		{"pingpong", 100, 2, pingPong},
+		{"alltoall8", 4, 8 * 7, alltoall},
 	}
 	for _, c := range cases {
 		got := allocsPerMessage(t, c.k, c.msgsPerRound, c.run)
-		t.Logf("%s: %.2f allocations per rendezvous message", c.name, got)
-		if got > c.max {
-			t.Errorf("%s: %.2f allocations per rendezvous message, want at most %.0f", c.name, got, c.max)
+		bytes := bytesPerMessage(t, c.k, c.msgsPerRound, c.run)
+		t.Logf("%s: %.2f allocations, %.0f bytes per rendezvous message", c.name, got, bytes)
+		if got > 1 {
+			t.Errorf("%s: %.2f allocations per rendezvous message, want at most 1", c.name, got)
+		}
+		if bytes > 240 {
+			t.Errorf("%s: %.0f bytes per rendezvous message, want at most 240", c.name, bytes)
 		}
 	}
 }

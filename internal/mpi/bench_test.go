@@ -9,6 +9,18 @@ import (
 // The message-path benches: per-op time and allocations of the eager
 // and rendezvous protocols, one layer below the end-to-end FT runs. `make bench` runs
 // them with a pinned -benchtime and -count, and benchdiff gates them.
+// The ping-pong and eager all-to-all benches also report the process
+// resumes per op (resumes/op, a custom unit that benchdiff skips): each
+// blocking call resumes its process once.
+
+// groupResumes sums the process resumes over g's shards.
+func groupResumes(g *sim.Group) uint64 {
+	var n uint64
+	for i := 0; i < g.Size(); i++ {
+		n += g.Engine(i).Resumes()
+	}
+	return n
+}
 
 // BenchmarkEagerPingPong sends 2 KB each way between two ranks: two
 // eager messages per op, on one world that lives across all ops.
@@ -33,6 +45,7 @@ func BenchmarkEagerPingPong(b *testing.B) {
 	if _, err := g.Run(0); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportMetric(float64(groupResumes(g))/float64(b.N), "resumes/op")
 }
 
 // BenchmarkRendezvousPingPong sends 1 MB each way between two ranks:
@@ -59,6 +72,7 @@ func BenchmarkRendezvousPingPong(b *testing.B) {
 	if _, err := g.Run(0); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportMetric(float64(groupResumes(g))/float64(b.N), "resumes/op")
 }
 
 // BenchmarkRendezvousAlltoall8 is one 8-rank Alltoall of 1 MB per
@@ -90,9 +104,11 @@ func BenchmarkAlltoall16(b *testing.B) { benchAlltoall(b, 16) }
 func BenchmarkAlltoall256(b *testing.B) { benchAlltoall(b, 256) }
 
 // benchAlltoall times one Alltoall of 2 KB per peer on n ranks. Each op
-// runs on a fresh world, built and closed outside the timer.
+// runs on a fresh world, built and closed outside the timer, and its
+// resumes include the n processes' starts.
 func benchAlltoall(b *testing.B, n int) {
 	b.ReportAllocs()
+	var resumes uint64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		g, w := testWorld(n, nil)
@@ -102,7 +118,9 @@ func benchAlltoall(b *testing.B, n int) {
 			b.Fatal(err)
 		}
 		b.StopTimer()
+		resumes += groupResumes(g)
 		g.Close()
 		b.StartTimer()
 	}
+	b.ReportMetric(float64(resumes)/float64(b.N), "resumes/op")
 }

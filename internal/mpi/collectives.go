@@ -69,7 +69,7 @@ func (v view) isend(pos, tag int, size int64, payload any) *Request {
 }
 
 func (v view) recv(pos, tag int) *Message {
-	return v.r.recvColl(v.p, v.world(pos), tag)
+	return v.r.recv(v.p, v.world(pos), tag)
 }
 
 func (v view) wait(q *Request) { v.r.waitPooled(v.p, q) }
@@ -77,15 +77,6 @@ func (v view) wait(q *Request) { v.r.waitPooled(v.p, q) }
 // worldView is the whole-world group for this rank.
 func (r *Rank) worldView(p *sim.Proc) view {
 	return view{r: r, size: len(r.w.ranks), me: r.id, slot: 0, seq: &r.collSeq, p: p}
-}
-
-// recvColl is Recv for the reserved tag space.
-//
-//lint:hotpath every collective receive runs here
-func (r *Rank) recvColl(p *sim.Proc, src, tag int) *Message {
-	r.overhead(p, r.w.cfg.RecvOverheadCycles)
-	m := r.matchOrWait(p, src, tag)
-	return r.completeRecv(p, m)
 }
 
 // checkPos validates a group position.

@@ -181,7 +181,7 @@ func (c *Comm) Recv(p *sim.Proc, src, tag int) *Message {
 	if src != AnySource {
 		worldSrc = c.WorldRank(src)
 	}
-	m := c.r.recvColl(p, worldSrc, c.ctag(tag))
+	m := c.r.recv(p, worldSrc, c.ctag(tag))
 	// Translate the source back into comm numbering.
 	for pos, wrank := range c.ranks {
 		if wrank == m.Src {

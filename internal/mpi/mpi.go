@@ -132,14 +132,15 @@ func NewWorld(g *sim.Group, nodes []*machine.Node, sw netsim.Fabric, cfg Config)
 		if w.shard[i] < 0 {
 			panic(fmt.Sprintf("mpi: node %d not on a group shard", i)) //lint:allow panicfree (models MPI_Abort; rank/tag/count errors abort the MPI job)
 		}
-		w.ranks = append(w.ranks, &Rank{
+		r := &Rank{
 			w:         w,
 			id:        i,
 			node:      n,
 			sendSeq:   make([]int64, len(nodes)),
 			expectSeq: make([]int64, len(nodes)),
-			irecvName: fmt.Sprintf("rank%d.irecv", i),
-		})
+		}
+		r.blockRecv.bind(r)
+		w.ranks = append(w.ranks, r)
 	}
 	return w
 }
@@ -218,15 +219,17 @@ const (
 )
 
 // exchange is one rendezvous message: its three envelopes and the two
-// waits they end. The sender makes it, and every envelope points back
-// at it, so a delivery wakes the wait it ends without a lookup. Each
-// wait is touched only on its waiter's shard: the CTS wait on the
-// sender's, the data wait on the receiver's.
+// records that wait on them. The sender makes it, and every envelope
+// points back at it, so a delivery wakes the record it concerns without
+// a lookup. Each record pointer is touched only on its record's shard:
+// the send record, which awaits the CTS, on the sender's, and the
+// receive record, which awaits the payload, on the receiver's. Every
+// rendezvous wait is a record's, so the exchange holds no sim.Cond:
+// at 232 bytes it fits the 240-byte size class.
 type exchange struct {
 	rts, cts, data Message
-	ctsWait        sim.Cond // a blocking sender waits here for the CTS
-	dataWait       sim.Cond // the receiver waits here for the payload
-	send           *sendRec // the Isend record awaiting the CTS; nil for a blocking send
+	send           *sendRec // awaits the CTS, from the RTS on
+	recv           *recvRec // awaits the payload, from the CTS on
 }
 
 // Stats aggregates a rank's traffic counters.
@@ -262,34 +265,41 @@ type Rank struct {
 	// on this rank's shard. A list grows to the peak number of its
 	// records in use at once and then recycles them. flights holds
 	// in-flight records: transmit takes one here and the delivery
-	// returns it to the receiving rank's list. sends holds Isend
+	// returns it to the receiving rank's list. sends holds send
 	// records, reqs the requests of the library's own Isends
-	// (collectives and Sendrecv), and recvs posted receives.
-	flights []*flight
-	sends   []*sendRec
-	reqs    []*Request
-	recvs   []*postedRecv
+	// (collectives and Sendrecv), recvRecs receive records and recvs
+	// Probe's posted receives.
+	flights  []*flight
+	sends    []*sendRec
+	reqs     []*Request
+	recvRecs []*recvRec
+	recvs    []*postedRecv
+
+	// blockRecv runs the blocking receives of the rank's process,
+	// which makes one blocking call at a time. An Irecv, or a blocking
+	// receive of a second process while the first holds blockRecv,
+	// takes a record from recvRecs.
+	blockRecv recvRec
 
 	collSeq int // per-rank collective sequence (SPMD-aligned)
-
-	// The Irecv helper process's name, built once: it appears only in
-	// panic text.
-	irecvName string
 
 	stats Stats
 }
 
 // postedRecv is a receive waiting for its envelope. admit stores the
-// match in msg before it signals cond, so a match that lands before
-// anyone waits (Irecv posts before its helper runs) is kept.
+// match in msg, then wakes the receive record rec or, for Probe, which
+// has none, signals cond. A match that lands while the record is still
+// charging its overhead (an Irecv posts before that charge) is kept in
+// msg until the charge ends.
 type postedRecv struct {
 	src, tag int
 	msg      *Message
+	rec      *recvRec
 	cond     sim.Cond
 }
 
-// eng returns the engine this rank (and all its helper processes and
-// delivery events) runs on: its node's.
+// eng returns the engine this rank (its process, records and delivery
+// events) runs on: its node's.
 func (r *Rank) eng() *sim.Engine { return r.node.Engine() }
 
 // ID returns the rank number.
@@ -340,13 +350,9 @@ func (r *Rank) deliver(m *Message) {
 			r.admitStashed(m.Src)
 		}
 	case kindCTS:
-		if s := m.x.send; s != nil {
-			s.ctsIn()
-		} else {
-			m.x.ctsWait.Signal(m)
-		}
+		m.x.send.ctsIn()
 	case kindRData:
-		m.x.dataWait.Signal(m)
+		m.x.recv.dataIn(m)
 	}
 }
 
@@ -387,7 +393,11 @@ func (r *Rank) admit(m *Message) {
 		if matches(pr.src, pr.tag, m) {
 			r.posted = append(r.posted[:i], r.posted[i+1:]...) //lint:allow hotalloc (removes in place; never grows)
 			pr.msg = m
-			pr.cond.Signal(nil)
+			if pr.rec != nil {
+				pr.rec.envelopeIn()
+			} else {
+				pr.cond.Signal(nil)
+			}
 			return
 		}
 	}
@@ -501,15 +511,6 @@ func (r *Rank) waitOn(p *sim.Proc, c *sim.Cond) any {
 	v := c.Wait(p)
 	r.node.SetState(machine.Idle)
 	return v
-}
-
-// byteWork charges the per-byte software cost (copies + checksums) for
-// a message of the given size, in the Copy activity state.
-func (r *Rank) byteWork(p *sim.Proc, size int64) {
-	if size <= 0 {
-		return
-	}
-	r.node.CopyCycles(p, r.byteCycles(size))
 }
 
 // byteCycles is the per-byte software cost of a message of the given

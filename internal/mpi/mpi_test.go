@@ -639,6 +639,137 @@ func TestOrphanedIsend(t *testing.T) {
 	}
 }
 
+// TestOrphanedRecv pins what a receive that no rank sends to leaves
+// behind, and a rendezvous Send that no rank receives. Each waits on a
+// record that counts itself blocked, while its process, if it has one,
+// parks uncounted, so Run ends in a deadlock with one blocked waiter,
+// and a Wait on an Irecv's request adds a second. An Irecv adds no
+// process to the engine.
+func TestOrphanedRecv(t *testing.T) {
+	live := -1 // processes live after an Irecv
+	cases := []struct {
+		name string
+		body func(p *sim.Proc, r *Rank)
+		want string
+	}{
+		{"recv", func(p *sim.Proc, r *Rank) { r.Recv(p, 1, 0) }, "(1 blocked)"},
+		{"irecv", func(p *sim.Proc, r *Rank) {
+			r.Irecv(p, 1, 0)
+			live = p.Engine().Live()
+		}, "(1 blocked)"},
+		{"irecv+wait", func(p *sim.Proc, r *Rank) {
+			q := r.Irecv(p, 1, 0)
+			live = p.Engine().Live()
+			r.Wait(p, q)
+		}, "(2 blocked)"},
+		{"send-1MB", func(p *sim.Proc, r *Rank) { r.Send(p, 1, 0, 1<<20, nil) }, "(1 blocked)"},
+	}
+	for _, c := range cases {
+		g, w := testWorld(2, nil)
+		live = -1
+		w.SpawnRanks(func(p *sim.Proc, r *Rank) {
+			if r.ID() == 0 {
+				c.body(p, r)
+			}
+		})
+		_, err := g.Run(0)
+		if !errors.Is(err, sim.ErrDeadlock) || !strings.HasSuffix(err.Error(), c.want) {
+			t.Errorf("%s: Run returned %v, want ErrDeadlock %s", c.name, err, c.want)
+		}
+		if strings.HasPrefix(c.name, "irecv") && live != w.Size() {
+			t.Errorf("%s: %d processes live after Irecv, want the %d ranks", c.name, live, w.Size())
+		}
+		g.Close()
+	}
+}
+
+// TestOneResumePerBlockingCall pins that a blocking call parks its
+// process once: the call's record carries the charges and waits, and
+// its last event resumes the process. The caller, rank 0, has its
+// shard to itself, so the resumes its engine counts across the call
+// are the caller's. In the one-round Alltoall of two ranks the Isend
+// completes before the receive does, so its Wait does not park and the
+// one resume is the collective receive's.
+func TestOneResumePerBlockingCall(t *testing.T) {
+	recvFrom := func(size int64) func(p *sim.Proc, r *Rank) {
+		return func(p *sim.Proc, r *Rank) {
+			if r.ID() == 0 {
+				r.Recv(p, 1, 0)
+			} else {
+				r.Send(p, 0, 0, size, nil)
+			}
+		}
+	}
+	sendTo := func(size int64) func(p *sim.Proc, r *Rank) {
+		return func(p *sim.Proc, r *Rank) {
+			if r.ID() == 0 {
+				r.Send(p, 1, 0, size, nil)
+			} else {
+				r.Recv(p, 0, 0)
+			}
+		}
+	}
+	cases := []struct {
+		name string
+		body func(p *sim.Proc, r *Rank)
+	}{
+		{"recv-eager", recvFrom(2048)},
+		{"recv-rendezvous", recvFrom(1 << 20)},
+		{"alltoall-recv", func(p *sim.Proc, r *Rank) { r.Alltoall(p, 2048) }},
+		{"send-eager", sendTo(2048)},
+		{"send-rendezvous", sendTo(1 << 20)},
+	}
+	for _, c := range cases {
+		g, w := shardedWorld(2, 2, nil)
+		var resumes uint64
+		w.SpawnRanks(func(p *sim.Proc, r *Rank) {
+			before := p.Engine().Resumes()
+			c.body(p, r)
+			if r.ID() == 0 {
+				resumes = p.Engine().Resumes() - before
+			}
+		})
+		mustRun(t, g)
+		if resumes != 1 {
+			t.Errorf("%s: the caller resumed %d times in the call, want 1", c.name, resumes)
+		}
+		g.Close()
+	}
+}
+
+// TestConcurrentBlockingRecvs pins that two processes of one rank can
+// each be in a blocking receive at once: the second takes a pooled
+// record while the first holds the rank's own, and each gets its own
+// message, one eager and one rendezvous, in either order of arrival.
+func TestConcurrentBlockingRecvs(t *testing.T) {
+	sizes := [...]int64{1: 2048, 2: 1 << 20}
+	for _, firstSender := range []int{1, 2} {
+		g, w := testWorld(3, nil)
+		got := make(map[string]*Message)
+		w.SpawnRanks(func(p *sim.Proc, r *Rank) {
+			switch r.ID() {
+			case 0:
+				p.Engine().Spawn("rank0.second", func(sp *sim.Proc) {
+					got["second"] = r.Recv(sp, 2, 0)
+				})
+				got["first"] = r.Recv(p, 1, 0)
+			default:
+				if r.ID() != firstSender {
+					p.Sleep(sim.Millisecond)
+				}
+				r.Send(p, 0, 0, sizes[r.ID()], r.ID())
+			}
+		})
+		mustRun(t, g)
+		for name, src := range map[string]int{"first": 1, "second": 2} {
+			if m := got[name]; m == nil || m.Src != src || m.Payload != src || m.Size != sizes[src] {
+				t.Errorf("sender %d first: the %s receive got %+v, want the message from rank %d", firstSender, name, m, src)
+			}
+		}
+		g.Close()
+	}
+}
+
 // TestAnyTagSkipsCollectiveTraffic pins that a wildcard receive posted
 // before a collective leaves the collective's messages alone and takes
 // the next application message.

@@ -38,89 +38,43 @@ func checkRecvTag(tag int) {
 }
 
 // send is Send without the tag guard, shared with the collectives
-// (which use the reserved tag space): the overhead and byte charges,
-// then the hand-off and, for a rendezvous message, the wait for the CTS
-// and the payload's drain. The envelope sequence number is claimed on
-// entry so posting order defines matching order.
+// (which use the reserved tag space). It runs on a send record, as an
+// Isend does, and the calling process parks once: the record's last
+// event, the end of the copy for an eager message or of the payload's
+// drain for a rendezvous one, resumes it.
 func (r *Rank) send(p *sim.Proc, dst, tag int, size int64, payload any) {
-	seq := r.claimSeq(dst)
-	r.overhead(p, r.w.cfg.SendOverheadCycles)
-	r.byteWork(p, size)
-	x := r.handOff(seq, dst, tag, size, payload)
-	if x == nil {
-		return
-	}
-	r.waitOn(p, &x.ctsWait)
-	// The sender's progress engine actively pushes the payload through
-	// the socket until the last byte leaves its transmit link; it polls
-	// (and eventually blocks) exactly like a receive-side wait. The
-	// drain time is sender-local, so it needs no cross-shard state.
-	r.spinUntil(p, r.sendData(x, payload))
+	s := r.takeSend(dst, tag, size, payload)
+	s.p = p
+	s.charge(machine.Compute, r.w.cfg.SendOverheadCycles, stepOverheadEnd)
+	p.Park()
 }
 
-// claimSeq reserves the next envelope sequence number toward dst.
-func (r *Rank) claimSeq(dst int) int64 {
+// takeSend claims the next envelope sequence number toward dst, so
+// that posting order, not execution order, defines matching order, and
+// loads the send into a record from the rank's free list.
+func (r *Rank) takeSend(dst, tag int, size int64, payload any) *sendRec {
 	seq := r.sendSeq[dst]
 	r.sendSeq[dst] = seq + 1
-	return seq
+	s := pop(&r.sends)
+	if s == nil {
+		s = &sendRec{r: r} //lint:allow hotalloc (pool miss: the free list grows to the peak number of sends in flight)
+		s.onStep = s.run
+	}
+	s.seq, s.dst, s.tag, s.size, s.payload = seq, dst, tag, size, payload
+	return s
 }
 
-// handOff runs what follows a send's two charges, for blocking sends
-// and Isend records alike: the traffic counters, then self-delivery,
-// the eager transmit or, for a rendezvous message (one to another rank
-// above EagerThreshold), its exchange record and RTS. It returns that
-// record, whose CTS the sender must await, or nil when the send is
-// complete.
-func (r *Rank) handOff(seq int64, dst, tag int, size int64, payload any) *exchange {
-	r.stats.MsgsSent++
-	r.stats.BytesSent += size
-	if dst != r.id && size > r.w.cfg.EagerThreshold {
-		x := &exchange{} //lint:allow hotalloc (the one record per message above EagerThreshold; its data envelope is what Recv hands to its caller)
-		x.rts = Message{Src: r.id, Dst: dst, Tag: tag, Size: size, kind: kindRTS, x: x, seq: seq}
-		r.transmitControl(&x.rts)
-		return x
-	}
-	m := &Message{Src: r.id, Dst: dst, Tag: tag, Size: size, Payload: payload, kind: kindEager, seq: seq} //lint:allow hotalloc (the one allocation per message: the envelope Recv hands to its caller)
-	if dst == r.id {
-		// Self-send: local copy only, delivered immediately.
-		r.deliver(m)
-	} else {
-		r.transmit(m, size, size >= 1024)
-	}
-	return nil
-}
-
-// sendData streams the payload of rendezvous x once its CTS has
-// arrived, and returns when the last byte leaves the sender.
-func (r *Rank) sendData(x *exchange, payload any) sim.Time {
-	x.data = Message{Src: r.id, Dst: x.rts.Dst, Tag: x.rts.Tag, Size: x.rts.Size, Payload: payload, kind: kindRData, x: x}
-	return r.transmit(&x.data, x.data.Size, true)
-}
-
-// spinUntil holds the node in the spin-then-block wait pattern until
-// absolute time t.
-func (r *Rank) spinUntil(p *sim.Proc, t sim.Time) {
-	now := p.Now()
-	if t <= now {
-		return
-	}
+// startCharge puts the node in state st for cycles of core-clocked
+// work and returns the state token and the instant the charge ends, at
+// which the caller restores Idle with the token. The duration is taken
+// when the charge starts, as the node's work primitives take it for a
+// process, so a DVS change during a record's charges lands as it would
+// for a process.
+func (r *Rank) startCharge(st machine.State, cycles float64) (uint64, sim.Time) {
 	n := r.node
-	remaining := t.Sub(now)
-	thr := r.w.cfg.SpinThreshold
-	if thr < 0 || remaining <= thr {
-		n.SetState(machine.Spin)
-		token := n.StateToken()
-		p.Sleep(remaining)
-		n.RestoreState(token, machine.Idle)
-		return
-	}
-	n.SetState(machine.Spin)
-	tokenSpin := n.StateToken()
-	p.Sleep(thr)
-	n.RestoreState(tokenSpin, machine.Blocked)
-	tokenBlocked := n.StateToken()
-	p.Sleep(remaining - thr)
-	n.RestoreState(tokenBlocked, machine.Idle)
+	d := n.CoreDuration(cycles)
+	n.SetState(st)
+	return n.StateToken(), r.eng().Now().Add(d)
 }
 
 // Recv blocks until a message matching (src, tag) arrives and returns
@@ -131,71 +85,253 @@ func (r *Rank) Recv(p *sim.Proc, src, tag int) *Message {
 		r.checkRank(src)
 	}
 	checkRecvTag(tag)
-	r.overhead(p, r.w.cfg.RecvOverheadCycles)
-
-	m := r.matchOrWait(p, src, tag)
-	return r.completeRecv(p, m)
+	return r.recv(p, src, tag)
 }
 
-// matchOrWait finds a matching envelope in the unexpected queue or
-// parks until one is delivered.
-func (r *Rank) matchOrWait(p *sim.Proc, src, tag int) *Message {
-	return r.awaitRecv(p, r.postRecv(src, tag))
-}
-
-// postRecv takes a posted-receive record from the rank's free list and
-// either claims the first matching envelope from the unexpected queue
-// or appends the record to the posted receives.
-func (r *Rank) postRecv(src, tag int) *postedRecv {
-	pr := pop(&r.recvs)
-	if pr == nil {
-		pr = &postedRecv{} //lint:allow hotalloc (pool miss: the free list grows to the peak number of receives in flight)
+// recv is Recv without the argument guards, shared with the
+// collectives and Comm.Recv (which use the reserved tag space). It runs
+// on the rank's blocking-receive record, or on a pooled one while a
+// second process of the rank holds that, and the calling process parks
+// once: the record's last event resumes it with the message.
+//
+//lint:hotpath every blocking and collective receive runs here
+func (r *Rank) recv(p *sim.Proc, src, tag int) *Message {
+	s := &r.blockRecv
+	if s.p != nil {
+		s = r.takeRecv()
 	}
-	pr.src, pr.tag = src, tag
+	s.p, s.pr.src, s.pr.tag = p, src, tag
+	s.charge(machine.Compute, r.w.cfg.RecvOverheadCycles, recvPosting)
+	p.Park()
+	m := s.m
+	s.m = nil
+	if s != &r.blockRecv {
+		r.recvRecs = append(r.recvRecs, s) //lint:allow hotalloc (amortized growth to the peak number of pooled receives in flight, then reused)
+	}
+	return m
+}
+
+// takeRecv takes a receive record from the rank's free list.
+func (r *Rank) takeRecv() *recvRec {
+	s := pop(&r.recvRecs)
+	if s == nil {
+		s = new(recvRec) //lint:allow hotalloc (pool miss: the free list grows to the peak number of pooled receives in flight)
+		s.bind(r)
+	}
+	return s
+}
+
+// post claims the first envelope in the unexpected queue that pr's
+// pattern matches, or appends pr to the posted receives, where admit
+// matches it with the next such envelope.
+func (r *Rank) post(pr *postedRecv) {
 	for i, m := range r.unexpected {
-		if matches(src, tag, m) {
+		if matches(pr.src, pr.tag, m) {
 			r.unexpected = append(r.unexpected[:i], r.unexpected[i+1:]...) //lint:allow hotalloc (removes in place; never grows)
 			pr.msg = m
-			return pr
+			return
 		}
 	}
 	r.posted = append(r.posted, pr) //lint:allow hotalloc (amortized growth; the list's capacity is reused as it drains)
+}
+
+// recvRec runs one receive as events: a blocking receive, whose
+// process parks once while the record runs, or an Irecv, which
+// completes a request. Its events carry the keys of the events a
+// process running the receive would fire: the end of the overhead
+// charge, the wake when the envelope is matched, the end of the byte
+// work and, for a rendezvous message, the wake when the payload is in;
+// an Irecv's record starts with the event that started its helper
+// process. So the choice changes no output. The last event resumes a
+// blocking receive's process inside itself (sim.Proc.Resume), and a
+// zero-byte message completes in the event that matched it, so no
+// event is added for the resume. The record counts its own waits with
+// Engine.Block, as a send record does.
+//
+// A rank's process makes one blocking call at a time, so each rank
+// holds the record of its blocking receives; Irecv records, and those
+// of a second process's blocking receives, come from a free list. The
+// handler is a method value bound when the record is made, and the
+// embedded posted receive points back at the record.
+type recvRec struct {
+	pr     postedRecv
+	r      *Rank
+	p      *sim.Proc // the parked caller of a blocking receive
+	q      *Request  // an Irecv's request
+	m      *Message  // the message received: the eager envelope or the rendezvous payload
+	token  uint64    // node state token of the charge in progress
+	step   recvStep  // what the next event runs, or what the record awaits
+	onStep func()
+}
+
+// recvStep names the event a receive record runs next, or the delivery
+// it waits for.
+type recvStep uint8
+
+const (
+	recvStart     recvStep = iota // an Irecv's first event: charge the overhead
+	recvPosting                   // the overhead ends: post, or take the match
+	recvEnvelope                  // waiting for admit to match an envelope
+	recvMatched                   // the envelope is in: take it
+	recvPayload                   // waiting for a rendezvous payload
+	recvPayloadIn                 // the payload is in: charge the byte work
+	recvCopyEnd                   // the byte work ends: complete
+)
+
+// bind binds s to rank r and its handler to s.
+func (s *recvRec) bind(r *Rank) {
+	s.r = r
+	s.pr.rec = s
+	s.onStep = s.run
+}
+
+// next schedules the record's handler to run step at t.
+func (s *recvRec) next(step recvStep, t sim.Time) {
+	s.step = step
+	s.r.eng().Schedule(t, s.onStep)
+}
+
+// charge starts cycles of core-clocked work in state st and schedules
+// step at its end.
+func (s *recvRec) charge(st machine.State, cycles float64, step recvStep) {
+	var end sim.Time
+	s.token, end = s.r.startCharge(st, cycles)
+	s.next(step, end)
+}
+
+// run is the record's event handler: it runs the step that the
+// record's last scheduling named.
+//
+//lint:hotpath runs once per event of every receive
+func (s *recvRec) run() {
+	r, n := s.r, s.r.node
+	switch s.step {
+	case recvStart:
+		s.charge(machine.Compute, r.w.cfg.RecvOverheadCycles, recvPosting)
+	case recvPosting:
+		n.RestoreState(s.token, machine.Idle)
+		if s.p != nil { // a blocking receive posts now, an Irecv at its call
+			r.post(&s.pr)
+		}
+		if s.pr.msg != nil {
+			s.matched()
+			return
+		}
+		// Wait as waitOn waits: spin, then block.
+		n.SpinFor(r.w.cfg.SpinThreshold)
+		r.eng().Block()
+		s.step = recvEnvelope
+	case recvMatched:
+		n.SetState(machine.Idle)
+		s.matched()
+	case recvPayloadIn:
+		n.SetState(machine.Idle)
+		s.copy()
+	case recvCopyEnd:
+		n.RestoreState(s.token, machine.Idle)
+		s.done()
+	}
+}
+
+// envelopeIn runs when admit matches the record's posted receive. A
+// record waiting for it wakes as Cond.Signal wakes a waiting process:
+// at the current instant, after the events already queued there. An
+// Irecv's record still charging its overhead takes the match when the
+// charge ends.
+func (s *recvRec) envelopeIn() {
+	if s.step != recvEnvelope {
+		return
+	}
+	eng := s.r.eng()
+	eng.Unblock()
+	s.next(recvMatched, eng.Now())
+}
+
+// matched takes the matched envelope. An eager message's byte work
+// starts; a rendezvous RTS is answered with a CTS, and the record then
+// waits for the payload.
+func (s *recvRec) matched() {
+	r, m := s.r, s.pr.msg
+	s.pr.msg = nil
+	switch m.kind {
+	case kindEager:
+		s.m = m
+		s.copy()
+	case kindRTS:
+		x := m.x
+		x.recv = s
+		x.cts = Message{Src: r.id, Dst: m.Src, Tag: m.Tag, Size: r.w.cfg.ControlBytes, kind: kindCTS, x: x}
+		r.transmitControl(&x.cts)
+		r.node.SpinFor(r.w.cfg.SpinThreshold)
+		r.eng().Block()
+		s.step = recvPayload
+	default:
+		panic("mpi: matched a non-envelope message") //lint:allow panicfree (models MPI_Abort; rank/tag/count errors abort the MPI job)
+	}
+}
+
+// dataIn wakes the record when its rendezvous payload m is delivered,
+// as envelopeIn wakes it for an envelope.
+func (s *recvRec) dataIn(m *Message) {
+	eng := s.r.eng()
+	eng.Unblock()
+	s.m = m
+	s.next(recvPayloadIn, eng.Now())
+}
+
+// copy charges the byte work for the message received and completes
+// the receive at its end; a zero-byte message completes at once.
+func (s *recvRec) copy() {
+	if s.m.Size <= 0 {
+		s.done()
+		return
+	}
+	s.charge(machine.Copy, s.r.byteCycles(s.m.Size), recvCopyEnd)
+}
+
+// done counts the message and hands it over. A blocking receive's
+// process resumes inside this event and takes the message from the
+// record; an Irecv completes its request, and its record goes back to
+// the free list.
+func (s *recvRec) done() {
+	r, m := s.r, s.m
+	r.stats.MsgsRecv++
+	r.stats.BytesRecv += m.Size
+	if p := s.p; p != nil {
+		s.p = nil
+		p.Resume()
+		return
+	}
+	q := s.q
+	s.q, s.m = nil, nil
+	r.recvRecs = append(r.recvRecs, s) //lint:allow hotalloc (amortized growth to the peak number of pooled receives in flight, then reused)
+	q.msg = m
+	q.done = true
+	q.cond.Broadcast()
+}
+
+// postRecv posts a receive for Probe, from the rank's free list.
+func (r *Rank) postRecv(src, tag int) *postedRecv {
+	pr := pop(&r.recvs)
+	if pr == nil {
+		pr = &postedRecv{}
+	}
+	pr.src, pr.tag = src, tag
+	r.post(pr)
 	return pr
 }
 
-// awaitRecv parks until pr has matched, unless it already has, returns
-// the matched envelope and puts pr back on the free list.
+// awaitRecv parks Probe's process until pr has matched, unless it
+// already has, returns the matched envelope and puts pr back on the
+// free list.
 func (r *Rank) awaitRecv(p *sim.Proc, pr *postedRecv) *Message {
 	if pr.msg == nil {
 		r.waitOn(p, &pr.cond)
 	}
 	m := pr.msg
 	pr.msg = nil
-	r.recvs = append(r.recvs, pr) //lint:allow hotalloc (amortized growth to the peak number of receives in flight, then reused)
+	r.recvs = append(r.recvs, pr)
 	return m
-}
-
-// completeRecv finishes the protocol for a matched envelope: copy-out
-// for eager data, or the CTS/data exchange for a rendezvous RTS.
-func (r *Rank) completeRecv(p *sim.Proc, m *Message) *Message {
-	switch m.kind {
-	case kindEager:
-		r.byteWork(p, m.Size)
-		r.stats.MsgsRecv++
-		r.stats.BytesRecv += m.Size
-		return m
-	case kindRTS:
-		x := m.x
-		x.cts = Message{Src: r.id, Dst: m.Src, Tag: m.Tag, Size: r.w.cfg.ControlBytes, kind: kindCTS, x: x}
-		r.transmitControl(&x.cts)
-		data := r.waitOn(p, &x.dataWait).(*Message)
-		r.byteWork(p, data.Size)
-		r.stats.MsgsRecv++
-		r.stats.BytesRecv += data.Size
-		return data
-	default:
-		panic("mpi: matched a non-envelope message") //lint:allow panicfree (models MPI_Abort; rank/tag/count errors abort the MPI job)
-	}
 }
 
 // Request tracks an outstanding Isend or Irecv. A request that Isend,
@@ -227,29 +363,26 @@ func (r *Rank) Isend(p *sim.Proc, dst, tag int, size int64, payload any) *Reques
 //
 //lint:hotpath Isend and the collectives' sends run here once per message
 func (r *Rank) isend(_ *sim.Proc, q *Request, dst, tag int, size int64, payload any) {
-	seq := r.claimSeq(dst)
-	s := pop(&r.sends)
-	if s == nil {
-		s = &sendRec{r: r} //lint:allow hotalloc (pool miss: the free list grows to the peak number of Isends in flight)
-		s.onStep = s.run
-	}
-	s.q, s.seq, s.dst, s.tag, s.size, s.payload = q, seq, dst, tag, size, payload
+	s := r.takeSend(dst, tag, size, payload)
+	s.q = q
 	s.next(stepStart, r.eng().Now())
 }
 
-// sendRec runs one Isend as events. They carry the keys of the events a
-// helper process running the blocking send would fire: its start at the
-// Isend instant, the ends of the overhead and byte-work charges, and
-// for a rendezvous message the CTS wake and the drain's spin-then-block
-// steps. So the choice between the two changes no output. Each charge's
-// duration is taken when the charge starts, as the node's work
-// primitives take it, so a DVS change between the two charges lands as
-// it would for a process. The record's one handler is a method value
-// bound when the record is made; the record goes back to its rank's
-// free list when the send completes.
+// sendRec runs one send as events: a blocking send, whose process
+// parks once while the record runs, or an Isend, which completes a
+// request. They carry the keys of the events a process running the
+// blocking send would fire: the ends of the overhead and byte-work
+// charges, and for a rendezvous message the CTS wake and the drain's
+// spin-then-block steps; an Isend's record starts with the event that
+// started the helper process an Isend once ran on. So the choice
+// changes no output. The last event resumes a blocking send's process
+// inside itself (sim.Proc.Resume). The record's one handler is a method
+// value bound when the record is made; the record goes back to its
+// rank's free list when the send completes.
 type sendRec struct {
 	r        *Rank
-	q        *Request
+	p        *sim.Proc // the parked caller of a blocking send
+	q        *Request  // an Isend's request
 	payload  any
 	x        *exchange // the rendezvous in progress, from the RTS on
 	size     int64
@@ -266,7 +399,7 @@ type sendRec struct {
 type sendStep uint8
 
 const (
-	stepStart       sendStep = iota // charge the send overhead
+	stepStart       sendStep = iota // an Isend's first event: charge the send overhead
 	stepOverheadEnd                 // charge the byte work
 	stepCopyEnd                     // hand the message off
 	stepCTS                         // the CTS is in: stream the payload
@@ -301,7 +434,9 @@ func (s *sendRec) run() {
 		s.handOff()
 	case stepCTS:
 		n.SetState(machine.Idle)
-		s.drain(r.sendData(s.x, s.payload))
+		x := s.x
+		x.data = Message{Src: r.id, Dst: s.dst, Tag: s.tag, Size: s.size, Payload: s.payload, kind: kindRData, x: x}
+		s.drain(r.transmit(&x.data, s.size, true))
 	case stepSpun:
 		n.RestoreState(s.token, machine.Blocked)
 		s.token = n.StateToken()
@@ -312,29 +447,41 @@ func (s *sendRec) run() {
 	}
 }
 
-// charge puts the node in state st for cycles of core-clocked work and
-// schedules step at the charge's end.
+// charge starts cycles of core-clocked work in state st and schedules
+// step at its end.
 func (s *sendRec) charge(st machine.State, cycles float64, step sendStep) {
-	n := s.r.node
-	d := n.CoreDuration(cycles)
-	n.SetState(st)
-	s.token = n.StateToken()
-	s.next(step, s.r.eng().Now().Add(d))
+	var end sim.Time
+	s.token, end = s.r.startCharge(st, cycles)
+	s.next(step, end)
 }
 
-// handOff sends the charged message. An eager or self send is then
-// complete; a rendezvous one starts its wait for the CTS, as waitOn
-// starts a process's, and counts as blocked until ctsIn wakes it.
+// handOff sends the charged message: the traffic counters, then
+// self-delivery or the eager transmit, after which the send is
+// complete, or, for a rendezvous message (one to another rank above
+// EagerThreshold), its exchange record and RTS. A rendezvous send then
+// waits for the CTS, as waitOn starts a process's wait, and counts as
+// blocked until ctsIn wakes it.
 func (s *sendRec) handOff() {
 	r := s.r
-	s.x = r.handOff(s.seq, s.dst, s.tag, s.size, s.payload)
-	if s.x == nil {
-		s.finish()
+	r.stats.MsgsSent++
+	r.stats.BytesSent += s.size
+	if s.dst != r.id && s.size > r.w.cfg.EagerThreshold {
+		x := &exchange{send: s} //lint:allow hotalloc (the one record per message above EagerThreshold; its data envelope is what Recv hands to its caller)
+		x.rts = Message{Src: r.id, Dst: s.dst, Tag: s.tag, Size: s.size, kind: kindRTS, x: x, seq: s.seq}
+		s.x = x
+		r.transmitControl(&x.rts)
+		r.node.SpinFor(r.w.cfg.SpinThreshold)
+		r.eng().Block()
 		return
 	}
-	s.x.send = s
-	r.node.SpinFor(r.w.cfg.SpinThreshold)
-	r.eng().Block()
+	m := &Message{Src: r.id, Dst: s.dst, Tag: s.tag, Size: s.size, Payload: s.payload, kind: kindEager, seq: s.seq} //lint:allow hotalloc (the one allocation per message: the envelope Recv hands to its caller)
+	if s.dst == r.id {
+		// Self-send: local copy only, delivered immediately.
+		r.deliver(m)
+	} else {
+		r.transmit(m, s.size, s.size >= 1024)
+	}
+	s.finish()
 }
 
 // ctsIn wakes the record when its CTS is delivered, as Cond.Signal
@@ -347,7 +494,11 @@ func (s *sendRec) ctsIn() {
 }
 
 // drain holds the node in the spin-then-block pattern until the payload
-// has left at t, as spinUntil holds a process, then completes the send.
+// has left at t, then completes the send. The sender's progress engine
+// pushes the payload through the socket until the last byte leaves its
+// transmit link, polling (and eventually blocking) as a receive's wait
+// does; the drain time is sender-local, so it needs no cross-shard
+// state.
 func (s *sendRec) drain(t sim.Time) {
 	now := s.r.eng().Now()
 	if t <= now {
@@ -365,14 +516,18 @@ func (s *sendRec) drain(t sim.Time) {
 	s.next(stepDrained, t)
 }
 
-// finish completes the send's request and returns the record to the
-// free list.
+// finish returns the record to the free list, then resumes a blocking
+// send's process inside this event or completes an Isend's request.
 func (s *sendRec) finish() {
-	r, q := s.r, s.q
-	s.q, s.payload, s.x = nil, nil, nil
+	r, p, q := s.r, s.p, s.q
+	s.p, s.q, s.payload, s.x = nil, nil, nil, nil
+	r.sends = append(r.sends, s) //lint:allow hotalloc (amortized growth to the peak number of sends in flight, then reused)
+	if p != nil {
+		p.Resume()
+		return
+	}
 	q.done = true
 	q.cond.Broadcast()
-	r.sends = append(r.sends, s) //lint:allow hotalloc (amortized growth to the peak number of Isends in flight, then reused)
 }
 
 // isendPooled is isend with a request from the rank's free list, for
@@ -396,21 +551,18 @@ func (r *Rank) waitPooled(p *sim.Proc, q *Request) {
 }
 
 // Irecv posts a receive immediately (so envelope matching sees it) and
-// completes it in the background; the matched message is available from
-// Wait.
+// completes it in the background, on a receive record from the rank's
+// free list; the matched message is available from Wait.
 func (r *Rank) Irecv(p *sim.Proc, src, tag int) *Request {
 	if src != AnySource {
 		r.checkRank(src)
 	}
 	checkRecvTag(tag)
 	q := new(Request)
-	pr := r.postRecv(src, tag)
-	r.eng().Spawn(r.irecvName, func(hp *sim.Proc) {
-		r.overhead(hp, r.w.cfg.RecvOverheadCycles)
-		q.msg = r.completeRecv(hp, r.awaitRecv(hp, pr))
-		q.done = true
-		q.cond.Broadcast()
-	})
+	s := r.takeRecv()
+	s.q, s.pr.src, s.pr.tag = q, src, tag
+	r.post(&s.pr)
+	s.next(recvStart, r.eng().Now())
 	return q
 }
 
@@ -473,7 +625,7 @@ func (r *Rank) Probe(p *sim.Proc, src, tag int) *Message {
 	}
 	// Park on a posted recv, then put the envelope back at the front
 	// of the unexpected queue so Recv can claim it.
-	m := r.matchOrWait(p, src, tag)
+	m := r.awaitRecv(p, r.postRecv(src, tag))
 	r.unexpected = append([]*Message{m}, r.unexpected...)
 	return m
 }

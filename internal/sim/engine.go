@@ -30,6 +30,7 @@ type Engine struct {
 	idle    []*coro            // coroutines whose last body ended, reused LIFO
 	blocked int                // parked live processes plus Block's waits (see Blocked)
 	fired   uint64             // events fired so far (see Fired)
+	resumes uint64             // switches into a process so far (see Resumes)
 	horizon Time               // runUntil's bound; see runUntil
 	running bool
 	closed  bool
@@ -226,6 +227,7 @@ func (e *Engine) resumeProc(kind eventKind, p *Proc) {
 		return
 	}
 	p.state = procRunning
+	e.resumes++
 	if kind == evStart {
 		p.start()
 		return
@@ -237,6 +239,14 @@ func (e *Engine) resumeProc(kind eventKind, p *Proc) {
 // created, stale process wakes included. A Group's total is the sum
 // over its shard engines, and it does not depend on the shard count.
 func (e *Engine) Fired() uint64 { return e.fired }
+
+// Resumes reports how many times the engine has switched into a
+// process since it was created: each start, each wake or delivery that
+// finds its process waiting, and each Proc.Resume. It is the number of
+// coroutine switches a run paid for, the dearest step of the event
+// loop. A Group's total is the sum over its shard engines, and it does
+// not depend on the shard count.
+func (e *Engine) Resumes() uint64 { return e.resumes }
 
 // Pending reports the number of events waiting in the queue.
 func (e *Engine) Pending() int { return e.queue.Len() }
@@ -278,7 +288,7 @@ func (e *Engine) Close() {
 		switch p.state {
 		case procCreated:
 			p.state = procDone
-		case procParked, procWaking:
+		case procParked, procWaking, procHeld:
 			// stop makes the pending yield return false; the body
 			// unwinds with errKilled and its coroutine ends.
 			p.co.stop()

@@ -19,6 +19,7 @@ const (
 	procRunning                  // currently executing user code
 	procParked                   // blocked on a primitive, awaiting a waker
 	procWaking                   // a wake event has been scheduled
+	procHeld                     // suspended by Park, awaiting Resume
 	procDone                     // body returned or unwound
 )
 
@@ -42,7 +43,8 @@ type coro struct {
 // exactly one process (or the engine itself) runs at any moment. A Proc
 // handle is only valid inside the process's own body function; passing
 // it to another process and calling its blocking methods there corrupts
-// the scheduler.
+// the scheduler. The one exception is Resume, which the event handler
+// that ends a Park calls on the process's own engine.
 type Proc struct {
 	eng     *Engine
 	name    string
@@ -158,6 +160,41 @@ func (p *Proc) yield(counted bool) any {
 	v := p.wakeVal
 	p.wakeVal = nil
 	return v
+}
+
+// Park suspends the calling process until an event handler calls
+// Resume. The process is not counted as blocked: the event-driven
+// record that will resume it counts its own waits with Engine.Block, so
+// that a wait that can never end still ends Run in ErrDeadlock.
+//
+//lint:hotpath every blocking MPI call parks here once
+func (p *Proc) Park() {
+	if p.state != procRunning {
+		panic("sim: blocking call from outside the process body") //lint:allow panicfree (simulation-kernel invariant; a broken event loop cannot continue)
+	}
+	p.state = procHeld
+	if !p.co.yield(struct{}{}) {
+		panic(errKilled) //lint:allow panicfree (simulation-kernel invariant; a broken event loop cannot continue)
+	}
+}
+
+// Resume continues a process that Park suspended, at once: it switches
+// to the process's coroutine and returns when the body next blocks or
+// ends, as the engine does when a wake event fires. It must be called
+// from an event handler on the process's own engine, never from a
+// process body, and the process then runs inside that event, so a wait
+// that ends in an event needs no event of its own to resume its
+// process. This makes a process handle valid outside its own body: see
+// Proc.
+//
+//lint:hotpath every blocking MPI call resumes here once
+func (p *Proc) Resume() {
+	if p.state != procHeld {
+		panic("sim: Resume of a process that Park did not suspend") //lint:allow panicfree (simulation-kernel invariant; a broken event loop cannot continue)
+	}
+	p.state = procRunning
+	p.eng.resumes++
+	p.co.next()
 }
 
 // deliverAt schedules the parked process to resume at time t with val

@@ -14,10 +14,10 @@ import (
 )
 
 // firedEvents runs body on every rank of an n-rank world split over
-// the given number of event-core shards and returns the events fired,
-// summed over the shards, the group's windows and the ranks' finish
-// times.
-func firedEvents(t *testing.T, shards, n int, body func(ctx Ctx)) (fired, windows uint64, ends []sim.Time) {
+// the given number of event-core shards and returns the events fired
+// and the process resumes, each summed over the shards, the group's
+// windows and the ranks' finish times.
+func firedEvents(t *testing.T, shards, n int, body func(ctx Ctx)) (fired, resumes, windows uint64, ends []sim.Time) {
 	t.Helper()
 	g := sim.NewGroup(shards, netsim.Default100Mb().Latency)
 	defer g.Close()
@@ -43,8 +43,9 @@ func firedEvents(t *testing.T, shards, n int, body func(ctx Ctx)) (fired, window
 	}
 	for i := 0; i < g.Size(); i++ {
 		fired += g.Engine(i).Fired()
+		resumes += g.Engine(i).Resumes()
 	}
-	return fired, g.Windows(), ends
+	return fired, resumes, g.Windows(), ends
 }
 
 // finishDigest is an FNV-1a hash of the finish times in rank order, in
@@ -67,7 +68,10 @@ func finishDigest(ends []sim.Time) string {
 // lookahead window at a time. Each case also pins a digest of its
 // ranks' finish times in nanoseconds on both shard counts, so a change
 // that moves a message by as little as 1 ns fails here, whether or not
-// it moves the event count.
+// it moves the event count. The process resumes are pinned beside the
+// events: each blocking MPI call resumes its process once, so a change
+// that adds a park to the message path moves them, though it keeps
+// every event.
 func TestFiredEventCounts(t *testing.T) {
 	ft := NewFT('A', 16)
 	ft.IterOverride = 1
@@ -75,19 +79,23 @@ func TestFiredEventCounts(t *testing.T) {
 		name    string
 		body    func(ctx Ctx)
 		want    uint64
+		resumes uint64
 		windows [2]uint64 // on 1 and 2 shards
 		finish  string    // finishDigest of the ranks' finish times
 	}{
-		{"alltoall16", func(ctx Ctx) { ctx.Rank.Alltoall(ctx.P, 2048) }, 1936, [2]uint64{1, 31}, "be89ed4accb25205"},
-		{"alltoall16-1MB", func(ctx Ctx) { ctx.Rank.Alltoall(ctx.P, 1<<20) }, 3136, [2]uint64{1, 106}, "585dca44ea286f85"},
-		{"ring16-1MB", sendrecvRing, 224, [2]uint64{1, 8}, "3ffa569a3577a065"},
-		{"ftA16", ft.Run, 3873, [2]uint64{1, 147}, "1dd2c5fea51d121d"},
+		{"alltoall16", func(ctx Ctx) { ctx.Rank.Alltoall(ctx.P, 2048) }, 1936, 256, [2]uint64{1, 31}, "be89ed4accb25205"},
+		{"alltoall16-1MB", func(ctx Ctx) { ctx.Rank.Alltoall(ctx.P, 1<<20) }, 3136, 256, [2]uint64{1, 106}, "585dca44ea286f85"},
+		{"ring16-1MB", sendrecvRing, 224, 32, [2]uint64{1, 8}, "3ffa569a3577a065"},
+		{"ftA16", ft.Run, 3873, 843, [2]uint64{1, 147}, "1dd2c5fea51d121d"},
 	}
 	for _, c := range cases {
 		for _, shards := range []int{1, 2} {
-			got, windows, ends := firedEvents(t, shards, 16, c.body)
+			got, resumes, windows, ends := firedEvents(t, shards, 16, c.body)
 			if got != c.want || windows != c.windows[shards-1] {
 				t.Errorf("%s on %d shards: %d events fired in %d windows, want %d in %d", c.name, shards, got, windows, c.want, c.windows[shards-1])
+			}
+			if resumes != c.resumes {
+				t.Errorf("%s on %d shards: %d process resumes, want %d", c.name, shards, resumes, c.resumes)
 			}
 			if d := finishDigest(ends); d != c.finish {
 				t.Errorf("%s on %d shards: finish digest %s, want %s; ranks finished at %d ns", c.name, shards, d, c.finish, ends)
