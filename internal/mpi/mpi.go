@@ -224,8 +224,8 @@ const (
 // a lookup. Each record pointer is touched only on its record's shard:
 // the send record, which awaits the CTS, on the sender's, and the
 // receive record, which awaits the payload, on the receiver's. Every
-// rendezvous wait is a record's, so the exchange holds no sim.Cond:
-// at 232 bytes it fits the 240-byte size class.
+// rendezvous wait is a record's, so the exchange holds no waiting
+// process: at 232 bytes it fits the 240-byte size class.
 type exchange struct {
 	rts, cts, data Message
 	send           *sendRec // awaits the CTS, from the RTS on
@@ -267,13 +267,11 @@ type Rank struct {
 	// in-flight records: transmit takes one here and the delivery
 	// returns it to the receiving rank's list. sends holds send
 	// records, reqs the requests of the library's own Isends
-	// (collectives and Sendrecv), recvRecs receive records and recvs
-	// Probe's posted receives.
+	// (collectives and Sendrecv) and recvRecs receive records.
 	flights  []*flight
 	sends    []*sendRec
 	reqs     []*Request
 	recvRecs []*recvRec
-	recvs    []*postedRecv
 
 	// blockRecv runs the blocking receives of the rank's process,
 	// which makes one blocking call at a time. An Irecv, or a blocking
@@ -286,16 +284,16 @@ type Rank struct {
 	stats Stats
 }
 
-// postedRecv is a receive waiting for its envelope. admit stores the
-// match in msg, then wakes the receive record rec or, for Probe, which
-// has none, signals cond. A match that lands while the record is still
-// charging its overhead (an Irecv posts before that charge) is kept in
-// msg until the charge ends.
+// postedRecv is a receive, or a Probe, waiting for its envelope. admit
+// stores the match in msg, then wakes the receive record rec or, for a
+// Probe, which has none, the probing process p. A match that lands
+// while the record is still charging its overhead (an Irecv posts
+// before that charge) is kept in msg until the charge ends.
 type postedRecv struct {
 	src, tag int
 	msg      *Message
 	rec      *recvRec
-	cond     sim.Cond
+	p        *sim.Proc
 }
 
 // eng returns the engine this rank (its process, records and delivery
@@ -387,19 +385,25 @@ func (r *Rank) admitStashed(src int) {
 	}
 }
 
-// admit runs envelope matching for an in-order envelope.
+// admit runs envelope matching for an in-order envelope. A matching
+// Probe is woken with the envelope without consuming it, so matching
+// goes on: the first matching receive takes the message, and with none
+// it joins the unexpected queue.
 func (r *Rank) admit(m *Message) {
-	for i, pr := range r.posted {
-		if matches(pr.src, pr.tag, m) {
-			r.posted = append(r.posted[:i], r.posted[i+1:]...) //lint:allow hotalloc (removes in place; never grows)
-			pr.msg = m
-			if pr.rec != nil {
-				pr.rec.envelopeIn()
-			} else {
-				pr.cond.Signal(nil)
-			}
-			return
+	for i := 0; i < len(r.posted); {
+		pr := r.posted[i]
+		if !matches(pr.src, pr.tag, m) {
+			i++
+			continue
 		}
+		r.posted = append(r.posted[:i], r.posted[i+1:]...) //lint:allow hotalloc (removes in place; never grows)
+		pr.msg = m
+		if pr.rec == nil {
+			wake(pr.p)
+			continue
+		}
+		pr.rec.envelopeIn()
+		return
 	}
 	r.unexpected = append(r.unexpected, m) //lint:allow hotalloc (amortized growth; the queue's capacity is reused as it drains)
 }
@@ -502,15 +506,23 @@ func (r *Rank) transmitControl(m *Message) sim.Time {
 	return deliverAt
 }
 
-// waitOn parks the process on c with the library's spin-then-block
-// behaviour, leaving the node Idle afterwards and returning the value
-// the waker delivered. The node falls back from Spin to Blocked after
-// SpinThreshold unless the wait ends first (machine.Node.SpinFor).
-func (r *Rank) waitOn(p *sim.Proc, c *sim.Cond) any {
+// wait parks the process with the library's spin-then-block behaviour
+// until wake ends the wait, and leaves the node Idle afterwards. The
+// node falls back from Spin to Blocked after SpinThreshold unless the
+// wait ends first (machine.Node.SpinFor), and the wait counts as
+// blocked until it is woken.
+func (r *Rank) wait(p *sim.Proc) {
 	r.node.SpinFor(r.w.cfg.SpinThreshold)
-	v := c.Wait(p)
+	r.eng().Block()
+	p.Park()
 	r.node.SetState(machine.Idle)
-	return v
+}
+
+// wake ends the wait of a process parked in wait: it resumes at the
+// current instant, after the events already queued there.
+func wake(p *sim.Proc) {
+	p.Engine().Unblock()
+	p.Wake()
 }
 
 // byteCycles is the per-byte software cost of a message of the given

@@ -862,6 +862,58 @@ func TestProbeAndIprobe(t *testing.T) {
 	}
 }
 
+// TestProbeBeforeRecv pins that a pending Probe leaves the message to
+// a receive posted behind it: one process of rank 1 probes, a second
+// posts a Recv for the same pattern 1 ms later, and the one message
+// arrives after both. The probe sees the envelope and the Recv gets the
+// message.
+func TestProbeBeforeRecv(t *testing.T) {
+	g, w := testWorld(2, nil)
+	defer g.Close()
+	var probed, received *Message
+	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
+		switch r.ID() {
+		case 0:
+			r.Node().IdleFor(p, 10*sim.Millisecond)
+			r.Send(p, 1, 9, 4096, "probed")
+		case 1:
+			p.Engine().Spawn("rank1.recv", func(rp *sim.Proc) {
+				rp.Sleep(sim.Millisecond)
+				received = r.Recv(rp, 0, 9)
+			})
+			probed = r.Probe(p, 0, 9)
+		}
+	})
+	mustRun(t, g)
+	if probed == nil || probed.Size != 4096 || probed.Src != 0 {
+		t.Fatalf("probe envelope %+v", probed)
+	}
+	if received != probed || received.Payload != "probed" {
+		t.Fatalf("Recv posted behind the probe got %+v, want the probed message", received)
+	}
+}
+
+// TestSecondWaiterAborts pins that a second process waiting on a
+// request another process already waits on aborts the run: MPI makes
+// two threads waiting on one request erroneous.
+func TestSecondWaiterAborts(t *testing.T) {
+	g, w := testWorld(2, nil)
+	defer g.Close()
+	w.SpawnRanks(func(p *sim.Proc, r *Rank) {
+		if r.ID() == 0 {
+			r.Node().IdleFor(p, sim.Millisecond)
+			r.Send(p, 1, 5, 8, nil)
+			return
+		}
+		q := r.Irecv(p, 0, 5)
+		p.Engine().Spawn("rank1.second", func(sp *sim.Proc) { r.Wait(sp, q) })
+		r.Wait(p, q)
+	})
+	if _, err := g.Run(0); err == nil || !strings.Contains(err.Error(), "mpi: two processes wait on one request") {
+		t.Fatalf("Run = %v, want the second waiter's abort", err)
+	}
+}
+
 func TestProbeRendezvousEnvelope(t *testing.T) {
 	// Probe must see the RTS envelope of a large message (with its
 	// true size) before any payload moves.

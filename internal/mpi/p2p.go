@@ -217,7 +217,7 @@ func (s *recvRec) run() {
 			s.matched()
 			return
 		}
-		// Wait as waitOn waits: spin, then block.
+		// Wait as Rank.wait waits: spin, then block.
 		n.SpinFor(r.w.cfg.SpinThreshold)
 		r.eng().Block()
 		s.step = recvEnvelope
@@ -234,8 +234,8 @@ func (s *recvRec) run() {
 }
 
 // envelopeIn runs when admit matches the record's posted receive. A
-// record waiting for it wakes as Cond.Signal wakes a waiting process:
-// at the current instant, after the events already queued there. An
+// record waiting for it wakes as a waiting process does (wake): at the
+// current instant, after the events already queued there. An
 // Irecv's record still charging its overhead takes the match when the
 // charge ends.
 func (s *recvRec) envelopeIn() {
@@ -306,32 +306,7 @@ func (s *recvRec) done() {
 	s.q, s.m = nil, nil
 	r.recvRecs = append(r.recvRecs, s) //lint:allow hotalloc (amortized growth to the peak number of pooled receives in flight, then reused)
 	q.msg = m
-	q.done = true
-	q.cond.Broadcast()
-}
-
-// postRecv posts a receive for Probe, from the rank's free list.
-func (r *Rank) postRecv(src, tag int) *postedRecv {
-	pr := pop(&r.recvs)
-	if pr == nil {
-		pr = &postedRecv{}
-	}
-	pr.src, pr.tag = src, tag
-	r.post(pr)
-	return pr
-}
-
-// awaitRecv parks Probe's process until pr has matched, unless it
-// already has, returns the matched envelope and puts pr back on the
-// free list.
-func (r *Rank) awaitRecv(p *sim.Proc, pr *postedRecv) *Message {
-	if pr.msg == nil {
-		r.waitOn(p, &pr.cond)
-	}
-	m := pr.msg
-	pr.msg = nil
-	r.recvs = append(r.recvs, pr)
-	return m
+	q.complete()
 }
 
 // Request tracks an outstanding Isend or Irecv. A request that Isend,
@@ -339,12 +314,22 @@ func (r *Rank) awaitRecv(p *sim.Proc, pr *postedRecv) *Message {
 // the library's own sends take theirs from a free list (isendPooled).
 type Request struct {
 	done bool
-	cond sim.Cond
+	p    *sim.Proc // the process waiting in Wait, if any
 	msg  *Message
 }
 
 // Done reports whether the operation has completed.
 func (q *Request) Done() bool { return q.done }
+
+// complete marks the request done and wakes the process waiting on it,
+// if one is.
+func (q *Request) complete() {
+	q.done = true
+	if p := q.p; p != nil {
+		q.p = nil
+		wake(p)
+	}
+}
 
 // Isend starts a send in the background and returns a Request for
 // Wait. Its CPU costs hit this node, at the same instants as a helper
@@ -459,8 +444,8 @@ func (s *sendRec) charge(st machine.State, cycles float64, step sendStep) {
 // self-delivery or the eager transmit, after which the send is
 // complete, or, for a rendezvous message (one to another rank above
 // EagerThreshold), its exchange record and RTS. A rendezvous send then
-// waits for the CTS, as waitOn starts a process's wait, and counts as
-// blocked until ctsIn wakes it.
+// waits for the CTS, as Rank.wait starts a process's wait, and counts
+// as blocked until ctsIn wakes it.
 func (s *sendRec) handOff() {
 	r := s.r
 	r.stats.MsgsSent++
@@ -484,8 +469,8 @@ func (s *sendRec) handOff() {
 	s.finish()
 }
 
-// ctsIn wakes the record when its CTS is delivered, as Cond.Signal
-// wakes a waiting process: at the current instant, after the events
+// ctsIn wakes the record when its CTS is delivered, as a waiting
+// process wakes (wake): at the current instant, after the events
 // already queued there.
 func (s *sendRec) ctsIn() {
 	eng := s.r.eng()
@@ -526,8 +511,7 @@ func (s *sendRec) finish() {
 		p.Resume()
 		return
 	}
-	q.done = true
-	q.cond.Broadcast()
+	q.complete()
 }
 
 // isendPooled is isend with a request from the rank's free list, for
@@ -567,10 +551,18 @@ func (r *Rank) Irecv(p *sim.Proc, src, tag int) *Request {
 }
 
 // Wait blocks until the request completes and returns its message
-// (nil for sends).
+// (nil for sends). One process at a time may wait on a request: MPI
+// makes two threads waiting on one request erroneous, so a second
+// waiter aborts.
+//
+//lint:hotpath every collective waits here for its sends to complete
 func (r *Rank) Wait(p *sim.Proc, q *Request) *Message {
 	if !q.done {
-		r.waitOn(p, &q.cond)
+		if q.p != nil {
+			panic("mpi: two processes wait on one request") //lint:allow panicfree (models MPI_Abort; rank/tag/count errors abort the MPI job)
+		}
+		q.p = p
+		r.wait(p)
 	}
 	return q.msg
 }
@@ -617,15 +609,17 @@ func (r *Rank) Iprobe(p *sim.Proc, src, tag int) (m *Message, ok bool) {
 }
 
 // Probe blocks until a message matching (src, tag) is available and
-// returns its envelope without consuming it; a subsequent Recv with the
-// same pattern returns the message itself.
+// returns its envelope without consuming it: a receive posted before
+// the message arrived takes it, and otherwise a subsequent Recv with
+// the same pattern returns the message itself.
 func (r *Rank) Probe(p *sim.Proc, src, tag int) *Message {
 	if m, ok := r.Iprobe(p, src, tag); ok {
 		return m
 	}
-	// Park on a posted recv, then put the envelope back at the front
-	// of the unexpected queue so Recv can claim it.
-	m := r.awaitRecv(p, r.postRecv(src, tag))
-	r.unexpected = append([]*Message{m}, r.unexpected...)
-	return m
+	// Iprobe has just found nothing and nothing has run since, so the
+	// probe posts without searching the unexpected queue.
+	pr := &postedRecv{src: src, tag: tag, p: p}
+	r.posted = append(r.posted, pr)
+	r.wait(p)
+	return pr.msg
 }

@@ -6,9 +6,9 @@ import "testing"
 // bin/BENCH_sim.json so the events/sec and allocs/op trajectory of the
 // kernel is tracked across PRs. All but HeapChurn, which times the
 // bare heap, run their events through Group.Run (Engine.Run is its
-// one-shard group's Run). The Sleep/wake and Cond ping-pong benches are
-// the paths a cluster run hits millions of times (every simulated
-// compute burst, link hold, and MPI match).
+// one-shard group's Run). The Sleep/wake and Park/Wake ping-pong benches
+// are the paths a cluster run hits millions of times (every simulated
+// compute burst, link hold, and MPI wait).
 
 // BenchmarkSchedule measures the enqueue/dispatch cost of plain
 // callback events: one pending event at a time, b.N rounds.
@@ -33,7 +33,7 @@ func BenchmarkSchedule(b *testing.B) {
 
 // BenchmarkSleepWake measures the full block/wake round trip of one
 // process sleeping b.N times: two coroutine switches plus an
-// allocation-free evWake event each iteration.
+// allocation-free resume event each iteration.
 func BenchmarkSleepWake(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
@@ -49,32 +49,26 @@ func BenchmarkSleepWake(b *testing.B) {
 	}
 }
 
-// BenchmarkCondPingPong measures the deliver path (evDeliver carrying a
-// value) between two processes trading a token b.N times. The payload
-// is one reused *int: a pointer is stored in the interface word
-// directly, so the bench measures the engine's deliver cost, not the
-// ~8 B/op the compiler's convT64 would add for boxing a fresh int every
-// iteration (which is a property of the caller's payload, not of the
-// kernel — and would keep the exact B/op gate off zero).
-func BenchmarkCondPingPong(b *testing.B) {
+// BenchmarkWakePingPong measures the Park/Wake round trip of two
+// processes that wake each other b.N times: each iteration is two
+// Wakes, each booking a resume event, and two parks.
+func BenchmarkWakePingPong(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
 	defer e.Close()
-	ping, pong := new(Cond), new(Cond)
-	token := new(int)
-	// pong is spawned first so it is already parked on its Cond when
-	// ping's first Signal fires.
-	e.Spawn("pong", func(p *Proc) {
+	var ping *Proc
+	// pong is spawned first so it is already parked when ping first
+	// wakes it.
+	pong := e.Spawn("pong", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			pong.Wait(p)
-			ping.Signal(nil)
+			p.Park()
+			ping.Wake()
 		}
 	})
-	e.Spawn("ping", func(p *Proc) {
+	ping = e.Spawn("ping", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			*token = i
-			pong.Signal(token)
-			ping.Wait(p)
+			pong.Wake()
+			p.Park()
 		}
 	})
 	b.ResetTimer()

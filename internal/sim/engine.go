@@ -7,8 +7,8 @@ import (
 )
 
 // ErrDeadlock is returned by Run when the event queue drains while
-// simulated processes are still blocked on conditions that nothing will
-// ever signal, or records counted with Engine.Block still wait.
+// waits counted with Engine.Block are still open: a parked process or
+// an event-driven record that nothing will ever wake.
 var ErrDeadlock = errors.New("sim: deadlock: no pending events but processes remain blocked")
 
 // errReentrant is what Group.Run, and so Engine.Run, returns when
@@ -28,7 +28,7 @@ type Engine struct {
 	queue   eventHeap
 	procs   map[*Proc]struct{} // all live (not yet terminated) processes
 	idle    []*coro            // coroutines whose last body ended, reused LIFO
-	blocked int                // parked live processes plus Block's waits (see Blocked)
+	blocked int                // waits counted by Block and not yet by Unblock
 	fired   uint64             // events fired so far (see Fired)
 	resumes uint64             // switches into a process so far (see Resumes)
 	horizon Time               // runUntil's bound; see runUntil
@@ -54,14 +54,14 @@ func (e *Engine) Now() Time { return e.now }
 //
 //lint:hotpath enqueue runs once per event; it must stay allocation-free
 func (e *Engine) Schedule(t Time, fn func()) {
-	e.scheduleEvent(event{t: t, kind: evCall, fn: fn})
+	e.scheduleEvent(event{t: t, fn: fn})
 }
 
 // scheduleEvent is the common enqueue path: it stamps the determinism
-// sequence number and pushes. Process wakes go through here with a kind
-// and an intrusive *Proc instead of a closure, so the hot block/wake
-// path allocates nothing. The past-time check calls out to a separate
-// panic helper to keep this function inlinable.
+// sequence number and pushes. Process events go through here with an
+// intrusive *Proc instead of a closure, so the hot park/wake path
+// allocates nothing. The past-time check calls out to a separate panic
+// helper to keep this function inlinable.
 func (e *Engine) scheduleEvent(ev event) {
 	if ev.t < e.now {
 		e.schedulePastPanic(ev.t)
@@ -98,7 +98,7 @@ func (e *Engine) PostArrival(t Time, srcPort int, srcSeq uint64, fn func()) {
 	if t < e.now {
 		e.arrivalPastPanic(t, srcPort, srcSeq)
 	}
-	ev := event{t: t, pri: arrivalClass | uint64(srcPort), seq: srcSeq, kind: evCall, fn: fn}
+	ev := event{t: t, pri: arrivalClass | uint64(srcPort), seq: srcSeq, fn: fn}
 	e.queue.push(&ev)
 }
 
@@ -166,22 +166,22 @@ func (e *Engine) runUntil(h Time) error {
 }
 
 // fire advances the clock to ev, the front event the queue's next
-// returned, and runs it. ev keeps the heap's root, vacated, while it
-// runs; its fields are copied first, since the first event it schedules
-// takes the root. If it schedules none, the root is removed once it
-// returns. A callback panic leaves the root vacated.
+// returned, and runs it: its callback, or its process's start or
+// resume. ev keeps the heap's root, vacated, while it runs; its fields
+// are copied first, since the first event it schedules takes the root.
+// If it schedules none, the root is removed once it returns. A callback
+// panic leaves the root vacated.
 func (e *Engine) fire(ev *event) {
 	if ev.t > e.now {
 		e.now = ev.t
 	}
 	e.fired++
-	kind, fn, p := ev.kind, ev.fn, ev.p
+	fn, p := ev.fn, ev.p
 	e.queue.vacated = true
-	switch kind {
-	case evCall: // fast path: no dispatch call for plain events
+	if p == nil {
 		fn()
-	default:
-		e.resumeProc(kind, p)
+	} else {
+		e.resumeProc(p)
 	}
 	e.queue.settle()
 }
@@ -205,34 +205,21 @@ func (e *Engine) advanceTo(t Time) {
 	}
 }
 
-// resumeProc fires a process-lifecycle event. Each kind checks the
-// target's state first: a stale wake (the engine was closed and the
-// process reaped, or a start raced a kill) is dropped, mirroring the
-// guards the closure-based events used to carry. Delivered values are
-// already sitting in p.wakeVal (deliverAt stores them when the wake is
-// scheduled), so no payload crosses the event queue. The engine then
-// switches to the process's coroutine and gets control back when the
-// body blocks or ends.
-func (e *Engine) resumeProc(kind eventKind, p *Proc) {
-	var want procState
-	switch kind {
-	case evStart:
-		want = procCreated
-	case evWake:
-		want = procParked
-	case evDeliver:
-		want = procWaking
-	}
-	if p.state != want {
-		return
-	}
-	p.state = procRunning
-	e.resumes++
-	if kind == evStart {
+// resumeProc fires a process event by the process's state: a created
+// process starts, one whose resume Sleep or Wake booked switches in,
+// and in any other state the event is stale and is dropped. The engine
+// gets control back when the body blocks or ends.
+func (e *Engine) resumeProc(p *Proc) {
+	switch p.state {
+	case procCreated:
+		p.state = procRunning
+		e.resumes++
 		p.start()
-		return
+	case procWaking:
+		p.state = procRunning
+		e.resumes++
+		p.co.next()
 	}
-	p.co.next()
 }
 
 // Fired reports how many events the engine has fired since it was
@@ -241,26 +228,25 @@ func (e *Engine) resumeProc(kind eventKind, p *Proc) {
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Resumes reports how many times the engine has switched into a
-// process since it was created: each start, each wake or delivery that
-// finds its process waiting, and each Proc.Resume. It is the number of
-// coroutine switches a run paid for, the dearest step of the event
-// loop. A Group's total is the sum over its shard engines, and it does
+// process since it was created: each start, each resume that Sleep or
+// Wake booked, and each Proc.Resume. It is the number of coroutine
+// switches a run paid for, the dearest step of the event loop. A Group's total is the sum over its shard engines, and it does
 // not depend on the shard count.
 func (e *Engine) Resumes() uint64 { return e.resumes }
 
 // Pending reports the number of events waiting in the queue.
 func (e *Engine) Pending() int { return e.queue.Len() }
 
-// Blocked reports how many waiters have nothing scheduled to wake them
-// right now: live processes parked on a primitive, and event-driven
-// records that Block counts while they wait. It is meaningful after Run
-// returns.
+// Blocked reports how many waits have nothing booked to end them right
+// now: those that Block counted and Unblock has not yet uncounted,
+// whether a parked process's or an event-driven record's. It is
+// meaningful after Run returns.
 func (e *Engine) Blocked() int { return e.blocked }
 
-// Block counts one waiter that is not a process, such as a record whose
-// next event is scheduled only when a message arrives, as blocked, so
-// that Run reports a deadlock if the queues drain while it waits.
-// Unblock uncounts it once its wake is scheduled.
+// Block counts one wait as blocked, such as a process's that is about
+// to Park or a record's whose next event is scheduled only when a
+// message arrives, so that Run reports a deadlock if the queues drain
+// while it waits. Unblock uncounts it once its wake is booked.
 func (e *Engine) Block() { e.blocked++ }
 
 // Unblock ends a wait that Block counted.
@@ -272,7 +258,7 @@ func (e *Engine) Live() int { return len(e.procs) }
 
 // Close terminates every live process, ends the idle coroutines and
 // marks the engine, and so its group, unusable. A process that never
-// started is dropped; a parked or waking one is unwound on its
+// started is dropped; a parked or sleeping one is unwound on its
 // coroutine, running its deferred calls. Close must be called once a
 // simulation is finished if any process may still be blocked (for
 // example after a deadlock or a truncated run); otherwise their
@@ -288,7 +274,7 @@ func (e *Engine) Close() {
 		switch p.state {
 		case procCreated:
 			p.state = procDone
-		case procParked, procWaking, procHeld:
+		case procHeld, procWaking:
 			// stop makes the pending yield return false; the body
 			// unwinds with errKilled and its coroutine ends.
 			p.co.stop()

@@ -6,21 +6,26 @@ import (
 	"repro/internal/sim"
 )
 
-// Two processes coordinate on the virtual clock: the producer hands
-// each value to the consumer waiting on a Cond.
+// Two processes coordinate on the virtual clock: the consumer parks,
+// counted as blocked, until the producer has a value for it and wakes
+// it.
 func Example() {
 	e := sim.NewEngine()
-	ready := new(sim.Cond)
+	var v int
+	var consumer *sim.Proc
 
 	e.Spawn("producer", func(p *sim.Proc) {
 		for i := 1; i <= 3; i++ {
 			p.Sleep(10 * sim.Millisecond)
-			ready.Signal(i)
+			v = i
+			e.Unblock()
+			consumer.Wake()
 		}
 	})
-	e.Spawn("consumer", func(p *sim.Proc) {
+	consumer = e.Spawn("consumer", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
-			v := ready.Wait(p)
+			e.Block()
+			p.Park()
 			fmt.Printf("got %v at %v\n", v, p.Now())
 		}
 	})

@@ -17,9 +17,8 @@ type procState uint8
 const (
 	procCreated procState = iota // spawned, start event not yet fired
 	procRunning                  // currently executing user code
-	procParked                   // blocked on a primitive, awaiting a waker
-	procWaking                   // a wake event has been scheduled
-	procHeld                     // suspended by Park, awaiting Resume
+	procHeld                     // suspended by Park, awaiting Resume or Wake
+	procWaking                   // suspended with its resume event booked (Sleep, Wake)
 	procDone                     // body returned or unwound
 )
 
@@ -43,16 +42,14 @@ type coro struct {
 // exactly one process (or the engine itself) runs at any moment. A Proc
 // handle is only valid inside the process's own body function; passing
 // it to another process and calling its blocking methods there corrupts
-// the scheduler. The one exception is Resume, which the event handler
+// the scheduler. The exceptions are Resume and Wake, which the code
 // that ends a Park calls on the process's own engine.
 type Proc struct {
-	eng     *Engine
-	name    string
-	fn      func(p *Proc)
-	co      *coro // from the start event until the body ends
-	wakeVal any   // value handed over by the waker (Cond.Signal)
-	state   procState
-	counted bool // contributes to eng.blocked
+	eng   *Engine
+	name  string
+	fn    func(p *Proc)
+	co    *coro // from the start event until the body ends
+	state procState
 }
 
 // Spawn creates a process named name whose body fn starts executing at
@@ -68,7 +65,7 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 	p := &Proc{eng: e, name: name, fn: fn, state: procCreated}
 	e.procs[p] = struct{}{}
-	e.scheduleEvent(event{t: t, kind: evStart, p: p})
+	e.scheduleEvent(event{t: t, p: p})
 	return p
 }
 
@@ -133,46 +130,26 @@ func (p *Proc) exit() {
 	}
 	p.state = procDone
 	p.co = nil
-	if p.counted {
-		p.counted = false
-		p.eng.blocked--
-	}
 	delete(p.eng.procs, p)
 }
 
-// yield parks the calling process until a wake is delivered, then returns
-// the value the waker attached. counted reports whether the process
-// should be considered "blocked with no scheduled wake" for deadlock
-// accounting (true for conditions, false for Sleep, whose wake event is
-// already queued).
-func (p *Proc) yield(counted bool) any {
-	if p.state != procRunning {
-		panic("sim: blocking call from outside the process body") //lint:allow panicfree (simulation-kernel invariant; a broken event loop cannot continue)
-	}
-	p.state = procParked
-	p.counted = counted
-	if counted {
-		p.eng.blocked++
-	}
-	if !p.co.yield(struct{}{}) {
-		panic(errKilled) //lint:allow panicfree (simulation-kernel invariant; a broken event loop cannot continue)
-	}
-	v := p.wakeVal
-	p.wakeVal = nil
-	return v
-}
-
-// Park suspends the calling process until an event handler calls
-// Resume. The process is not counted as blocked: the event-driven
-// record that will resume it counts its own waits with Engine.Block, so
-// that a wait that can never end still ends Run in ErrDeadlock.
+// Park suspends the calling process until Resume or Wake ends the
+// park; it is the kernel's one way to suspend a process. A parked
+// process is not counted as blocked: code that waits through Park
+// counts its wait with Engine.Block and uncounts it with Unblock when
+// it books the wake, so that a wait that can never end still ends Run
+// in ErrDeadlock.
 //
 //lint:hotpath every blocking MPI call parks here once
-func (p *Proc) Park() {
+func (p *Proc) Park() { p.park(procHeld) }
+
+// park hands control back to the engine, leaving the process in state
+// s, and returns when the engine switches back in.
+func (p *Proc) park(s procState) {
 	if p.state != procRunning {
 		panic("sim: blocking call from outside the process body") //lint:allow panicfree (simulation-kernel invariant; a broken event loop cannot continue)
 	}
-	p.state = procHeld
+	p.state = s
 	if !p.co.yield(struct{}{}) {
 		panic(errKilled) //lint:allow panicfree (simulation-kernel invariant; a broken event loop cannot continue)
 	}
@@ -197,26 +174,18 @@ func (p *Proc) Resume() {
 	p.co.next()
 }
 
-// deliverAt schedules the parked process to resume at time t with val
-// available as the yield result. The caller must ensure the process is
-// currently parked; deliverAt transitions it to the waking state so no
-// other waker can race.
+// Wake ends a Park at the current instant: it books the process's
+// resume as an event after the events already queued at this instant.
+// It must be called on the process's own engine, from an event handler
+// or another process's body, as Resume is.
 //
-//lint:hotpath every blocking primitive wakes through here
-func (p *Proc) deliverAt(t Time, val any) {
-	if p.state != procParked {
-		panic("sim: wake of a process that is not parked") //lint:allow panicfree (simulation-kernel invariant; a broken event loop cannot continue)
+//lint:hotpath every blocking Rank.Wait and Probe wakes through here
+func (p *Proc) Wake() {
+	if p.state != procHeld {
+		panic("sim: Wake of a process that Park did not suspend") //lint:allow panicfree (simulation-kernel invariant; a broken event loop cannot continue)
 	}
 	p.state = procWaking
-	if p.counted {
-		p.counted = false
-		p.eng.blocked--
-	}
-	// Store the value on the process now rather than boxing it into the
-	// event: the procWaking transition guarantees no other waker can
-	// touch wakeVal before the resume fires.
-	p.wakeVal = val
-	p.eng.scheduleEvent(event{t: t, kind: evDeliver, p: p})
+	p.eng.scheduleEvent(event{t: p.eng.now, p: p})
 }
 
 // Name returns the name given at Spawn.
@@ -230,19 +199,18 @@ func (p *Proc) Now() Time { return p.eng.now }
 
 // Sleep suspends the process for d of virtual time. Zero or negative d
 // still yields, letting same-time events scheduled earlier run first.
+// It books the resume and then parks, so a sleeping process is not
+// counted as blocked, and Resume or Wake of it panics.
 //
-//lint:hotpath the Sleep/wake round trip is the PR 2 zero-alloc win
+//lint:hotpath the Sleep/wake round trip must stay allocation-free
 func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	// Queue the wake before parking. The engine cannot run events while
-	// this process holds control, so the wake cannot fire early; the
-	// evWake dispatch's procParked guard protects against firing after a
-	// Close reaped us. No closure and no boxed wake value: the entire
-	// Sleep/wake round trip is allocation-free.
-	p.eng.scheduleEvent(event{t: p.eng.now.Add(d), kind: evWake, p: p})
-	p.yield(false)
+	// The engine cannot run events while this process holds control,
+	// so the resume cannot fire before the park.
+	p.eng.scheduleEvent(event{t: p.eng.now.Add(d), p: p})
+	p.park(procWaking)
 }
 
 // SleepUntil suspends the process until absolute time t (no-op if t is

@@ -51,17 +51,17 @@ func TestSpawnReusesCoroutine(t *testing.T) {
 func TestRunReleasesFinishedCoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := NewEngine()
-	ping, pong := new(Cond), new(Cond)
-	e.Spawn("pong", func(p *Proc) {
+	var ping *Proc
+	pong := e.Spawn("pong", func(p *Proc) {
 		for i := 0; i < 3; i++ {
-			pong.Wait(p)
-			ping.Signal(nil)
+			wait(p)
+			wake(ping)
 		}
 	})
-	e.Spawn("ping", func(p *Proc) {
+	ping = e.Spawn("ping", func(p *Proc) {
 		for i := 0; i < 3; i++ {
-			pong.Signal(nil)
-			ping.Wait(p)
+			wake(pong)
+			wait(p)
 			e.Spawn("child", func(p *Proc) { p.Sleep(Microsecond) })
 		}
 	})
@@ -90,28 +90,26 @@ func TestGroupRunReleasesFinishedCoroutines(t *testing.T) {
 	}
 }
 
-// Close drops a process that never started and unwinds a parked and a
-// waking one, running their deferred calls; afterwards no coroutine is
-// left.
+// Close drops a process that never started and unwinds a parked one and
+// one whose resume is booked, running their deferred calls; afterwards
+// no coroutine is left.
 func TestCloseReleasesCoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := NewEngine()
-	c := new(Cond)
 	var unwound []string
 	e.SpawnAt(Time(100*Microsecond), "created", func(p *Proc) {
 		t.Error("a process that never started ran its body")
 	})
 	e.Spawn("parked", func(p *Proc) {
 		defer func() { unwound = append(unwound, p.Name()) }()
-		c.Wait(p)
+		wait(p)
 	})
+	// The resume lands after the run's limit, so waking is still waking
+	// when Run returns.
 	waking := e.Spawn("waking", func(p *Proc) {
 		defer func() { unwound = append(unwound, p.Name()) }()
-		p.yield(true)
+		p.Sleep(50 * Microsecond)
 	})
-	// The wake lands after the run's limit, so waking is still waking
-	// when Run returns.
-	e.Schedule(Time(5*Microsecond), func() { waking.deliverAt(Time(50*Microsecond), nil) })
 	e.Spawn("done", func(p *Proc) { p.Sleep(Microsecond) })
 	if _, err := e.Run(Time(10 * Microsecond)); err != nil {
 		t.Fatal(err)

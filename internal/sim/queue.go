@@ -2,28 +2,6 @@ package sim
 
 import "math/bits"
 
-// eventKind selects what an event does when it fires. The engine's
-// three process-lifecycle transitions (start, Sleep wake, value
-// delivery) are encoded as kinds dispatched over the event's intrusive
-// *Proc pointer instead of per-event closures: Schedule-ing a wake is
-// then allocation-free, which matters when a cluster run pushes
-// millions of block/wake pairs through the queue.
-type eventKind uint8
-
-const (
-	// evCall runs the event's fn callback (user events, daemons).
-	evCall eventKind = iota
-	// evStart fires a created process's first activation.
-	evStart
-	// evWake resumes a process parked by Sleep. No value crosses the
-	// wake, so the fast path never touches the any-boxed wakeVal.
-	evWake
-	// evDeliver resumes a process a waker transitioned to procWaking.
-	// The handed-over value is stored on the process by deliverAt, not
-	// on the event, keeping the event payload-free and small.
-	evDeliver
-)
-
 // event is a scheduled occurrence at time t. Events with equal times
 // fire in (pri, seq) order, which keeps runs deterministic. Locally
 // scheduled events carry pri 0 and the engine's own sequence counter,
@@ -32,17 +10,17 @@ const (
 // carry a priority key derived from the sending port and the sender's
 // own per-port sequence number — a total order that does not depend on
 // which shard ran first or how inter-shard inboxes were drained, which
-// is what makes sharded runs byte-identical to sequential ones. For
-// process events the target is stored intrusively in p; fn is set only
-// for evCall. Keys are unique, so the order is total and any two
-// correct queues pop the same sequence.
+// is what makes sharded runs byte-identical to sequential ones. A
+// callback event sets fn; a process event (a start, or a resume that
+// Sleep or Wake booked) sets p instead, so booking one allocates
+// nothing. Keys are unique, so the order is total and any two correct
+// queues pop the same sequence.
 type event struct {
-	t    Time
-	pri  uint64
-	seq  uint64
-	fn   func()
-	p    *Proc
-	kind eventKind
+	t   Time
+	pri uint64
+	seq uint64
+	fn  func()
+	p   *Proc
 }
 
 // before returns 1 if a fires before b and 0 otherwise: by time, then

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // refEntry is one pending event of the sorted-key reference queue.
@@ -248,6 +249,14 @@ func TestEventBefore(t *testing.T) {
 	}
 	for i := 0; i < 100_000; i++ {
 		check(narrow(), narrow())
+	}
+}
+
+// TestEventSize pins an event at five words: its three key words, its
+// callback and its process. Every heap move copies one.
+func TestEventSize(t *testing.T) {
+	if size := unsafe.Sizeof(event{}); size != 40 {
+		t.Errorf("event is %d bytes, want 40", size)
 	}
 }
 

@@ -316,7 +316,7 @@ func (g *Group) ScheduleGlobal(t Time, pri uint64, fn func()) {
 		panic(fmt.Sprintf("sim: ScheduleGlobal at %v before horizon %v (lookahead %v)", t, floor, g.look)) //lint:allow panicfree (simulation-kernel invariant; a broken event loop cannot continue)
 	}
 	g.gseq++
-	ev := event{t: t, pri: pri, seq: g.gseq, kind: evCall, fn: fn}
+	ev := event{t: t, pri: pri, seq: g.gseq, fn: fn}
 	g.globals.push(&ev)
 	if one && t < g.engines[0].horizon {
 		g.engines[0].horizon = t

@@ -91,8 +91,7 @@ func TestShardGroupCountInvariance(t *testing.T) {
 func TestShardGroupDeadlock(t *testing.T) {
 	g := NewGroup(2, Microsecond)
 	defer g.Close()
-	c := new(Cond)
-	g.Engine(0).Spawn("stuck", func(p *Proc) { c.Wait(p) })
+	g.Engine(0).Spawn("stuck", wait)
 	g.Engine(1).Schedule(5*Time(Microsecond), func() {})
 	if _, err := g.Run(0); !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("got %v, want ErrDeadlock", err)
@@ -458,8 +457,7 @@ func TestShardGroupWorkerGoexitUnwindsRunCaller(t *testing.T) {
 func TestShardGroupDeadlockLeavesNoGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
 	g := bothActive(func() {}, func() {})
-	c := new(Cond)
-	g.Engine(1).Spawn("stuck", func(p *Proc) { c.Wait(p) })
+	g.Engine(1).Spawn("stuck", wait)
 	if _, err := g.Run(0); !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("got %v, want ErrDeadlock", err)
 	}

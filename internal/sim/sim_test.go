@@ -227,54 +227,61 @@ func TestManyProcsDeterministic(t *testing.T) {
 	}
 }
 
-func TestCondSignalFIFO(t *testing.T) {
+// wait parks p counted as blocked, as a process waits for something
+// that nothing may ever end; wake ends such a wait.
+func wait(p *Proc) {
+	p.Engine().Block()
+	p.Park()
+}
+
+func wake(p *Proc) {
+	p.Engine().Unblock()
+	p.Wake()
+}
+
+// Processes woken at one instant resume at that instant in Wake order,
+// not in the order they parked.
+func TestWakeOrder(t *testing.T) {
 	e := NewEngine()
-	c := new(Cond)
+	procs := map[string]*Proc{}
 	var got []string
 	for _, name := range []string{"a", "b", "c"} {
 		name := name
-		e.Spawn(name, func(p *Proc) {
-			v := c.Wait(p)
-			got = append(got, fmt.Sprintf("%s=%v", name, v))
+		procs[name] = e.Spawn(name, func(p *Proc) {
+			wait(p)
+			got = append(got, fmt.Sprintf("%s@%d", name, p.Now()))
 		})
 	}
 	e.Schedule(Time(10), func() {
-		c.Signal(1)
-		c.Signal(2)
-		c.Signal(3)
-		if c.Signal(4) {
-			t.Error("Signal with no waiters reported true")
+		for _, name := range []string{"c", "a", "b"} {
+			wake(procs[name])
 		}
 	})
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	want := "a=1,b=2,c=3"
-	if strings.Join(got, ",") != want {
-		t.Fatalf("got %q want %q", strings.Join(got, ","), want)
+	if s, want := strings.Join(got, ","), "c@10,a@10,b@10"; s != want {
+		t.Fatalf("resumed %q, want %q", s, want)
 	}
 }
 
-// TestCondOneWaiterAllocatesNothing pins that a Cond holds its
-// longest-waiting process inline: Wait and Signal on a fresh Cond that
-// never has two waiters allocate nothing, so a record that embeds such
-// a Cond costs only the record. The difference between runs of k and
-// 2k rounds cancels the engine's and the processes' own set-up.
-func TestCondOneWaiterAllocatesNothing(t *testing.T) {
+// TestWakeAllocatesNothing pins that a park ended by Wake allocates
+// nothing. The difference between runs of k and 2k rounds cancels the
+// engine's and the processes' own set-up.
+func TestWakeAllocatesNothing(t *testing.T) {
 	run := func(rounds int) float64 {
 		return testing.AllocsPerRun(1, func() {
 			e := NewEngine()
 			defer e.Close()
-			conds := make([]Cond, rounds)
-			e.Spawn("waiter", func(p *Proc) {
-				for i := range conds {
-					conds[i].Wait(p)
+			waiter := e.Spawn("waiter", func(p *Proc) {
+				for i := 0; i < rounds; i++ {
+					wait(p)
 				}
 			})
-			e.Spawn("signaller", func(p *Proc) {
-				for i := range conds {
+			e.Spawn("waker", func(p *Proc) {
+				for i := 0; i < rounds; i++ {
 					p.Sleep(Microsecond)
-					conds[i].Signal(nil)
+					wake(waiter)
 				}
 			})
 			if _, err := e.Run(0); err != nil {
@@ -284,81 +291,31 @@ func TestCondOneWaiterAllocatesNothing(t *testing.T) {
 	}
 	const k = 500
 	if got := (run(2*k) - run(k)) / k; got > 0 {
-		t.Fatalf("%.2f allocations per one-waiter Wait/Signal, want 0", got)
+		t.Fatalf("%.2f allocations per Park ended by Wake, want 0", got)
 	}
 }
 
-// TestCondRemoveHead pins that removing the longest waiter hands its
-// place to the next one in line.
-func TestCondRemoveHead(t *testing.T) {
-	e := NewEngine()
-	defer e.Close()
-	c := new(Cond)
-	var got []string
-	var procs []*Proc
-	for _, name := range []string{"a", "b", "c"} {
-		name := name
-		procs = append(procs, e.Spawn(name, func(p *Proc) {
-			c.Wait(p)
-			got = append(got, name)
-		}))
-	}
-	e.Schedule(Time(5), func() {
-		if !c.Remove(procs[0]) || c.Len() != 2 {
-			t.Errorf("Remove of the head: Len = %d", c.Len())
-		}
-		c.Signal(nil)
-		if !c.Remove(procs[2]) || c.Len() != 0 || c.Remove(procs[2]) {
-			t.Errorf("Remove of the last waiter: Len = %d", c.Len())
-		}
-	})
-	if _, err := e.Run(0); !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("expected deadlock (removed waiters never wake), got %v", err)
-	}
-	if strings.Join(got, ",") != "b" {
-		t.Fatalf("woken %q, want b", strings.Join(got, ","))
-	}
-}
-
-func TestCondBroadcastAndRemove(t *testing.T) {
-	e := NewEngine()
-	c := new(Cond)
-	woken := 0
-	var procs []*Proc
-	for i := 0; i < 3; i++ {
-		p := e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			c.Wait(p)
-			woken++
+// Resume and Wake end a Park only: of a sleeping process, whose resume
+// is already booked, they panic, and the process still wakes on time.
+func TestResumeAndWakeOfSleeperPanic(t *testing.T) {
+	for name, end := range map[string]func(*Proc){"Resume": (*Proc).Resume, "Wake": (*Proc).Wake} {
+		e := NewEngine()
+		var woke Time
+		sleeper := e.Spawn("sleeper", func(p *Proc) {
+			p.Sleep(10)
+			woke = p.Now()
 		})
-		procs = append(procs, p)
-	}
-	e.Schedule(Time(5), func() {
-		if c.Len() != 3 {
-			t.Errorf("Len = %d", c.Len())
+		var pan any
+		e.Schedule(5, func() {
+			defer func() { pan = recover() }()
+			end(sleeper)
+		})
+		if _, err := e.Run(0); err != nil {
+			t.Fatal(err)
 		}
-		if !c.Remove(procs[1]) {
-			t.Error("Remove known waiter failed")
+		if msg, _ := pan.(string); !strings.Contains(msg, "Park did not suspend") || woke != 10 {
+			t.Errorf("%s of a sleeper: panic %v, woke at %d; want a panic naming Park and a wake at 10", name, pan, woke)
 		}
-		if c.Remove(procs[1]) {
-			t.Error("second Remove succeeded")
-		}
-		if n := c.Broadcast(); n != 2 {
-			t.Errorf("Broadcast woke %d", n)
-		}
-	})
-	_, err := e.Run(0)
-	if !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("expected deadlock (removed waiter never wakes), got %v", err)
-	}
-	if woken != 2 {
-		t.Fatalf("woken = %d", woken)
-	}
-	if e.Blocked() != 1 {
-		t.Fatalf("Blocked = %d", e.Blocked())
-	}
-	e.Close()
-	if e.Live() != 0 {
-		t.Fatalf("Live after Close = %d", e.Live())
 	}
 }
 
@@ -382,8 +339,7 @@ func TestProcPanicReportedByRun(t *testing.T) {
 
 func TestCloseReapsCreatedAndParked(t *testing.T) {
 	e := NewEngine()
-	c := new(Cond)
-	e.Spawn("parked", func(p *Proc) { c.Wait(p) })
+	e.Spawn("parked", wait)
 	_, err := e.Run(0)
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v", err)
@@ -414,10 +370,9 @@ func TestCloseReapsCreatedAndParked(t *testing.T) {
 func TestDeferredCleanupRunsOnKill(t *testing.T) {
 	e := NewEngine()
 	cleaned := false
-	c := new(Cond)
 	e.Spawn("p", func(p *Proc) {
 		defer func() { cleaned = true }()
-		c.Wait(p)
+		wait(p)
 	})
 	if _, err := e.Run(0); !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v", err)
@@ -430,22 +385,22 @@ func TestDeferredCleanupRunsOnKill(t *testing.T) {
 
 func TestBlockedCounter(t *testing.T) {
 	e := NewEngine()
-	c := new(Cond)
+	var procs []*Proc
 	for i := 0; i < 3; i++ {
-		e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) { c.Wait(p) })
+		procs = append(procs, e.Spawn(fmt.Sprintf("w%d", i), wait))
 	}
 	e.Schedule(Time(10), func() {
 		if e.Blocked() != 3 {
 			t.Errorf("Blocked = %d, want 3", e.Blocked())
 		}
-		c.Signal(nil)
+		wake(procs[0])
 	})
 	_, err := e.Run(0)
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v", err)
 	}
 	if e.Blocked() != 2 {
-		t.Fatalf("Blocked after one signal = %d", e.Blocked())
+		t.Fatalf("Blocked after one wake = %d", e.Blocked())
 	}
 	e.Close()
 }
@@ -633,22 +588,26 @@ func TestRunAfterCallbackPanic(t *testing.T) {
 	})
 }
 
+// Every event fires once and counts once: callbacks, process starts
+// and the resumes that Sleep and Wake book. A Resume switches into its
+// process inside the event that calls it, so it counts a resume and no
+// event.
 func TestFiredCountsEveryEventKind(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(Time(10), func() {})
-	c := new(Cond)
-	e.Spawn("sleeper", func(p *Proc) { // start
-		p.Sleep(5) // wake
-		c.Wait(p)  // deliver
+	sleeper := e.Spawn("sleeper", func(p *Proc) { // start
+		p.Sleep(5) // Sleep's resume
+		wait(p)    // Wake's resume
+		p.Park()   // Resume, no event
 	})
 	e.Spawn("waker", func(p *Proc) { // start
-		p.Sleep(20) // wake
-		c.Signal(nil)
+		p.Sleep(20) // Sleep's resume
+		wake(sleeper)
 	})
+	e.Schedule(Time(30), sleeper.Resume) // callback
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Fired(); got != 6 {
-		t.Fatalf("Fired() = %d, want 6", got)
+	if fired, resumes := e.Fired(), e.Resumes(); fired != 6 || resumes != 6 {
+		t.Fatalf("Fired() = %d and Resumes() = %d, want 6 and 6", fired, resumes)
 	}
 }

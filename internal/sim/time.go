@@ -1,7 +1,9 @@
 // Package sim implements a deterministic process-oriented discrete-event
 // simulation kernel. It provides a virtual clock, an event queue, and
-// lightweight simulated processes, plus their coordination primitives:
-// sleeping and conditions.
+// lightweight simulated processes, which suspend in one way: Proc.Park.
+// An event handler ends a park at once with Proc.Resume, and code on
+// the process's engine books the resume at the current instant with
+// Proc.Wake; Sleep books its own resume and parks.
 //
 // Each process body runs on an iter.Pull coroutine, one at a time under
 // the engine's control: the engine resumes a body and the body hands
@@ -12,10 +14,10 @@
 // processes still parked. A body that calls runtime.Goexit (t.FailNow
 // in a test) unwinds the goroutine that called Run.
 //
-// A Cond's zero value is ready to use, and its first waiter needs no
-// allocation; signal it only on its waiters' shard, and do not copy it
-// after first use. Code that waits as events rather than as a process
-// counts the wait with Engine.Block, so a deadlock still shows.
+// A parked process is not counted as blocked. Code that waits, in a
+// process or as events, counts the wait with Engine.Block and uncounts
+// it with Engine.Unblock when it books the wake, so a wait that nothing
+// ends still shows as a deadlock.
 //
 // The kernel is the substrate for the cluster, network, MPI, and power
 // models in this repository. All of those express behaviour as processes
